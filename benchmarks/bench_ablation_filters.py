@@ -8,6 +8,7 @@ full vs banded dynamic programming (the other half of the speedup).
 
 import time
 
+from repro.core.sources import filter_tokens
 from repro.matching.editdist import edit_distance, edit_distance_within
 from repro.matching.qgrams import (
     count_filter_threshold,
@@ -24,7 +25,7 @@ def test_ablation_filter_composition(benchmark, perf_catalog):
     config = catalog.config
     query = SELECT_QUERIES[0]
     query_phonemes = catalog.matcher.registry.transform(query, "english")
-    query_tokens = catalog.tokens_of_phonemes(query_phonemes)
+    query_tokens = filter_tokens(query_phonemes, config)
     k = config.max_operations(len(query_tokens))
     q = config.q
     query_grams = positional_qgrams(query_tokens, q)
@@ -37,7 +38,7 @@ def test_ablation_filter_composition(benchmark, perf_catalog):
     costs = catalog.matcher.costs
     for record in catalog.records():
         total += 1
-        tokens = catalog.tokens_of(record.id)
+        tokens = filter_tokens(catalog.phonemes_of(record.id), config)
         if abs(len(tokens) - len(query_tokens)) > k:
             continue
         after_length += 1

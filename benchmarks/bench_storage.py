@@ -12,7 +12,7 @@ Two claims under test (ISSUE 7 acceptance):
 
 2. **Cost-based choice** — after ``ANALYZE``, the planner picks a
    non-naive strategy on the seeded lexicon without any
-   ``--strategy``/``--accelerate`` flag, and the chosen strategy's
+   ``--strategy`` flag, and the chosen strategy's
    measured latency is the fastest (or within a bounded ratio of it)
    among the executable strategies.
 
@@ -138,7 +138,7 @@ def test_storage_cold_reopen_and_planner():
         assert accelerator is not None, "accelerator not re-attached"
         # The embedding sidecar must come back pre-built (attached from
         # the .ann snapshot, not lazily re-encoded on first use).
-        assert accelerator._ann_index is not None, (
+        assert accelerator._sources["ann"]._index is not None, (
             "ann sidecar not restored"
         )
         from repro.storage import layout as storage_layout

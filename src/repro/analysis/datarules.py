@@ -4,9 +4,9 @@ These rules check the *domain data* the matcher is built on — the IPA
 literals inside every TTP rule table, the phoneme-cluster partition, the
 metric axioms of the cost models, rule-table reachability, and each
 converter's coverage of its script's codepoint range.  A typo in any of
-these tables silently degrades match quality (or, for a non-metric cost
-model, silently drops true matches out of BK-tree range searches), which
-is exactly the class of bug ordinary linters cannot see.
+these tables silently degrades match quality (or, for an asymmetric cost
+model, makes a pair's verdict depend on its order), which is exactly the
+class of bug ordinary linters cannot see.
 """
 
 from __future__ import annotations
@@ -245,9 +245,8 @@ class MetricAxioms(Rule):
     rule_id = "LEX-D003"
     name = "metric-axioms"
     description = (
-        "cost models used for BK-tree pruning must satisfy positivity, "
-        "identity, symmetry and the triangle inequality over the full "
-        "phoneme inventory"
+        "shipped cost models must satisfy positivity, identity, symmetry "
+        "and the triangle inequality over the full phoneme inventory"
     )
 
     def __init__(

@@ -122,15 +122,10 @@ SANCTIONED_SIGNAL_SITES: dict[tuple[str, str], str] = {}
 HOT_PATH_FILES: tuple[str, ...] = (
     "src/repro/matching/editdist.py",
     "src/repro/matching/batch.py",
-    "src/repro/matching/bktree.py",
     "src/repro/parallel/executor.py",
 )
 
 SANCTIONED_UNPOLLED_LOOPS: dict[tuple[str, str], str] = {
-    ("src/repro/matching/bktree.py", "BKTree.add"): (
-        "descent is bounded by tree height; the build path runs "
-        "without an armed deadline"
-    ),
     ("src/repro/parallel/executor.py", "_worker_main"): (
         "worker idle loop: bounded by the 1s poll timeout plus the "
         "orphaned-parent check; workers disarm inherited deadlines"

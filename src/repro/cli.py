@@ -25,9 +25,7 @@ Commands:
     Run SQL (including the paper's LexEQUAL predicates) against the
     bundled Books.com demo catalog, or — with ``--data-dir`` — against a
     durable database created by ``init``; ``--explain``/``--analyze``
-    print the query plan instead of rows.  ``--accelerate`` is a
-    deprecated alias of ``--strategy`` (``--strategy`` wins when both
-    are given).
+    print the query plan instead of rows.
 
 ``init --data-dir D [--rows N] [--strategy METHOD]``
     Create a durable database directory (``repro.storage`` file
@@ -183,38 +181,17 @@ def cmd_dismissals(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_books_db(accelerate: str = "none", workers: int | None = None):
+def _demo_books_db(strategy: str = "none", workers: int | None = None):
     from repro.core.integration import demo_books_db
 
-    return demo_books_db(accelerate, workers=workers)
-
-
-#: ``--accelerate`` deprecation warning is emitted once per process.
-_accelerate_warned = False
+    return demo_books_db(strategy, workers=workers)
 
 
 def _resolve_strategy(
     args: argparse.Namespace, default: str = "qgram"
 ) -> str:
-    """Unify ``--strategy`` (canonical) with deprecated ``--accelerate``.
-
-    Precedence: ``--strategy`` > ``--accelerate`` > ``default``.  The
-    first use of ``--accelerate`` warns on stderr; both flags accept the
-    same choices, so scripts migrate by renaming the flag.
-    """
-    global _accelerate_warned
-    accelerate = getattr(args, "accelerate", None)
+    """``--strategy``, or ``default`` when it was not given."""
     strategy = getattr(args, "strategy", None)
-    if accelerate is not None:
-        if not _accelerate_warned:
-            print(
-                "warning: --accelerate is deprecated; use --strategy "
-                "(--strategy takes precedence when both are given)",
-                file=sys.stderr,
-            )
-            _accelerate_warned = True
-        if strategy is None:
-            return accelerate
     return strategy if strategy is not None else default
 
 
@@ -228,9 +205,9 @@ def _open_data_dir(args: argparse.Namespace):
 
 def cmd_query(args: argparse.Namespace) -> int:
     if getattr(args, "data_dir", None):
-        if args.strategy or args.accelerate:
+        if args.strategy:
             print(
-                "warning: --strategy/--accelerate ignored with "
+                "warning: --strategy ignored with "
                 "--data-dir (the persisted accelerator configuration "
                 "applies; re-run `lexequal init` to change it)",
                 file=sys.stderr,
@@ -257,7 +234,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     obs.enable().reset()
     # Representative workload: the paper's Figure 3 selection, once
-    # accelerated (q-gram filters + B+ tree) and once as a full scan,
+    # accelerated (q-gram filters + batch verifier) and once as a full scan,
     # plus a direct matcher comparison.
     matcher = LexEqualMatcher()
     matcher.match("Nehru", "नेहरु")
@@ -679,12 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'auto' = cost-based per-query choice)",
     )
     p_query.add_argument(
-        "--accelerate",
-        choices=("auto", "qgram", "index", "parallel", "ann", "none"),
-        help="deprecated alias of --strategy (--strategy wins when "
-        "both are given)",
-    )
-    p_query.add_argument(
         "--workers",
         type=int,
         help="process-pool size for --strategy parallel "
@@ -714,11 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=("auto", "qgram", "index", "parallel", "ann", "none"),
         help="persisted accelerator method (default: auto)",
-    )
-    p_init.add_argument(
-        "--accelerate",
-        choices=("auto", "qgram", "index", "parallel", "ann", "none"),
-        help="deprecated alias of --strategy",
     )
     p_init.add_argument(
         "--workers", type=int, help="pool size for strategy 'parallel'"
@@ -764,12 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "qgram", "index", "parallel", "ann", "none"),
         help="phonetic accelerator for books.author (default: qgram; "
         "'auto' = cost-based per-query choice)",
-    )
-    p_serve.add_argument(
-        "--accelerate",
-        choices=("auto", "qgram", "index", "parallel", "ann", "none"),
-        help="deprecated alias of --strategy (--strategy wins when "
-        "both are given)",
     )
     p_serve.add_argument(
         "--data-dir",

@@ -7,8 +7,11 @@
   paper Figure 8;
 * :mod:`repro.core.matcher` — :class:`LexEqualMatcher`, the cached,
   configured façade used by applications and by the database strategies;
-* :mod:`repro.core.strategies` — the naive UDF, q-gram filter and
-  phonetic index execution strategies over a :class:`NameCatalog`;
+* :mod:`repro.core.sources` — the candidate sources (q-gram postings,
+  grouped phoneme key, embedding prefilter) and the one verifier;
+* :mod:`repro.core.strategies` — the naive UDF, q-gram filter,
+  phonetic index and embedding prefilter execution strategies over a
+  :class:`NameCatalog`;
 * :mod:`repro.core.integration` — installing LexEQUAL into a
   :class:`repro.minidb.Database` as a UDF so the paper's SQL (Figures 3,
   5, 14, 15) runs verbatim.
@@ -24,7 +27,6 @@ from repro.core.strategies import (
     NaiveUdfStrategy,
     QGramStrategy,
     PhoneticIndexStrategy,
-    MetricIndexStrategy,
     AnnPrefilterStrategy,
 )
 from repro.core.integration import install_lexequal
@@ -45,7 +47,6 @@ __all__ = [
     "NaiveUdfStrategy",
     "QGramStrategy",
     "PhoneticIndexStrategy",
-    "MetricIndexStrategy",
     "AnnPrefilterStrategy",
     "install_lexequal",
     "PhoneticAccelerator",

@@ -7,19 +7,22 @@ implementation ... with the expectation of further improving the runtime
 efficiency".  This module is that implementation for the minidb engine:
 
 * :func:`create_phonetic_accelerator` builds the auxiliary phonetic
-  structures for one text column — per-row phoneme strings, and either
-  the positional q-gram table with its B+ tree (``method="qgram"``,
-  lossless), the grouped-phoneme-key B+ tree (``method="index"``,
-  fastest, with the Section 5.3 false-dismissal caveat), or the sharded
-  process-pool executor over an encoded phoneme table
-  (``method="parallel"``, lossless — evaluates the exact match set with
-  the vectorized banded kernels of :mod:`repro.matching.batch`);
+  structures for one text column — per-row phoneme strings plus the
+  candidate sources of :mod:`repro.core.sources` its method can use:
+  q-gram postings (``method="qgram"``, lossless), grouped-key buckets
+  (``method="index"``, fastest, with the Section 5.3 false-dismissal
+  caveat) or the embedding prefilter (``method="ann"``, lossy through
+  its admission radius); ``method="parallel"`` instead scans every row
+  with the sharded process-pool executor (lossless);
+* every method returns *verified* rows: candidates go through the one
+  batch verifier, :meth:`repro.core.sources.PhonemeStore.verify`;
 * the structures register themselves as a table observer, so inserts
   and deletes keep them consistent automatically;
 * the planner (see ``repro.minidb.planner._accelerated_candidates``)
   rewrites a ``col LexEQUAL 'query' THRESHOLD e`` predicate into a
-  candidate-rowid scan against these structures, keeping the UDF as a
-  recheck filter — no query changes required:
+  rowid scan against these structures, keeping the UDF as a recheck
+  filter for NULL, INLANGUAGES and degradation semantics — no query
+  changes required:
 
       create_phonetic_accelerator(db, "books", "author")
       db.execute("SELECT * FROM books WHERE author LEXEQUAL 'Nehru' "
@@ -31,18 +34,27 @@ from __future__ import annotations
 from repro import degrade, obs
 from repro.core.config import MatchConfig
 from repro.core.matcher import LexEqualMatcher
+from repro.core.sources import SOURCES, PhonemeStore, cost_inputs
 from repro.errors import DatabaseError, TTPError
-from repro.matching.qgrams import (
-    count_filter_threshold,
-    positional_qgrams,
-    publish_filter_counts,
-)
-from repro.minidb.btree import BPlusTree
 from repro.minidb.catalog import Database
-from repro.phonetics.keys import grouped_key
 from repro.phonetics.parse import PhonemeString
 
-_GRAM_SEP = "\x1f"
+#: Version of :meth:`PhoneticAccelerator.snapshot_state`'s layout; a
+#: snapshot in any other layout is rebuilt from the table.
+SNAPSHOT_LAYOUT = 2
+
+METHODS = ("qgram", "index", "parallel", "ann", "auto")
+
+
+def _source_names(method: str, allow_lossy: bool) -> tuple[str, ...]:
+    """The candidate sources a method can use.
+
+    ``auto`` keeps only what its cost model may choose: the lossless
+    q-gram source, plus the lossy ones under ``allow_lossy``.
+    """
+    if method == "auto":
+        return ("qgram", "index", "ann") if allow_lossy else ("qgram",)
+    return (method,) if method in SOURCES else ()
 
 
 class PhoneticAccelerator:
@@ -63,7 +75,7 @@ class PhoneticAccelerator:
         allow_lossy: bool = False,
         restore: dict | None = None,
     ):
-        if method not in ("qgram", "index", "parallel", "ann", "auto"):
+        if method not in METHODS:
             raise DatabaseError(
                 f"accelerator method must be 'qgram', 'index', "
                 f"'parallel', 'ann' or 'auto', got {method!r}"
@@ -74,36 +86,22 @@ class PhoneticAccelerator:
         self.matcher = matcher
         self.method = method
         self.workers = workers
-        #: auto only: whether the cost model may choose the grouped-key
-        #: index, which can false-dismiss (paper Section 5.3).
+        #: auto only: whether the cost model may choose the lossy
+        #: grouped-key and embedding sources (paper Section 5.3).
         self.allow_lossy = allow_lossy
-        # Which structures this accelerator maintains.  "auto" keeps
-        # both filter structures current so the cost model has a real
-        # choice per query (maintenance is two extra tree inserts/row).
-        self._maintain_qgram = method in ("qgram", "auto")
-        self._maintain_index = method in ("index", "auto")
-        self._maintain_parallel = method in ("parallel", "auto")
-        # The embedding prefilter is lossy at its default radius, so
-        # "auto" only carries it when the lossy tier is enabled at all.
-        self._maintain_ann = method == "ann" or (
-            method == "auto" and allow_lossy
+        config = matcher.config
+        self._sources = {
+            name: SOURCES[name](config)
+            for name in _source_names(method, allow_lossy)
+        }
+        #: Whether the sharded executor is a usable method.
+        self._parallel = method == "parallel" or (
+            method == "auto" and workers is not None
         )
-        #: Admission radius per unit of ``threshold * |query|`` for the
-        #: embedding prefilter (see :mod:`repro.matching.embed`): 2.0 is
-        #: the measured-recall operating point the quality harness pins.
-        self.ann_radius_scale = 2.0
-        self._ann_model = None
-        self._ann_index = None
-        self._ann_rowids: list[int] = []
-        self._ann_pos: dict[int, int] = {}
         table = db.table(table_name)
         self._position = table.schema.position(column_name)
-        self._phonemes: dict[int, PhonemeString] = {}
-        self._tokens: dict[int, tuple[str, ...]] = {}
-        self._langs: dict[int, str] = {}
+        self._phonemes = PhonemeStore(matcher.costs)
         self._plen_sum = 0
-        self._gpsid_tree = BPlusTree()
-        self._gram_tree = BPlusTree()
         #: Encoded table + executor for the parallel path, rebuilt
         #: lazily after table changes.
         self._table = None
@@ -114,7 +112,6 @@ class PhoneticAccelerator:
         #: surfaces these in EXPLAIN).
         self.last_method: str | None = None
         self.last_choice = None
-        self.last_estimates: list = []
         if restore is not None and self._restore_state(restore):
             self._sync_with_table(table)
         else:
@@ -137,69 +134,20 @@ class PhoneticAccelerator:
             return
         self._phonemes[rowid] = phonemes
         self._plen_sum += len(phonemes)
-        config = self.matcher.config
-        if self._maintain_parallel:
-            language = self.matcher.language_of(row[self._position])
-            self._langs[rowid] = language or ""
-            self._table = None
-            self._executor_stale = True
-        if self._maintain_index:
-            key = grouped_key(
-                phonemes, config.clustering, mode=config.key_mode
-            )
-            self._gpsid_tree.insert(key, rowid)
-        if self._maintain_qgram:
-            tokens = self._tokens_of(phonemes)
-            self._tokens[rowid] = tokens
-            for gram in positional_qgrams(tokens, config.q):
-                self._gram_tree.insert(
-                    _GRAM_SEP.join(gram.gram), (rowid, gram.pos)
-                )
-        if self._maintain_ann and self._ann_index is not None:
-            try:
-                vector = self._ann_model.encode(phonemes)
-            except KeyError:
-                # Symbol outside the embedding's code space: drop the
-                # index and rebuild lazily over the widened inventory.
-                self._ann_invalidate()
-            else:
-                position = self._ann_index.append(vector)
-                self._ann_rowids.append(rowid)
-                self._ann_pos[rowid] = position
+        for source in self._sources.values():
+            source.add(rowid, phonemes)
+        self._table = None
+        self._executor_stale = True
 
     def on_delete(self, rowid: int, row: tuple) -> None:
         phonemes = self._phonemes.pop(rowid, None)
         if phonemes is None:
             return
         self._plen_sum -= len(phonemes)
-        config = self.matcher.config
-        if self._maintain_parallel:
-            self._langs.pop(rowid, None)
-            self._table = None
-            self._executor_stale = True
-        if self._maintain_index:
-            key = grouped_key(
-                phonemes, config.clustering, mode=config.key_mode
-            )
-            self._gpsid_tree.delete(key, rowid)
-        if self._maintain_qgram:
-            tokens = self._tokens.pop(rowid)
-            for gram in positional_qgrams(tokens, config.q):
-                self._gram_tree.delete(
-                    _GRAM_SEP.join(gram.gram), (rowid, gram.pos)
-                )
-        if self._maintain_ann and self._ann_index is not None:
-            position = self._ann_pos.pop(rowid, None)
-            if position is not None:
-                self._ann_index.delete(position)
-
-    def _tokens_of(self, phonemes: PhonemeString) -> tuple[str, ...]:
-        config = self.matcher.config
-        if config.qgram_domain == "cluster":
-            return tuple(
-                str(c) for c in config.clustering.map_string(phonemes)
-            )
-        return tuple(phonemes)
+        for source in self._sources.values():
+            source.remove(rowid)
+        self._table = None
+        self._executor_stale = True
 
     # ------------------------------------------------- snapshot/restore
 
@@ -208,71 +156,53 @@ class PhoneticAccelerator:
 
         Persisted by the storage backend at checkpoint time so a
         reopened database attaches this accelerator without re-running
-        TTP over the table (see :mod:`repro.storage.snapshots`).
+        TTP over the table (see :mod:`repro.storage.snapshots`).  Each
+        source's state sits under its name; the storage backend moves
+        the ``ann`` matrix to its own sidecar file.
         """
         from repro.storage import snapshots
 
         state: dict = {
+            "layout": SNAPSHOT_LAYOUT,
             "method": self.method,
             "phonemes": dict(self._phonemes),
-            "langs": dict(self._langs),
         }
-        if self._maintain_qgram:
-            state["tokens"] = dict(self._tokens)
-            state["grams"] = snapshots.btree_state(self._gram_tree)
-        if self._maintain_index:
-            state["gpsid"] = snapshots.btree_state(self._gpsid_tree)
-        if self._maintain_parallel and self._phonemes:
+        for name, source in self._sources.items():
+            state[name] = source.state()
+        if self._parallel and self._phonemes:
             state["encoded"] = snapshots.encoded_table_state(
                 self._build_table()
             )
-        if self._maintain_ann and self._phonemes:
-            if self._ann_state() is not None:
-                state["ann"] = snapshots.ann_index_state(
-                    self._ann_model, self._ann_index, self._ann_rowids
-                )
         return state
 
     def _restore_state(self, state: dict) -> bool:
-        """Install a snapshot; False = incompatible, rebuild instead."""
+        """Install a snapshot; False = incompatible, rebuild instead.
+
+        A source whose state is missing or stale (e.g. a lost ``.ann``
+        sidecar) is rebuilt from the snapshot's phoneme strings.
+        """
         from repro.storage import snapshots
 
-        if state.get("method") != self.method:
+        if (
+            state.get("layout") != SNAPSHOT_LAYOUT
+            or state.get("method") != self.method
+        ):
             return False
-        self._phonemes = {
-            int(rowid): tuple(ph)
-            for rowid, ph in state["phonemes"].items()
-        }
-        self._plen_sum = sum(len(p) for p in self._phonemes.values())
-        self._langs = {
-            int(rowid): lang for rowid, lang in state["langs"].items()
-        }
-        if self._maintain_qgram:
-            self._tokens = {
-                int(rowid): tuple(t)
-                for rowid, t in state["tokens"].items()
-            }
-            self._gram_tree = snapshots.restore_btree(state["grams"])
-        if self._maintain_index:
-            self._gpsid_tree = snapshots.restore_btree(state["gpsid"])
-        if self._maintain_parallel and "encoded" in state:
+        self._phonemes.update(state["phonemes"])
+        self._plen_sum = sum(map(len, self._phonemes.values()))
+        config = self.matcher.config
+        for name in self._sources:
+            restored = None
+            if state.get(name) is not None:
+                restored = SOURCES[name].from_state(config, state[name])
+            if restored is None:
+                restored = SOURCES[name](config)
+                restored.add_many(self._phonemes.items())
+            self._sources[name] = restored
+        if self._parallel and "encoded" in state:
             self._table = snapshots.restore_encoded_table(
                 state["encoded"], self.matcher.costs
             )
-        if self._maintain_ann and "ann" in state:
-            restored = snapshots.restore_ann_index(
-                state["ann"], self.matcher.costs
-            )
-            if restored is not None:
-                model, index, rowids = restored
-                self._ann_model = model
-                self._ann_index = index
-                self._ann_rowids = [int(rowid) for rowid in rowids]
-                self._ann_pos = {
-                    rowid: pos
-                    for pos, rowid in enumerate(self._ann_rowids)
-                    if index.alive[pos]
-                }
         return True
 
     def _sync_with_table(self, table) -> None:
@@ -302,22 +232,17 @@ class PhoneticAccelerator:
         threshold: float | None,
         languages: tuple[str, ...] = (),
     ) -> list[int] | None:
-        """Candidate rowids for ``column LexEQUAL value THRESHOLD t``.
+        """Matching rowids for ``column LexEQUAL value THRESHOLD t``.
 
-        For ``method="qgram"`` the list is a strict superset of the
-        matching rows (the planner rechecks with the UDF, so results are
-        identical to a full scan).  For ``method="index"`` it is the
-        grouped-key bucket — fastest, with possible false dismissals.
-        For ``method="parallel"`` it is the *exact* match set, computed
-        by the sharded executor's banded batch kernels (the planner's
-        UDF recheck then touches only true matches).  For
-        ``method="ann"`` the embedding prefilter admits a radius
-        neighbourhood and the banded batch kernel verifies the
-        survivors, so the list is again exact over the *admitted* rows —
-        lossy only through the radius (recall pinned by the quality
-        harness).  Returns None
-        (declining, planner falls back to a scan) when the query value's
-        language is unsupported or its phonemes cannot be encoded.
+        Every method returns verified rows: the chosen candidate source
+        (or, for ``parallel``, the sharded scan) feeds the one batch
+        verifier, so the list is exactly the matching rows for
+        ``qgram`` and ``parallel`` and a subset of them for the lossy
+        ``index`` and ``ann``.  The planner's UDF recheck then applies
+        NULL, INLANGUAGES and degradation semantics to true matches
+        only.  Returns None (declining, planner falls back to a scan)
+        when the query value's language is unsupported or its phonemes
+        cannot be encoded.
         """
         obs.incr(f"accelerator.{self.method}.calls")
         try:
@@ -345,48 +270,30 @@ class PhoneticAccelerator:
             # SeqScan + UDF recheck *is* the chosen plan.
             obs.incr("accelerator.auto.chose_naive")
             return None
-        if method == "parallel":
-            candidates = self._parallel_candidates(query_phonemes, config)
-            if candidates is None:
-                if self.method == "auto":
-                    # Unknown symbol for the encoded table: fall back
-                    # to the lossless q-gram path instead of declining.
-                    method = self.last_method = "qgram"
-                    candidates = self._qgram_candidates(
-                        query_phonemes, config
-                    )
-                else:
-                    obs.incr(f"accelerator.{self.method}.declined")
-                    return None
-        elif method == "ann":
-            candidates = self._ann_candidates(query_phonemes, config)
-            if candidates is None:
-                if self.method == "auto":
-                    # Query not encodable in the embedding's code
-                    # space: fall back to the lossless q-gram path.
-                    method = self.last_method = "qgram"
-                    candidates = self._qgram_candidates(
-                        query_phonemes, config
-                    )
-                else:
-                    obs.incr(f"accelerator.{self.method}.declined")
-                    return None
-        elif method == "index":
-            key = grouped_key(
-                query_phonemes, config.clustering, mode=config.key_mode
-            )
-            candidates = sorted(self._gpsid_tree.search(key))
-            obs.incr("btree.probes")
-            if not candidates:
-                obs.incr("btree.probe_misses")
-        else:
-            candidates = self._qgram_candidates(query_phonemes, config)
+        rowids = self._matches(method, query_phonemes, config)
+        if rowids is None and self.method == "auto":
+            # Query not encodable for the chosen path: fall back to
+            # the lossless q-gram source instead of declining.
+            method = self.last_method = "qgram"
+            rowids = self._matches(method, query_phonemes, config)
+        if rowids is None:
+            obs.incr(f"accelerator.{self.method}.declined")
+            return None
         if self.method == "auto":
             obs.incr(f"accelerator.auto.chose_{method}")
-        obs.observe(
-            f"accelerator.{self.method}.candidates", len(candidates)
-        )
-        return candidates
+        obs.observe(f"accelerator.{self.method}.candidates", len(rowids))
+        return rowids
+
+    def _matches(
+        self, method: str, query_phonemes: PhonemeString, config: MatchConfig
+    ) -> list[int] | None:
+        """Verified matching rowids via ``method`` (None: not encodable)."""
+        if method == "parallel":
+            return self._parallel_matches(query_phonemes, config)
+        keys = self._sources[method].candidates(query_phonemes, config)
+        if keys is None:
+            return None
+        return self._phonemes.verify(query_phonemes, keys, config.threshold)
 
     def _resolve_method(self, query_phonemes: PhonemeString, config):
         """The concrete method for this query, with its cost estimate.
@@ -401,11 +308,8 @@ class PhoneticAccelerator:
         from repro.minidb import cost
 
         if self.method == "auto":
-            available = ["naive", "qgram"]
-            if self.allow_lossy:
-                available.append("index")
-                available.append("ann")
-            if self.workers is not None:
+            available = ["naive", *self._sources]
+            if self._parallel:
                 available.append("parallel")
         else:
             available = [self.method]
@@ -416,27 +320,23 @@ class PhoneticAccelerator:
             if stats is not None and stats.avg_plen
             else (self._plen_sum / rows if rows else 1.0)
         )
-        avg_posting = None
-        if stats is not None and stats.distinct_grams:
-            avg_posting = stats.qgram_postings / stats.distinct_grams
         estimates = cost.estimate_strategies(
             rows=rows,
-            query_len=len(self._tokens_of(query_phonemes)),
+            query_len=len(query_phonemes),
             avg_plen=avg_plen,
             qgram_sel=stats.qgram_sel if stats is not None else None,
             index_sel=stats.index_sel if stats is not None else None,
             ann_sel=stats.ann_sel if stats is not None else None,
-            avg_posting=avg_posting,
+            avg_posting=stats.avg_posting if stats is not None else None,
             workers=self.workers,
             available=tuple(available),
         )
-        self.last_estimates = estimates
         if self.method != "auto":
             return self.method, estimates[0] if estimates else None
         choice = cost.choose(estimates, allow_lossy=self.allow_lossy)
         return choice.strategy, choice
 
-    def _parallel_candidates(
+    def _parallel_matches(
         self, query_phonemes: PhonemeString, config: MatchConfig
     ) -> list[int] | None:
         """Exact matching rowids via the sharded executor (or None)."""
@@ -461,7 +361,7 @@ class PhoneticAccelerator:
             self._table = EncodedNameTable.from_rows(
                 self.matcher.costs,
                 [
-                    (rowid, self._langs.get(rowid, ""), phonemes)
+                    (rowid, "", phonemes)
                     for rowid, phonemes in sorted(self._phonemes.items())
                 ],
             )
@@ -482,163 +382,16 @@ class PhoneticAccelerator:
             self._executor_stale = False
         return self._executor
 
-    def _ann_invalidate(self) -> None:
-        self._ann_model = None
-        self._ann_index = None
-        self._ann_rowids = []
-        self._ann_pos = {}
-
-    def _ann_state(self):
-        """The (model, index) pair for the embedding prefilter (lazy).
-
-        The embedding code space is the full phoneme inventory widened
-        by any out-of-inventory symbols in the current rows, so every
-        indexed row is encodable; a later insert that still misses the
-        space invalidates and rebuilds here.
-        """
-        if self._ann_index is None and self._phonemes:
-            import numpy as np
-
-            from repro.matching.embed import (
-                EmbeddingModel,
-                QuantizedMatrixIndex,
-            )
-            from repro.phonetics.inventory import INVENTORY
-
-            extra = {
-                symbol
-                for phonemes in self._phonemes.values()
-                for symbol in phonemes
-            }
-            model = EmbeddingModel.for_costs(
-                self.matcher.costs, sorted(set(INVENTORY) | extra)
-            )
-            rowids = sorted(self._phonemes)
-            chunks = [
-                model.encoded.encode(self._phonemes[rowid])
-                for rowid in rowids
-            ]
-            offsets = np.zeros(len(rowids) + 1, dtype=np.int64)
-            np.cumsum([len(c) for c in chunks], out=offsets[1:])
-            codes = (
-                np.concatenate(chunks)
-                if chunks
-                else np.empty(0, dtype=np.int64)
-            )
-            vectors = model.encode_many(codes, offsets)
-            self._ann_model = model
-            self._ann_index = QuantizedMatrixIndex.from_vectors(vectors)
-            self._ann_rowids = list(rowids)
-            self._ann_pos = {
-                rowid: pos for pos, rowid in enumerate(rowids)
-            }
-        if self._ann_index is None:
-            return None
-        return self._ann_model, self._ann_index
-
-    def _ann_candidates(
-        self, query_phonemes: PhonemeString, config: MatchConfig
-    ) -> list[int] | None:
-        """Exact matches among embedding-admitted rows (or None).
-
-        Prefilter with a radius search over the quantized embedding
-        matrix, then verify every survivor with the exact banded batch
-        kernel at the exact per-pair budget — candidates are true
-        matches *within the admitted neighbourhood* (lossy only through
-        the admission radius).  None = query not encodable, caller
-        falls back.
-        """
-        state = self._ann_state()
-        if state is None:
-            return []
-        import numpy as np
-
-        from repro.matching.batch import batch_edit_distances_within
-
-        model, index = state
-        try:
-            query_vector = model.encode(query_phonemes)
-        except KeyError:
-            return None
-        radius = (
-            self.ann_radius_scale
-            * config.threshold
-            * len(query_phonemes)
-        )
-        positions = index.search(query_vector, radius)
-        rowids = [self._ann_rowids[int(pos)] for pos in positions]
-        if not rowids:
-            return []
-        candidates = [self._phonemes[rowid] for rowid in rowids]
-        budgets = config.threshold * np.minimum(
-            len(query_phonemes),
-            np.fromiter(
-                (len(c) for c in candidates), np.int64, len(candidates)
-            ),
-        )
-        distances = batch_edit_distances_within(
-            query_phonemes, candidates, model.encoded, budgets
-        )
-        return sorted(
-            rowid
-            for rowid, distance in zip(rowids, distances)
-            if np.isfinite(distance)
-        )
-
-    def _qgram_candidates(
-        self, query_phonemes: PhonemeString, config: MatchConfig
-    ) -> list[int]:
-        query_tokens = self._tokens_of(query_phonemes)
-        k = config.max_operations(len(query_tokens))
-        q = config.q
-        pair_counts: dict[int, int] = {}
-        pos_pass = pos_reject = 0  # published in one batch below
-        probes = probe_misses = 0  # ditto (btree.search is uninstrumented)
-        for gram in positional_qgrams(query_tokens, q):
-            encoded = _GRAM_SEP.join(gram.gram)
-            postings = self._gram_tree.search(encoded)
-            probes += 1
-            if not postings:
-                probe_misses += 1
-            for rowid, pos in postings:
-                if abs(pos - gram.pos) <= k:
-                    pos_pass += 1
-                    pair_counts[rowid] = pair_counts.get(rowid, 0) + 1
-                else:
-                    pos_reject += 1
-        qlen = len(query_tokens)
-        candidates = []
-        len_pass = len_reject = cnt_pass = cnt_reject = 0
-        for rowid, count in pair_counts.items():
-            clen = len(self._tokens[rowid])
-            if abs(qlen - clen) > k:
-                len_reject += 1
-                continue
-            len_pass += 1
-            if count < count_filter_threshold(qlen, clen, k, q):
-                cnt_reject += 1
-                continue
-            cnt_pass += 1
-            candidates.append(rowid)
-        publish_filter_counts(
-            pos_pass, pos_reject, len_pass, len_reject, cnt_pass, cnt_reject
-        )
-        obs.incr("btree.probes", probes)
-        if probe_misses:
-            obs.incr("btree.probe_misses", probe_misses)
-        candidates.sort()
-        return candidates
-
     # ------------------------------------------------------- statistics
 
     def collect_stats(self, sample: int = 32):
-        """Structure + sampled-selectivity statistics for ANALYZE.
+        """Row and sampled-selectivity statistics for ANALYZE.
 
         Selectivities are measured, not modelled: up to ``sample``
-        stored phoneme strings (seeded choice, reproducible) are run
-        through the maintained filter structures and the mean candidate
-        fraction is recorded.  That grounds the cost model in this
-        lexicon's actual phonology rather than textbook constants.
+        stored phoneme strings (seeded choice, reproducible) probe every
+        maintained candidate source, and the mean candidate fraction is
+        recorded.  That grounds the cost model in this lexicon's actual
+        phonology rather than textbook constants.
         """
         import random
 
@@ -651,17 +404,6 @@ class PhoneticAccelerator:
             avg_plen=(self._plen_sum / rows) if rows else 0.0,
             threshold=config.threshold,
         )
-        if self._maintain_index:
-            max_bucket = 0
-            distinct = 0
-            for _key, bucket in self._gpsid_tree.items():
-                distinct += 1
-                max_bucket = max(max_bucket, len(bucket))
-            stats.distinct_keys = distinct
-            stats.max_bucket = max_bucket
-        if self._maintain_qgram:
-            stats.qgram_postings = len(self._gram_tree)
-            stats.distinct_grams = self._gram_tree.key_count
         if rows:
             rng = random.Random(0x4C455861)  # stable across ANALYZE runs
             rowids = sorted(self._phonemes)
@@ -670,39 +412,10 @@ class PhoneticAccelerator:
                 for _ in range(min(sample, rows))
             ]
             stats.sample_size = len(probes)
-            if self._maintain_qgram:
-                total = sum(
-                    len(self._qgram_candidates(ph, config))
-                    for ph in probes
-                )
-                stats.qgram_sel = total / (len(probes) * rows)
-            if self._maintain_index:
-                total = sum(
-                    len(
-                        self._gpsid_tree.search(
-                            grouped_key(
-                                ph, config.clustering, mode=config.key_mode
-                            )
-                        )
-                    )
-                    for ph in probes
-                )
-                stats.index_sel = total / (len(probes) * rows)
-            if self._maintain_ann:
-                state = self._ann_state()
-                if state is not None:
-                    model, index = state
-                    total = 0
-                    for ph in probes:
-                        radius = (
-                            self.ann_radius_scale
-                            * config.threshold
-                            * len(ph)
-                        )
-                        total += len(
-                            index.search(model.encode(ph), radius)
-                        )
-                    stats.ann_sel = total / (len(probes) * rows)
+            for name, value in cost_inputs(
+                self._sources, probes, config
+            ).items():
+                setattr(stats, name, value)
         return stats
 
     def drop(self) -> None:
@@ -738,11 +451,11 @@ def create_phonetic_accelerator(
     the sharded banded-kernel executor (lossless; ``workers`` sizes its
     process pool, default CPU count); ``method="ann"`` prefilters with
     the quantized articulatory-embedding index of
-    :mod:`repro.matching.embed` and verifies survivors exactly (lossy
-    through the admission radius, recall pinned by the quality
-    harness); ``method="auto"`` maintains the filter structures and
-    lets the cost model pick a strategy per query from ANALYZE
-    statistics (lossy index/ann only with ``allow_lossy``).
+    :mod:`repro.matching.embed` (lossy through the admission radius,
+    recall pinned by the quality harness); ``method="auto"`` lets the
+    cost model pick a strategy per query from ANALYZE statistics
+    (lossy index/ann only with ``allow_lossy``, parallel only with
+    ``workers``).
     Also installs the LexEQUAL UDF family if the database does not have
     it yet.
 

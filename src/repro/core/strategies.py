@@ -6,25 +6,23 @@ table (Section 5):
 * :class:`NaiveUdfStrategy` — Table 1's baseline: a full scan (or a full
   nested-loop self-join) invoking the expensive Figure 8 dynamic program
   on every row/pair;
-* :class:`QGramStrategy` — Table 2: the auxiliary positional q-gram
-  table plus the length/count/position filters of Figure 14, with the
-  UDF invoked only on surviving candidates;
-* :class:`PhoneticIndexStrategy` — Table 3: a B+ tree on the *grouped
-  phoneme string identifier* (Figure 15); an index probe yields the
-  candidates, at the price of false dismissals.
+* :class:`QGramStrategy` — Table 2: positional q-gram postings plus the
+  length/count/position filters of Figure 14, verifying only the
+  surviving candidates;
+* :class:`PhoneticIndexStrategy` — Table 3: a probe on the *grouped
+  phoneme string identifier* (Figure 15) yields the candidates, at the
+  price of false dismissals.
 
-All three run against a :class:`NameCatalog`, which owns the minidb
-tables (``names`` + ``names_qgrams``), their B+ tree indexes, and the
-per-row phoneme caches.  Strategies record how much work they did in
-:attr:`Strategy.last_stats`, which the benchmark harness reports.
+:class:`AnnPrefilterStrategy` adds the articulatory-embedding prefilter.
+All three filtered strategies are one :class:`FilteredStrategy` over a
+candidate source of :mod:`repro.core.sources`: candidates, then the
+language filter, then the one batch verifier.
 
-Soundness note (DESIGN.md §3): with a fractional intra-cluster cost the
-classical filters are applied in *cluster space* by default — q-grams are
-taken over cluster-identifier strings, where intra-cluster substitutions
-are identities, every remaining operation costs ≥ 1, and the classical
-bounds hold verbatim.  ``qgram_domain="phoneme"`` switches to raw phoneme
-q-grams with ``k`` scaled by the minimum operation cost (sound for any
-intra-cluster cost > 0).
+Strategies run against a :class:`NameCatalog`, which owns the minidb
+``names`` table, its id index, the per-row phoneme strings, and the
+candidate sources built from them on first use.  Strategies record how
+much work they did in :attr:`Strategy.last_stats`, which the benchmark
+harness reports.
 """
 
 from __future__ import annotations
@@ -35,21 +33,18 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.config import MatchConfig
 from repro.core.matcher import LexEqualMatcher
-from repro.errors import DatasetError
-from repro.matching.editdist import edit_distance, edit_distance_within
-from repro.matching.qgrams import (
-    positional_qgrams,
-    publish_filter_counts as _publish_filter_counts,
+from repro.core.sources import (
+    SOURCES,
+    CandidateSource,
+    PhonemeStore,
+    cost_inputs,
 )
+from repro.errors import DatasetError
+from repro.matching.editdist import edit_distance
 from repro.minidb.catalog import Database
 from repro.minidb.schema import Column
 from repro.minidb.values import SqlType
 from repro.phonetics.parse import PhonemeString, format_phonemes, parse_ipa
-
-#: Separator used to encode a q-gram token tuple as a TEXT value.  A
-#: non-empty separator is required: cluster identifiers are multi-digit,
-#: so bare concatenation would conflate ("1", "12") with ("11", "2").
-_GRAM_SEP = "\x1f"
 
 
 @dataclass(frozen=True)
@@ -77,18 +72,13 @@ class StrategyStats:
 
 
 class NameCatalog:
-    """A multiscript names table with phonetic auxiliary structures.
+    """A multiscript names table with its phonetic auxiliary structures.
 
-    Owns two minidb tables:
-
-    * ``<name>``: ``id, name, language, tag, pname, plen, gpsid`` —
-      the names with their IPA transcription, phoneme count and grouped
-      phoneme string identifier;
-    * ``<name>_qgrams``: ``id, pos, gram`` — the positional q-grams of
-      each name's (cluster-mapped) phoneme string, as in Figure 14.
-
-    and three B+ tree indexes (``id``, ``gpsid``, ``gram``).  Insertion
-    keeps everything consistent; :meth:`add_many` bulk-loads.
+    Owns one minidb table ``<name>`` (``id, name, language, tag, pname,
+    plen`` — the names with their IPA transcription and phoneme count)
+    with a B+ tree index on ``id``, plus the parsed phoneme string of
+    every row.  Candidate sources are built from those strings the first
+    time :meth:`source` asks for one and kept current by :meth:`add`.
     """
 
     def __init__(
@@ -101,15 +91,12 @@ class NameCatalog:
         self.config: MatchConfig = self.matcher.config
         self.db = db or Database()
         self.table_name = table_name
-        self.qgram_table_name = f"{table_name}_qgrams"
         self._next_id = 0
         #: id -> phoneme tuple (parsed once at load).
-        self._phonemes: dict[int, PhonemeString] = {}
-        #: id -> filter-domain token tuple.
-        self._tokens: dict[int, tuple[str, ...]] = {}
-        self._create_tables()
-
-    def _create_tables(self) -> None:
+        self._phonemes = PhonemeStore(self.matcher.costs)
+        #: id -> lowercase language.
+        self._languages: dict[int, str] = {}
+        self._sources: dict[str, CandidateSource] = {}
         self.db.create_table(
             self.table_name,
             [
@@ -119,39 +106,13 @@ class NameCatalog:
                 Column("tag", SqlType.INTEGER),
                 Column("pname", SqlType.TEXT, nullable=False),
                 Column("plen", SqlType.INTEGER, nullable=False),
-                Column("gpsid", SqlType.INTEGER, nullable=False),
-            ],
-        )
-        self.db.create_table(
-            self.qgram_table_name,
-            [
-                Column("id", SqlType.INTEGER, nullable=False),
-                Column("pos", SqlType.INTEGER, nullable=False),
-                Column("gram", SqlType.TEXT, nullable=False),
             ],
         )
         self.db.create_index(
             f"idx_{self.table_name}_id", self.table_name, "id"
         )
-        self.db.create_index(
-            f"idx_{self.table_name}_gpsid", self.table_name, "gpsid"
-        )
-        self.db.create_index(
-            f"idx_{self.qgram_table_name}_gram",
-            self.qgram_table_name,
-            "gram",
-        )
 
     # -------------------------------------------------------------- load
-
-    def tokens_of_phonemes(
-        self, phonemes: PhonemeString
-    ) -> tuple[str, ...]:
-        """Project a phoneme string into the configured filter domain."""
-        if self.config.qgram_domain == "cluster":
-            clustering = self.config.clustering
-            return tuple(str(c) for c in clustering.map_string(phonemes))
-        return tuple(phonemes)
 
     def add(
         self,
@@ -176,27 +137,22 @@ class NameCatalog:
             )
         record_id = self._next_id
         self._next_id += 1
-        gpsid = _grouped_key(phonemes, self.config)
+        language = language.lower()
         self.db.insert(
             self.table_name,
             (
                 record_id,
                 name,
-                language.lower(),
+                language,
                 tag,
                 format_phonemes(phonemes),
                 len(phonemes),
-                gpsid,
             ),
         )
-        tokens = self.tokens_of_phonemes(phonemes)
         self._phonemes[record_id] = phonemes
-        self._tokens[record_id] = tokens
-        for gram in positional_qgrams(tokens, self.config.q):
-            self.db.insert(
-                self.qgram_table_name,
-                (record_id, gram.pos, _GRAM_SEP.join(gram.gram)),
-            )
+        self._languages[record_id] = language
+        for source in self._sources.values():
+            source.add(record_id, phonemes)
         return record_id
 
     def add_many(self, entries) -> list[int]:
@@ -241,18 +197,33 @@ class NameCatalog:
     def phonemes_of(self, record_id: int) -> PhonemeString:
         return self._phonemes[record_id]
 
-    def tokens_of(self, record_id: int) -> tuple[str, ...]:
-        return self._tokens[record_id]
+    def language_of(self, record_id: int) -> str:
+        return self._languages[record_id]
 
+    def ids(self) -> list[int]:
+        """Every record id, ascending."""
+        return sorted(self._phonemes)
 
-def _grouped_key(phonemes: PhonemeString, config: MatchConfig) -> int:
-    from repro.phonetics.keys import grouped_key
+    def source(self, name: str) -> CandidateSource:
+        """The catalog's candidate source ``name`` (see ``SOURCES``)."""
+        source = self._sources.get(name)
+        if source is None:
+            source = SOURCES[name](self.config)
+            source.add_many(self._phonemes.items())
+            self._sources[name] = source
+        return source
 
-    return grouped_key(phonemes, config.clustering, mode=config.key_mode)
+    def verify(
+        self, query_phonemes: PhonemeString, ids: list[int]
+    ) -> list[int]:
+        """The ``ids`` that match the query (the one verifier)."""
+        return self._phonemes.verify(
+            query_phonemes, ids, self.config.threshold
+        )
 
 
 class Strategy(abc.ABC):
-    """Common interface of the three execution strategies."""
+    """Common interface of the execution strategies."""
 
     name: str = "strategy"
 
@@ -379,17 +350,24 @@ class NaiveUdfStrategy(Strategy):
         return results
 
 
-class QGramStrategy(Strategy):
-    """Length + count + position filters over the q-gram table (Fig. 14).
+class FilteredStrategy(Strategy):
+    """A candidate source, the language filter, then the one verifier.
 
-    Selection probes the B+ tree on ``names_qgrams.gram`` with the
-    query's q-grams, aggregates matching-pair counts per candidate under
-    the position constraint, applies the length and count filters, and
-    only then calls the (banded) UDF.  The join does the same via a
-    self-group of the q-gram table.
+    ``select`` verifies the query's candidates; ``join`` probes with
+    every stored string, keeps candidates with a larger id (each pair
+    once), and verifies them the same way.  Verified matches are exact,
+    so a lossless source returns exactly :class:`NaiveUdfStrategy`'s
+    results and a lossy one a subset of them.  A query the source
+    cannot encode is verified against every row.
     """
 
-    name = "qgram"
+    def __init__(self, catalog: NameCatalog, source: CandidateSource):
+        super().__init__(catalog)
+        self.source = source
+
+    def _candidates(self, query_phonemes: PhonemeString) -> list[int]:
+        keys = self.source.candidates(query_phonemes, self.config)
+        return self.catalog.ids() if keys is None else keys
 
     def select(
         self,
@@ -397,79 +375,17 @@ class QGramStrategy(Strategy):
         language: str = "english",
         languages: tuple[str, ...] = (),
     ) -> list[NameRecord]:
-        stats = StrategyStats()
         catalog = self.catalog
-        table = catalog.db.table(catalog.table_name)
-        stats.rows_considered = len(table)
+        stats = StrategyStats(rows_considered=len(catalog))
         query_phonemes = self._query_phonemes(query, language)
-        query_tokens = catalog.tokens_of_phonemes(query_phonemes)
-        k = self.config.max_operations(len(query_tokens))
-        q = self.config.q
-        grams = positional_qgrams(query_tokens, q)
-
-        # Probe the gram index; count position-compatible pairs per id.
-        gram_tree = catalog.db.index(
-            f"idx_{catalog.qgram_table_name}_gram"
-        ).tree
-        qgram_heap = catalog.db.table(catalog.qgram_table_name)
-        pair_counts: dict[int, int] = {}
-        pos_pass = pos_reject = 0  # published in one batch below
-        probes = probe_misses = 0  # ditto (btree.search is uninstrumented)
-        for gram in grams:
-            encoded = _GRAM_SEP.join(gram.gram)
-            rowids = gram_tree.search(encoded)
-            probes += 1
-            if not rowids:
-                probe_misses += 1
-            for rowid in rowids:
-                rec_id, pos, _g = qgram_heap.fetch(rowid)
-                if abs(pos - gram.pos) <= k:
-                    pos_pass += 1
-                    pair_counts[rec_id] = pair_counts.get(rec_id, 0) + 1
-                else:
-                    pos_reject += 1
-
-        id_tree = catalog.db.index(f"idx_{catalog.table_name}_id").tree
-        threshold = self.config.threshold
-        costs = self.matcher.costs
-        results = []
-        qlen = len(query_tokens)
-        len_pass = len_reject = cnt_pass = cnt_reject = 0
-        for rec_id, count in pair_counts.items():
-            row = table.fetch(id_tree.search(rec_id)[0])
-            if not self._language_ok(row[2], languages):
-                continue
-            clen = row[5]
-            # Length filter.
-            if abs(qlen - clen) > k:
-                len_reject += 1
-                continue
-            len_pass += 1
-            # Count filter.
-            if count < max(qlen, clen) - 1 - (k - 1) * q:
-                cnt_reject += 1
-                continue
-            cnt_pass += 1
-            stats.candidates_after_filters += 1
-            phonemes = catalog.phonemes_of(rec_id)
-            stats.udf_calls += 1
-            budget = threshold * min(len(query_phonemes), len(phonemes))
-            if (
-                edit_distance_within(
-                    query_phonemes, phonemes, budget, costs
-                )
-                is not None
-            ):
-                results.append(NameCatalog._to_record(row))
-        _publish_filter_counts(
-            pos_pass, pos_reject, len_pass, len_reject, cnt_pass, cnt_reject
-        )
-        # One id-index probe per surviving pair_counts entry, plus the
-        # gram probes above.
-        obs.incr("btree.probes", probes + len(pair_counts))
-        if probe_misses:
-            obs.incr("btree.probe_misses", probe_misses)
-        results.sort(key=lambda r: r.id)
+        keys = self._candidates(query_phonemes)
+        if languages:
+            wanted = {lang.lower() for lang in languages}
+            keys = [k for k in keys if catalog.language_of(k) in wanted]
+        stats.candidates_after_filters = stats.udf_calls = len(keys)
+        results = [
+            catalog.record(k) for k in catalog.verify(query_phonemes, keys)
+        ]
         stats.results = len(results)
         self._finish(stats)
         return results
@@ -477,85 +393,44 @@ class QGramStrategy(Strategy):
     def join(
         self, *, cross_language_only: bool = True
     ) -> list[tuple[NameRecord, NameRecord]]:
-        stats = StrategyStats()
         catalog = self.catalog
-        table = catalog.db.table(catalog.table_name)
-        rows_by_id = {row[0]: row for row in table.rows()}
-        stats.rows_considered = len(rows_by_id) * (len(rows_by_id) - 1) // 2
-        q = self.config.q
-        threshold = self.config.threshold
-        costs = self.matcher.costs
-
-        # Group the q-gram table by gram (the hash join of Figure 14).
-        buckets: dict[str, list[tuple[int, int]]] = {}
-        for rec_id, pos, gram in catalog.db.table(
-            catalog.qgram_table_name
-        ).rows():
-            buckets.setdefault(gram, []).append((rec_id, pos))
-
-        pair_counts: dict[tuple[int, int], int] = {}
-        lengths = {rid: row[5] for rid, row in rows_by_id.items()}
-        pos_pass = pos_reject = 0  # published in one batch below
-        for entries in buckets.values():
-            if len(entries) < 2:
-                continue
-            for i, (id_a, pos_a) in enumerate(entries):
-                len_a = lengths[id_a]
-                for id_b, pos_b in entries[i + 1 :]:
-                    if id_a == id_b:
-                        continue
-                    pair = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-                    k = self.config.max_operations(
-                        min(len_a, lengths[id_b])
-                    )
-                    if abs(pos_a - pos_b) <= k:
-                        pos_pass += 1
-                        pair_counts[pair] = pair_counts.get(pair, 0) + 1
-                    else:
-                        pos_reject += 1
-
+        n = len(catalog)
+        stats = StrategyStats(rows_considered=n * (n - 1) // 2)
         results = []
-        len_pass = len_reject = cnt_pass = cnt_reject = 0
-        for (id_a, id_b), count in pair_counts.items():
-            row_a, row_b = rows_by_id[id_a], rows_by_id[id_b]
-            if cross_language_only and row_a[2] == row_b[2]:
-                continue
-            len_a, len_b = row_a[5], row_b[5]
-            k = self.config.max_operations(min(len_a, len_b))
-            if abs(len_a - len_b) > k:
-                len_reject += 1
-                continue
-            len_pass += 1
-            if count < max(len_a, len_b) - 1 - (k - 1) * q:
-                cnt_reject += 1
-                continue
-            cnt_pass += 1
-            stats.candidates_after_filters += 1
+        for id_a in catalog.ids():
             phonemes_a = catalog.phonemes_of(id_a)
-            phonemes_b = catalog.phonemes_of(id_b)
-            stats.udf_calls += 1
-            budget = threshold * min(len(phonemes_a), len(phonemes_b))
-            if (
-                edit_distance_within(phonemes_a, phonemes_b, budget, costs)
-                is not None
-            ):
-                results.append(
-                    (
-                        NameCatalog._to_record(row_a),
-                        NameCatalog._to_record(row_b),
-                    )
+            language_a = catalog.language_of(id_a)
+            keys = [
+                k
+                for k in self._candidates(phonemes_a)
+                if k > id_a
+                and not (
+                    cross_language_only
+                    and catalog.language_of(k) == language_a
                 )
-        _publish_filter_counts(
-            pos_pass, pos_reject, len_pass, len_reject, cnt_pass, cnt_reject
-        )
-        results.sort(key=lambda pair: (pair[0].id, pair[1].id))
+            ]
+            stats.candidates_after_filters += len(keys)
+            matched = catalog.verify(phonemes_a, keys)
+            if matched:
+                record_a = catalog.record(id_a)
+                results.extend((record_a, catalog.record(k)) for k in matched)
+        stats.udf_calls = stats.candidates_after_filters
         stats.results = len(results)
         self._finish(stats)
         return results
 
 
-class PhoneticIndexStrategy(Strategy):
-    """B+ tree probe on the grouped phoneme string identifier (Fig. 15).
+class QGramStrategy(FilteredStrategy):
+    """Length + count + position filters over q-gram postings (Fig. 14)."""
+
+    name = "qgram"
+
+    def __init__(self, catalog: NameCatalog):
+        super().__init__(catalog, catalog.source("qgram"))
+
+
+class PhoneticIndexStrategy(FilteredStrategy):
+    """Grouped phoneme string identifier probe (Fig. 15).
 
     The fastest strategy, with the paper's caveat: only candidates whose
     *every* phoneme falls in the same cluster as the query's (and whose
@@ -566,95 +441,47 @@ class PhoneticIndexStrategy(Strategy):
 
     name = "phonetic-index"
 
+    def __init__(self, catalog: NameCatalog):
+        super().__init__(catalog, catalog.source("index"))
+
+
+class AnnPrefilterStrategy(FilteredStrategy):
+    """Articulatory-embedding radius prefilter (:class:`AnnSource`).
+
+    Lossy at the default admission radius (recall pinned by the quality
+    harness); with ``lossless=True`` the radius uses the embedding's
+    proven lower-bound constant, and results equal naive's exactly.
+    """
+
+    name = "ann-prefilter"
+
+    def __init__(self, catalog: NameCatalog, *, lossless: bool = False):
+        super().__init__(catalog, catalog.source("ann"))
+        self.lossless = lossless
+
+    def _candidates(self, query_phonemes: PhonemeString) -> list[int]:
+        keys = self.source.candidates(
+            query_phonemes, self.config, lossless=self.lossless
+        )
+        if keys is None:
+            obs.incr("ann.prefilter.fallback_scans")
+            return self.catalog.ids()
+        return keys
+
     def select(
         self,
         query: str,
         language: str = "english",
         languages: tuple[str, ...] = (),
     ) -> list[NameRecord]:
-        stats = StrategyStats()
-        catalog = self.catalog
-        table = catalog.db.table(catalog.table_name)
-        stats.rows_considered = len(table)
-        query_phonemes = self._query_phonemes(query, language)
-        key = _grouped_key(query_phonemes, self.config)
-        gpsid_tree = catalog.db.index(
-            f"idx_{catalog.table_name}_gpsid"
-        ).tree
-        threshold = self.config.threshold
-        costs = self.matcher.costs
-        results = []
-        bucket = gpsid_tree.search(key)
-        obs.incr("btree.probes")
-        if not bucket:
-            obs.incr("btree.probe_misses")
-        for rowid in bucket:
-            row = table.fetch(rowid)
-            if not self._language_ok(row[2], languages):
-                continue
-            stats.candidates_after_filters += 1
-            phonemes = catalog.phonemes_of(row[0])
-            stats.udf_calls += 1
-            budget = threshold * min(len(query_phonemes), len(phonemes))
-            if (
-                edit_distance_within(
-                    query_phonemes, phonemes, budget, costs
-                )
-                is not None
-            ):
-                results.append(NameCatalog._to_record(row))
-        results.sort(key=lambda r: r.id)
-        stats.results = len(results)
-        self._finish(stats)
-        return results
-
-    def join(
-        self, *, cross_language_only: bool = True
-    ) -> list[tuple[NameRecord, NameRecord]]:
-        stats = StrategyStats()
-        catalog = self.catalog
-        table = catalog.db.table(catalog.table_name)
-        n = len(table)
-        stats.rows_considered = n * (n - 1) // 2
-        gpsid_tree = catalog.db.index(
-            f"idx_{catalog.table_name}_gpsid"
-        ).tree
-        threshold = self.config.threshold
-        costs = self.matcher.costs
-        results = []
-        for _key, bucket in gpsid_tree.items():
-            if len(bucket) < 2:
-                continue
-            rows = sorted(
-                (table.fetch(rowid) for rowid in bucket),
-                key=lambda row: row[0],
+        results = super().select(query, language, languages)
+        if obs.is_enabled():
+            obs.incr("ann.prefilter.queries")
+            obs.incr(
+                "ann.prefilter.candidates",
+                self.last_stats.candidates_after_filters,
             )
-            for i, row_a in enumerate(rows):
-                phonemes_a = catalog.phonemes_of(row_a[0])
-                for row_b in rows[i + 1 :]:
-                    if cross_language_only and row_a[2] == row_b[2]:
-                        continue
-                    stats.candidates_after_filters += 1
-                    phonemes_b = catalog.phonemes_of(row_b[0])
-                    stats.udf_calls += 1
-                    budget = threshold * min(
-                        len(phonemes_a), len(phonemes_b)
-                    )
-                    if (
-                        edit_distance_within(
-                            phonemes_a, phonemes_b, budget, costs
-                        )
-                        is not None
-                    ):
-                        results.append(
-                            (
-                                NameCatalog._to_record(row_a),
-                                NameCatalog._to_record(row_b),
-                            )
-                        )
-        results.sort(key=lambda pair: (pair[0].id, pair[1].id))
-        stats.results = len(results)
-        self._finish(stats)
+            obs.incr("ann.prefilter.verified_matches", len(results))
         return results
 
 
@@ -711,314 +538,6 @@ class ExactStrategy(Strategy):
         return results
 
 
-class MetricIndexStrategy(Strategy):
-    """BK-tree metric index over the stored phoneme strings.
-
-    Implements the paper's other future-work index (Section 6: "a metric
-    index for phonemes", via refs [1, 21]).  The Clustered Edit Distance
-    is a metric (symmetric costs, triangle inequality — property-tested),
-    so a BK-tree range query with radius ``threshold * |query|`` returns
-    a *superset* of the relative-budget matches with no false dismissals;
-    candidates are then rechecked against the exact per-pair budget.
-
-    Compared with the Table 2/3 accelerators: lossless like q-grams,
-    index-shaped like the phonetic key, but prunes by the *match metric
-    itself* rather than by a proxy.  The tree is built from the catalog's
-    current contents at construction time.
-    """
-
-    name = "metric-index"
-
-    def __init__(self, catalog: NameCatalog, resolution: float = 0.25):
-        super().__init__(catalog)
-        from repro.matching.bktree import BKTree
-
-        costs = self.matcher.costs
-        self._tree = BKTree(
-            lambda a, b: edit_distance(a, b, costs), resolution
-        )
-        for row in catalog.db.table(catalog.table_name).rows():
-            self._tree.add(catalog.phonemes_of(row[0]), row[0])
-
-    def select(
-        self,
-        query: str,
-        language: str = "english",
-        languages: tuple[str, ...] = (),
-    ) -> list[NameRecord]:
-        stats = StrategyStats()
-        catalog = self.catalog
-        table = catalog.db.table(catalog.table_name)
-        stats.rows_considered = len(table)
-        query_phonemes = self._query_phonemes(query, language)
-        radius = self.config.threshold * len(query_phonemes)
-        hits = self._tree.search(query_phonemes, radius)
-        stats.udf_calls = self._tree.last_search_distance_calls
-        id_tree = catalog.db.index(f"idx_{catalog.table_name}_id").tree
-        threshold = self.config.threshold
-        results = []
-        for distance, record_id in hits:
-            row = table.fetch(id_tree.search(record_id)[0])
-            if not self._language_ok(row[2], languages):
-                continue
-            stats.candidates_after_filters += 1
-            phonemes = catalog.phonemes_of(record_id)
-            # Exact relative budget: e * min(|q|, |c|) (the radius used
-            # e * |q|, an upper bound).
-            budget = threshold * min(len(query_phonemes), len(phonemes))
-            if distance <= budget + 1e-12:
-                results.append(NameCatalog._to_record(row))
-        results.sort(key=lambda r: r.id)
-        stats.results = len(results)
-        self._finish(stats)
-        return results
-
-    def join(
-        self, *, cross_language_only: bool = True
-    ) -> list[tuple[NameRecord, NameRecord]]:
-        stats = StrategyStats()
-        catalog = self.catalog
-        table = catalog.db.table(catalog.table_name)
-        rows_by_id = {row[0]: row for row in table.rows()}
-        n = len(rows_by_id)
-        stats.rows_considered = n * (n - 1) // 2
-        threshold = self.config.threshold
-        results = []
-        for id_a, row_a in rows_by_id.items():
-            phonemes_a = catalog.phonemes_of(id_a)
-            radius = threshold * len(phonemes_a)
-            hits = self._tree.search(phonemes_a, radius)
-            stats.udf_calls += self._tree.last_search_distance_calls
-            for distance, id_b in hits:
-                if id_b <= id_a:
-                    continue
-                row_b = rows_by_id[id_b]
-                if cross_language_only and row_a[2] == row_b[2]:
-                    continue
-                stats.candidates_after_filters += 1
-                phonemes_b = catalog.phonemes_of(id_b)
-                budget = threshold * min(len(phonemes_a), len(phonemes_b))
-                if distance <= budget + 1e-12:
-                    results.append(
-                        (
-                            NameCatalog._to_record(row_a),
-                            NameCatalog._to_record(row_b),
-                        )
-                    )
-        results.sort(key=lambda pair: (pair[0].id, pair[1].id))
-        stats.results = len(results)
-        self._finish(stats)
-        return results
-
-
-class AnnPrefilterStrategy(Strategy):
-    """Articulatory-embedding radius prefilter + exact banded verifier.
-
-    The sublinear candidate generator of ROADMAP item 3: every stored
-    phoneme string is pooled into a fixed-width articulatory feature
-    vector (:mod:`repro.matching.embed`), and a query probes an L1
-    radius around its own embedding — served either by a chunked
-    quantized int8 matrix scan (``index_kind="matrix"``) or by a
-    VP-tree (``index_kind="vptree"``).  Survivors are verified with the
-    exact banded batch kernel at the exact per-pair budget, so results
-    are always a *subset* of :class:`NaiveUdfStrategy`'s.
-
-    The embedding obeys ``|phi(s)-phi(t)|_1 <= c * d_edit(s, t)`` with
-    ``c = EmbeddingModel.lower_bound_constant()``; the admission radius
-    is ``scale * threshold * |query|`` where ``scale`` is
-    ``radius_scale`` (default 2 — lossy but measured: the quality
-    harness pins its recall) or ``c`` itself under ``lossless=True``
-    (then no true match can be dismissed and results equal naive's
-    exactly).
-    """
-
-    name = "ann-prefilter"
-
-    def __init__(
-        self,
-        catalog: NameCatalog,
-        *,
-        radius_scale: float = 2.0,
-        index_kind: str = "matrix",
-        lossless: bool = False,
-    ):
-        super().__init__(catalog)
-        from repro.errors import MatchConfigError
-        from repro.matching.embed import (
-            EmbeddingModel,
-            QuantizedMatrixIndex,
-            VPTree,
-        )
-        from repro.parallel.table import EncodedNameTable
-
-        if index_kind not in ("matrix", "vptree"):
-            raise MatchConfigError(
-                f"ann index kind must be 'matrix' or 'vptree', "
-                f"got {index_kind!r}"
-            )
-        if radius_scale <= 0:
-            raise MatchConfigError(
-                f"ann radius scale must be > 0, got {radius_scale}"
-            )
-        self.radius_scale = float(radius_scale)
-        self.index_kind = index_kind
-        self.lossless = lossless
-        self._table = EncodedNameTable.from_catalog(catalog)
-        self._model = EmbeddingModel(self._table.encoded)
-        vectors = self._model.encode_many(
-            self._table.codes, self._table.offsets
-        )
-        if index_kind == "matrix":
-            self._index = QuantizedMatrixIndex.from_vectors(vectors)
-        else:
-            self._index = VPTree(vectors)
-
-    @property
-    def admission_scale(self) -> float:
-        """Radius per unit of ``threshold * |query|`` actually used."""
-        if self.lossless:
-            return self._model.lower_bound_constant()
-        return self.radius_scale
-
-    def _prefilter(self, qvec, query_len: int):
-        radius = self.admission_scale * self.config.threshold * query_len
-        return self._index.search(qvec, radius)
-
-    def select(
-        self,
-        query: str,
-        language: str = "english",
-        languages: tuple[str, ...] = (),
-    ) -> list[NameRecord]:
-        import numpy as np
-
-        from repro.matching.batch import batch_edit_distances_within_encoded
-
-        stats = StrategyStats()
-        catalog = self.catalog
-        table = self._table
-        stats.rows_considered = len(table)
-        query_phonemes = self._query_phonemes(query, language)
-        qcodes = table.encode_query(query_phonemes)
-        if qcodes is None:
-            # Out-of-table symbol in the query: fall back to the exact
-            # scalar path (lossless, just not prefiltered).
-            return self._select_fallback(
-                query_phonemes, languages, stats
-            )
-        qvec = self._model.encode_codes(qcodes)
-        positions = self._prefilter(qvec, len(query_phonemes))
-        allowed = table.language_codes_for(languages)
-        if allowed is not None and len(positions):
-            positions = positions[
-                np.isin(table.lang_codes[positions], allowed)
-            ]
-        stats.candidates_after_filters = len(positions)
-        results = []
-        if len(positions):
-            budgets = self.config.threshold * np.minimum(
-                len(query_phonemes), table.lens[positions]
-            )
-            distances = batch_edit_distances_within_encoded(
-                qcodes,
-                table.codes,
-                table.offsets,
-                table.encoded,
-                budgets,
-                rows=positions,
-            )
-            stats.udf_calls = len(positions)
-            for pos in positions[np.isfinite(distances)]:
-                results.append(catalog.record(int(table.ids[pos])))
-        results.sort(key=lambda r: r.id)
-        stats.results = len(results)
-        if obs.is_enabled():
-            obs.incr("ann.prefilter.queries")
-            obs.incr("ann.prefilter.candidates", int(stats.candidates_after_filters))
-            obs.incr("ann.prefilter.verified_matches", len(results))
-        self._finish(stats)
-        return results
-
-    def _select_fallback(
-        self,
-        query_phonemes,
-        languages: tuple[str, ...],
-        stats: StrategyStats,
-    ) -> list[NameRecord]:
-        catalog = self.catalog
-        costs = self.matcher.costs
-        threshold = self.config.threshold
-        results = []
-        for row in catalog.db.table(catalog.table_name).rows():
-            if not self._language_ok(row[2], languages):
-                continue
-            stats.candidates_after_filters += 1
-            stats.udf_calls += 1
-            phonemes = catalog.phonemes_of(row[0])
-            budget = threshold * min(len(query_phonemes), len(phonemes))
-            if (
-                edit_distance_within(
-                    query_phonemes, phonemes, budget, costs
-                )
-                is not None
-            ):
-                results.append(NameCatalog._to_record(row))
-        results.sort(key=lambda r: r.id)
-        stats.results = len(results)
-        obs.incr("ann.prefilter.fallback_scans")
-        self._finish(stats)
-        return results
-
-    def join(
-        self, *, cross_language_only: bool = True
-    ) -> list[tuple[NameRecord, NameRecord]]:
-        import numpy as np
-
-        from repro.matching.batch import batch_edit_distances_within_encoded
-
-        stats = StrategyStats()
-        catalog = self.catalog
-        table = self._table
-        count = len(table)
-        stats.rows_considered = count * (count - 1) // 2
-        threshold = self.config.threshold
-        results = []
-        for pos_a in range(count):
-            lo, hi = table.offsets[pos_a], table.offsets[pos_a + 1]
-            codes_a = table.codes[lo:hi]
-            vec_a = self._model.encode_codes(codes_a)
-            positions = self._prefilter(vec_a, int(table.lens[pos_a]))
-            positions = positions[positions > pos_a]
-            if cross_language_only and len(positions):
-                positions = positions[
-                    table.lang_codes[positions] != table.lang_codes[pos_a]
-                ]
-            if not len(positions):
-                continue
-            stats.candidates_after_filters += len(positions)
-            budgets = threshold * np.minimum(
-                int(table.lens[pos_a]), table.lens[positions]
-            )
-            distances = batch_edit_distances_within_encoded(
-                codes_a,
-                table.codes,
-                table.offsets,
-                table.encoded,
-                budgets,
-                rows=positions,
-            )
-            stats.udf_calls += len(positions)
-            record_a = catalog.record(int(table.ids[pos_a]))
-            for pos_b in positions[np.isfinite(distances)]:
-                results.append(
-                    (record_a, catalog.record(int(table.ids[pos_b])))
-                )
-        results.sort(key=lambda pair: (pair[0].id, pair[1].id))
-        stats.results = len(results)
-        self._finish(stats)
-        return results
-
-
 # ---------------------------------------------------------------- choice
 
 #: Cost-model strategy name -> executable strategy class.
@@ -1026,7 +545,6 @@ STRATEGY_CLASSES: dict[str, type[Strategy]] = {
     "naive": NaiveUdfStrategy,
     "qgram": QGramStrategy,
     "index": PhoneticIndexStrategy,
-    "metric": MetricIndexStrategy,
     "ann": AnnPrefilterStrategy,
 }
 
@@ -1050,42 +568,6 @@ class StrategyChoice:
         return self.estimate.strategy
 
 
-def catalog_cost_inputs(catalog: NameCatalog) -> dict:
-    """Cost-model inputs read off a catalog's live index structures.
-
-    No sampling: posting-list density and grouped-key bucket sizes come
-    straight from the B+ trees the strategies would probe, so the
-    estimate reflects *this* lexicon (ANALYZE-grade stats for the
-    accelerator path live in :mod:`repro.minidb.stats` instead).
-    """
-    rows = len(catalog)
-    avg_plen = (
-        sum(len(p) for p in catalog._phonemes.values()) / rows
-        if rows
-        else 1.0
-    )
-    gram_tree = catalog.db.index(
-        f"idx_{catalog.qgram_table_name}_gram"
-    ).tree
-    gpsid_tree = catalog.db.index(f"idx_{catalog.table_name}_gpsid").tree
-    distinct_grams = gram_tree.key_count
-    avg_posting = (
-        len(gram_tree) / distinct_grams if distinct_grams else None
-    )
-    distinct_keys = gpsid_tree.key_count
-    index_sel = (
-        (len(gpsid_tree) / distinct_keys) / rows
-        if distinct_keys and rows
-        else None
-    )
-    return {
-        "rows": rows,
-        "avg_plen": avg_plen,
-        "avg_posting": avg_posting,
-        "index_sel": index_sel,
-    }
-
-
 def choose_strategy(
     catalog: NameCatalog,
     query: str,
@@ -1096,38 +578,30 @@ def choose_strategy(
 ) -> StrategyChoice:
     """Pick the cheapest execution strategy for one selection query.
 
-    Estimates every candidate strategy with :mod:`repro.minidb.cost`
-    over :func:`catalog_cost_inputs`, then instantiates the winner.
-    The grouped-key probe (``index``) may false-dismiss cross-cluster
-    matches, so it is only eligible under ``allow_lossy`` — exactly the
-    planner's rule.  ``available`` restricts the field (e.g. drop
-    ``metric`` to avoid the BK-tree build cost for one-shot queries).
+    Estimates every candidate strategy with :mod:`repro.minidb.cost`,
+    feeding it each source's measured selectivity for this very query
+    (:func:`repro.core.sources.cost_inputs`), then instantiates the
+    winner.  The lossy sources (``index``, ``ann``) may false-dismiss,
+    so they are only eligible under ``allow_lossy`` — exactly the
+    planner's rule.  ``available`` restricts the field.
     """
     from repro.minidb import cost
 
     if available is None:
-        available = ("naive", "qgram", "index", "metric", "ann")
+        available = tuple(STRATEGY_CLASSES)
     query_phonemes = catalog.matcher.registry.transform(query, language)
-    query_tokens = catalog.tokens_of_phonemes(query_phonemes)
-    inputs = catalog_cost_inputs(catalog)
-    qgram_sel = None
-    if inputs["avg_posting"] is not None and inputs["rows"]:
-        # Each of the ~|tokens| probed grams pulls one posting list; the
-        # union (ignoring dedup) bounds the candidate fraction.
-        qgram_sel = min(
-            1.0,
-            max(1, len(query_tokens))
-            * inputs["avg_posting"]
-            / inputs["rows"],
-        )
+    rows = len(catalog)
+    sources = {
+        name: catalog.source(name) for name in available if name in SOURCES
+    }
     estimates = cost.estimate_strategies(
-        rows=inputs["rows"],
+        rows=rows,
         query_len=len(query_phonemes),
-        avg_plen=inputs["avg_plen"],
-        qgram_sel=qgram_sel,
-        index_sel=inputs["index_sel"],
-        avg_posting=inputs["avg_posting"],
+        avg_plen=(
+            sum(map(len, catalog._phonemes.values())) / rows if rows else 1.0
+        ),
         available=available,
+        **cost_inputs(sources, [query_phonemes], catalog.config),
     )
     winner = cost.choose(estimates, allow_lossy=allow_lossy)
     obs.incr(f"strategy.choice.{winner.strategy}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import MatchConfig
+from repro.core.sources import AnnSource
 from repro.data.lexicon import MultiscriptLexicon
 from repro.evaluation.metrics import QualityCounts, ideal_match_count
 from repro.matching.batch import pairwise_distance_matrix
@@ -144,42 +145,21 @@ class StrategyQuality:
 
 
 def _ann_admitted_pairs(
-    prepared: _PreparedLexicon,
-    config: MatchConfig,
-    radius_scale: float,
-    quantized: bool,
+    prepared: _PreparedLexicon, config: MatchConfig
 ) -> np.ndarray:
     """Upper-triangle mask of pairs the embedding prefilter admits.
 
-    Mirrors :class:`~repro.core.strategies.AnnPrefilterStrategy.join`:
-    pair (i, j) is admitted when the (quantized) embedding distance is
-    within ``radius_scale * threshold * len_i`` — the admission radius
-    the i-side query would use.
+    Every string probes an :class:`~repro.core.sources.AnnSource` over
+    the lexicon, as a join does: pair (i, j) is admitted when ``j`` is
+    among ``i``'s candidates (the i-side admission radius).
     """
-    from repro.matching.batch import EncodedCosts
-    from repro.matching.embed import (
-        EmbeddingModel,
-        quantize,
-        quantized_radius,
-    )
-
-    symbols = sorted({s for p in prepared.phonemes for s in p})
-    model = EmbeddingModel(EncodedCosts(config.cost_model(), symbols))
-    vectors = np.stack([model.encode(p) for p in prepared.phonemes])
-    n = len(vectors)
-    if quantized:
-        q = quantize(vectors).astype(np.int32)
-        limits = quantized_radius(
-            radius_scale * config.threshold * prepared.lengths, model.dim
-        )
-    else:
-        q = vectors
-        limits = radius_scale * config.threshold * prepared.lengths
+    source = AnnSource(config)
+    source.add_many(enumerate(prepared.phonemes))
+    n = len(prepared.phonemes)
     admitted = np.zeros((n, n), dtype=bool)
-    for lo in range(0, n, 256):
-        hi = min(lo + 256, n)
-        block = np.abs(q[lo:hi, None, :] - q[None, :, :]).sum(axis=2)
-        admitted[lo:hi] = block <= limits[lo:hi, None]
+    for i, phonemes in enumerate(prepared.phonemes):
+        keys = source.candidates(phonemes, config)
+        admitted[i, slice(None) if keys is None else keys] = True
     return admitted[prepared.upper]
 
 
@@ -190,22 +170,20 @@ def strategy_quality(
     strategies: tuple[str, ...] = (
         "naive",
         "qgram",
-        "metric",
         "index",
         "ann",
     ),
-    radius_scale: float = 2.0,
-    quantized: bool = True,
 ) -> list[StrategyQuality]:
     """Per-strategy Figure 11/12 quality, prefilters included.
 
-    The exact strategies (``naive``/``qgram``/``metric``/``parallel``)
+    The exact strategies (``naive``/``qgram``/``parallel``)
     share one result set — every pair within the edit-distance budget —
     so their ``recall_vs_exact`` is 1.0 by construction and this
     function scores them once each only so a golden test can pin that
     fact.  The lossy strategies are scored through their actual
-    admission rule: grouped-key equality for ``index``, the (quantized)
-    embedding radius at ``radius_scale`` for ``ann``; their final
+    admission rule: grouped-key equality for ``index``, the served
+    embedding prefilter (:class:`~repro.core.sources.AnnSource`) for
+    ``ann``; their final
     result set is the intersection with the exact matches, exactly what
     the exact verifier yields.
     """
@@ -229,9 +207,7 @@ def strategy_quality(
             i_idx, j_idx = prepared.upper
             return keys[i_idx] == keys[j_idx]
         if strategy == "ann":
-            return _ann_admitted_pairs(
-                prepared, config, radius_scale, quantized
-            )
+            return _ann_admitted_pairs(prepared, config)
         return np.ones(all_pairs, dtype=bool)
 
     results = []

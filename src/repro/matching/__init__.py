@@ -26,7 +26,6 @@ from repro.matching.editdist import (
 from repro.matching.metric import (
     MetricViolation,
     check_metric_axioms,
-    validate_metric,
 )
 from repro.matching.qgrams import (
     PositionalQGram,
@@ -49,7 +48,6 @@ __all__ = [
     "distance_matrix",
     "MetricViolation",
     "check_metric_axioms",
-    "validate_metric",
     "PositionalQGram",
     "positional_qgrams",
     "qgram_profile",

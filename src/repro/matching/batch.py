@@ -2,9 +2,10 @@
 
 The quality experiments (paper Figures 11/12) compare *every* phoneme
 string in the lexicon with every other — ~3M dynamic programs per cost
-setting.  This module computes exact Clustered Edit Distances for one
-query against many candidates at once, vectorizing across candidates of
-equal length.
+setting — and every filtered LexEQUAL query verifies its candidates.
+This module computes Clustered Edit Distances for one query against
+many candidates at once with one kernel family; exact distances are the
+thresholded kernel at an infinite budget.
 
 The insertion recurrence ``curr[j] = min(t[j], curr[j-1] + ins_j)`` looks
 inherently sequential, but with non-negative insertion costs it unrolls
@@ -16,7 +17,7 @@ which is ``np.minimum.accumulate`` — so each DP row is a handful of numpy
 operations over a (batch, length) matrix.  Results are bit-identical to
 :func:`repro.matching.editdist.edit_distance` (the test suite checks).
 
-:func:`batch_edit_distances_within` is the thresholded counterpart of
+:func:`batch_edit_distances_within` is the vectorized counterpart of
 :func:`repro.matching.editdist.edit_distance_within`: one padded DP
 per cache-sized block of candidates (every surviving candidate in the
 block advances one DP row per numpy step, whatever its length), with a
@@ -30,7 +31,8 @@ when the longest survivor shortens.  The parallel executor
 memory and calls the ``_encoded`` variant directly.
 
 numpy is an optional dependency of the library proper: only this module
-(and the evaluation harness that uses it) imports it.
+and its callers (the verifier, the embedding prefilter, the parallel
+executor and the evaluation harness) import it.
 """
 
 from __future__ import annotations
@@ -74,58 +76,6 @@ class EncodedCosts:
         )
 
 
-def batch_edit_distances(
-    query: Sequence[str],
-    candidates: list[Sequence[str]],
-    encoded: EncodedCosts,
-) -> np.ndarray:
-    """Exact edit distances from ``query`` to every candidate.
-
-    Returns a float array aligned with ``candidates``.  Internally groups
-    candidates by length and runs one vectorized DP per group.
-    """
-    result = np.empty(len(candidates), dtype=np.float64)
-    by_length: dict[int, list[int]] = {}
-    for idx, cand in enumerate(candidates):
-        by_length.setdefault(len(cand), []).append(idx)
-    q = encoded.encode(query)
-    for length, indices in by_length.items():
-        if length == 0:
-            result[indices] = float(encoded.dele[q].sum())
-            continue
-        group = np.stack(
-            [encoded.encode(candidates[i]) for i in indices]
-        )  # (B, m)
-        result[indices] = _group_distances(q, group, encoded)
-    return result
-
-
-def _group_distances(
-    q: np.ndarray, group: np.ndarray, encoded: EncodedCosts
-) -> np.ndarray:
-    """DP over a (B, m) batch of equal-length candidates."""
-    batch, m = group.shape
-    n = len(q)
-    ins_costs = encoded.ins[group]  # (B, m)
-    # C[b, j] = cumulative insertion cost of candidate prefix j (C[:,0]=0).
-    c = np.zeros((batch, m + 1), dtype=np.float64)
-    np.cumsum(ins_costs, axis=1, out=c[:, 1:])
-    prev = c.copy()
-    if n == 0:
-        return prev[:, -1]
-    for i in range(n):
-        del_cost = encoded.dele[q[i]]
-        sub_costs = encoded.sub[q[i], group]  # (B, m)
-        t0 = prev[:, 0] + del_cost  # (B,)
-        t = np.minimum(prev[:, 1:] + del_cost, prev[:, :-1] + sub_costs)
-        stacked = np.concatenate(
-            [(t0 - c[:, 0])[:, None], t - c[:, 1:]], axis=1
-        )
-        np.minimum.accumulate(stacked, axis=1, out=stacked)
-        prev = stacked + c
-    return prev[:, -1]
-
-
 #: Candidate-axis block size for the padded all-candidates DP.  Each DP
 #: row touches a handful of (B, m) float64 temporaries; at 200k rows one
 #: full-width matrix spills far out of cache and the kernel slows ~4x.
@@ -142,6 +92,19 @@ def _batch_deadline_cancel(cells: int) -> DeadlineExceededError:
     return DeadlineExceededError(
         "request deadline exceeded during edit-distance matching"
     )
+
+
+def batch_edit_distances(
+    query: Sequence[str],
+    candidates: list[Sequence[str]],
+    encoded: EncodedCosts,
+) -> np.ndarray:
+    """Exact edit distances from ``query`` to every candidate.
+
+    The thresholded kernel at an infinite budget: nothing is clipped or
+    pruned, so every candidate's final DP cell is its exact distance.
+    """
+    return batch_edit_distances_within(query, candidates, encoded, np.inf)
 
 
 def batch_edit_distances_within(
@@ -279,24 +242,33 @@ def _padded_within(
         [np.ones((batch, 1), dtype=bool), valid], axis=1
     )
     prev = np.where(c > bud, np.inf, c)
+    # Work buffers reused by every DP row (swapped with prev), so a row
+    # allocates nothing: steady memory in long-lived threads.
+    nxt = np.empty_like(prev)
+    sub = np.empty_like(c[:, 1:])
+    over = np.empty(c.shape, dtype=bool)
+    invalid = ~colvalid
+    cells = int(colvalid.sum())
     for i in range(n):
         # Cooperative cancellation: one clock read per DP row, as in the
         # scalar kernels.
         if deadline_at is not None and time.monotonic() > deadline_at:
             raise _batch_deadline_cancel(stats["cells"])
         del_cost = encoded.dele[q[i]]
-        sub_costs = encoded.sub[q[i], group]  # (B, m)
-        t0 = prev[:, 0] + del_cost  # (B,)
-        t = np.minimum(prev[:, 1:] + del_cost, prev[:, :-1] + sub_costs)
-        stacked = np.concatenate(
-            [(t0 - c[:, 0])[:, None], t - c[:, 1:]], axis=1
-        )
-        np.minimum.accumulate(stacked, axis=1, out=stacked)
-        curr = stacked + c
-        over = curr > bud
-        curr[over] = np.inf
-        stats["cells"] += int(colvalid.sum())
-        dead = (over | ~colvalid).all(axis=1)
+        np.take(encoded.sub[q[i]], group, out=sub)
+        np.add(prev[:, :-1], sub, out=sub)
+        # nxt = [t0, t] - c, t0 = prev[0] + del,
+        # t = min(prev[1:] + del, prev[:-1] + sub)
+        np.add(prev, del_cost, out=nxt)
+        np.minimum(nxt[:, 1:], sub, out=nxt[:, 1:])
+        np.subtract(nxt, c, out=nxt)
+        np.minimum.accumulate(nxt, axis=1, out=nxt)
+        np.add(nxt, c, out=nxt)
+        np.greater(nxt, bud, out=over)
+        nxt[over] = np.inf
+        stats["cells"] += cells
+        np.logical_or(over, invalid, out=over)
+        dead = over.all(axis=1)
         if dead.any():
             stats["pruned"] += int(dead.sum())
             keep = ~dead
@@ -307,15 +279,19 @@ def _padded_within(
             bud = bud[keep]
             active = active[keep]
             alive_lens = alive_lens[keep]
-            colvalid = colvalid[keep]
-            curr = curr[keep]
+            invalid = invalid[keep]
+            nxt = nxt[keep]
             narrowed = int(alive_lens.max())
             if narrowed < group.shape[1]:
                 group = group[:, :narrowed]
                 c = c[:, : narrowed + 1]
-                colvalid = colvalid[:, : narrowed + 1]
-                curr = curr[:, : narrowed + 1]
-        prev = curr
+                invalid = invalid[:, : narrowed + 1]
+                nxt = nxt[:, : narrowed + 1]
+            prev = np.empty_like(nxt)
+            sub = np.empty_like(c[:, 1:])
+            over = np.empty(c.shape, dtype=bool)
+            cells = int(invalid.size - invalid.sum())
+        prev, nxt = nxt, prev
     out[active] = prev[np.arange(len(active)), alive_lens]
     return out
 
@@ -339,12 +315,16 @@ def pairwise_distance_matrix(
         symbols = list(seen)
     encoded = EncodedCosts(costs, symbols)
     n = len(strings)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in strings], out=offsets[1:])
+    chunks = [encoded.encode(s) for s in strings]
+    codes = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
     matrix = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        rest = strings[i + 1 :]
-        if not rest:
-            break
-        row = batch_edit_distances(strings[i], rest, encoded)
+    for i in range(n - 1):
+        row = batch_edit_distances_within_encoded(
+            chunks[i], codes, offsets, encoded, np.inf,
+            rows=np.arange(i + 1, n),
+        )
         matrix[i, i + 1 :] = row
         matrix[i + 1 :, i] = row
     return matrix

@@ -405,7 +405,6 @@ class QuantizedMatrixIndex:
         self.scale = float(scale)
         self.matrix = np.zeros((0, dim), dtype=np.int8)
         self.alive = np.zeros(0, dtype=bool)
-        self.last_scan_rows = 0
 
     def __len__(self) -> int:
         return int(self.alive.sum())
@@ -419,13 +418,21 @@ class QuantizedMatrixIndex:
         index.alive = np.ones(len(index.matrix), dtype=bool)
         return index
 
+    def extend(self, vectors: np.ndarray) -> int:
+        """Add a batch of float vectors; returns the first's position."""
+        start = len(self.matrix)
+        self.matrix = np.concatenate(
+            [self.matrix, quantize(vectors, self.scale)]
+        )
+        self.alive = np.concatenate(
+            [self.alive, np.ones(len(vectors), dtype=bool)]
+        )
+        obs.incr("ann.index.inserts", len(vectors))
+        return start
+
     def append(self, vector: np.ndarray) -> int:
         """Add one float vector; returns its position."""
-        row = quantize(vector[None, :], self.scale)
-        self.matrix = np.concatenate([self.matrix, row])
-        self.alive = np.append(self.alive, True)
-        obs.incr("ann.index.inserts")
-        return len(self.matrix) - 1
+        return self.extend(vector[None, :])
 
     def delete(self, position: int) -> None:
         """Tombstone one position (idempotent)."""
@@ -450,7 +457,6 @@ class QuantizedMatrixIndex:
             dist = np.abs(block - q[None, :]).sum(axis=1)
             ok = (dist <= limit) & self.alive[lo : lo + EMBED_BLOCK]
             hits.append(np.nonzero(ok)[0] + lo)
-        self.last_scan_rows = total
         out = (
             np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
         )
@@ -477,146 +483,3 @@ class QuantizedMatrixIndex:
         index.alive = np.ascontiguousarray(state["alive"], dtype=bool)
         return index
 
-
-class VPTree:
-    """A vantage-point tree over float embedding vectors (L1 metric).
-
-    The pointwise counterpart of :class:`QuantizedMatrixIndex`: the same
-    admission guarantees (it searches the *float* vectors, so no
-    quantization slack at all), sublinear per-query work via triangle-
-    inequality pruning.  Inserts land in a linear overflow list that is
-    folded into a rebuilt tree once it outgrows ``rebuild_fraction`` of
-    the indexed points; deletes are tombstones.
-    """
-
-    def __init__(
-        self, vectors: np.ndarray, *, rebuild_fraction: float = 0.25
-    ):
-        self._vectors = np.asarray(vectors, dtype=np.float64)
-        self._rebuild_fraction = rebuild_fraction
-        self._overflow: list[int] = []
-        self._dead: set[int] = set()
-        self.last_distance_calls = 0
-        # Node-table layout: vantage position, split radius, child ids.
-        self._vantage: list[int] = []
-        self._mu: list[float] = []
-        self._inner: list[int] = []
-        self._outer: list[int] = []
-        self._members: list[np.ndarray | None] = []
-        self._root = self._build(np.arange(len(self._vectors)))
-
-    _LEAF_SIZE = 16
-
-    def __len__(self) -> int:
-        return (
-            len(self._vectors) + len(self._overflow) - len(self._dead)
-        )
-
-    def _build(self, positions: np.ndarray) -> int:
-        if len(positions) == 0:
-            return -1
-        node = len(self._vantage)
-        self._vantage.append(int(positions[0]))
-        self._mu.append(0.0)
-        self._inner.append(-1)
-        self._outer.append(-1)
-        self._members.append(None)
-        if len(positions) <= self._LEAF_SIZE:
-            self._members[node] = positions
-            return node
-        vantage = self._vectors[positions[0]]
-        rest = positions[1:]
-        dist = np.abs(self._vectors[rest] - vantage[None, :]).sum(axis=1)
-        mu = float(np.median(dist))
-        self._mu[node] = mu
-        inside = rest[dist <= mu]
-        outside = rest[dist > mu]
-        if len(inside) == 0 or len(outside) == 0:
-            # Degenerate split (duplicated vectors): keep them as a leaf
-            # bucket rather than recursing forever.
-            self._members[node] = positions
-            return node
-        self._members[node] = positions[:1]
-        self._inner[node] = self._build(inside)
-        self._outer[node] = self._build(outside)
-        return node
-
-    def add(self, position: int, vector: np.ndarray) -> None:
-        """Register ``vector`` at ``position`` (appended if new)."""
-        if position >= len(self._vectors):
-            pad = position + 1 - len(self._vectors)
-            self._vectors = np.concatenate(
-                [self._vectors, np.zeros((pad, self._vectors.shape[1]))]
-            )
-        self._vectors[position] = vector
-        self._dead.discard(position)
-        self._overflow.append(position)
-        obs.incr("ann.vptree.inserts")
-        limit = self._rebuild_fraction * max(
-            self._LEAF_SIZE, len(self._vectors)
-        )
-        if len(self._overflow) > limit:
-            self.rebuild()
-
-    def delete(self, position: int) -> None:
-        self._dead.add(position)
-        obs.incr("ann.vptree.deletes")
-
-    def rebuild(self) -> None:
-        """Fold overflow and tombstones back into a balanced tree."""
-        keep = np.array(
-            [
-                pos
-                for pos in range(len(self._vectors))
-                if pos not in self._dead
-            ],
-            dtype=np.int64,
-        )
-        vectors = np.zeros((len(self._vectors), self._vectors.shape[1]))
-        vectors[keep] = self._vectors[keep]
-        self._vectors = vectors
-        self._overflow = []
-        self._vantage, self._mu = [], []
-        self._inner, self._outer, self._members = [], [], []
-        self._root = self._build(keep)
-
-    def search(self, query: np.ndarray, radius: float) -> np.ndarray:
-        """All live positions within L1 ``radius`` of ``query``."""
-        query = np.asarray(query, dtype=np.float64)
-        self.last_distance_calls = 0
-        hits: list[int] = []
-        stack = [self._root] if self._root >= 0 else []
-        while stack:
-            deadline.check("matching.embed.vptree")
-            node = stack.pop()
-            members = self._members[node]
-            if members is not None and len(members) > 1:
-                dist = np.abs(
-                    self._vectors[members] - query[None, :]
-                ).sum(axis=1)
-                self.last_distance_calls += len(members)
-                for pos in members[dist <= radius].tolist():
-                    if pos not in self._dead:
-                        hits.append(pos)
-                continue
-            vantage = self._vantage[node]
-            d = float(np.abs(self._vectors[vantage] - query).sum())
-            self.last_distance_calls += 1
-            if d <= radius and vantage not in self._dead:
-                hits.append(vantage)
-            mu = self._mu[node]
-            if self._inner[node] >= 0 and d - radius <= mu:
-                stack.append(self._inner[node])
-            if self._outer[node] >= 0 and d + radius > mu:
-                stack.append(self._outer[node])
-        if self._overflow:
-            extra = np.array(self._overflow, dtype=np.int64)
-            dist = np.abs(self._vectors[extra] - query[None, :]).sum(
-                axis=1
-            )
-            self.last_distance_calls += len(extra)
-            for pos in extra[dist <= radius].tolist():
-                if pos not in self._dead:
-                    hits.append(pos)
-        obs.incr("ann.vptree.distance_calls", self.last_distance_calls)
-        return np.unique(np.array(hits, dtype=np.int64))

@@ -1,9 +1,6 @@
 """Metric-axiom validation for edit-distance cost models.
 
-The BK-tree (:mod:`repro.matching.bktree`) prunes subtrees with the
-triangle inequality and the phonetic index relies on the distance being
-symmetric, so both are *only correct* when the cost model induces a true
-(pseudo)metric on phoneme strings.  A weighted edit distance is one iff
+A weighted edit distance is a true (pseudo)metric on phoneme strings iff
 the per-symbol costs satisfy, for all inventory symbols ``a, b, k``:
 
 * **positivity** — ``insert(a) > 0``, ``delete(a) > 0``,
@@ -17,11 +14,15 @@ the per-symbol costs satisfy, for all inventory symbols ``a, b, k``:
   ``delete(a) <= substitute(a, b) + delete(b)`` (an operation is never
   beaten by a detour through a third symbol).
 
-:func:`check_metric_axioms` verifies all of these exhaustively over the
-phoneme inventory (or any symbol set) and returns the violations;
-:func:`validate_metric` raises :class:`~repro.errors.MatchConfigError`
-instead.  The static-analysis pass (``repro.analysis``, rule LEX-D003)
-runs the same checker over the shipped cost models on every CI run.
+Symmetry is what LexEQUAL's matching relies on (a join evaluates each
+pair once).  No lossless candidate source relies on the string triangle
+inequality, which fractional models can break: under
+``ClusteredCost(0.25)`` a strong vowel in a weak phoneme's cluster is
+cheaper to delete by way of that phoneme (``d((), (a,)) = 1.0 > 0.25 +
+0.5``).  :func:`check_metric_axioms` verifies all of the axioms
+exhaustively over the phoneme inventory (or any symbol set) and returns
+the violations; the static-analysis pass (``repro.analysis``, rule
+LEX-D003) runs it over the shipped cost models on every CI run.
 
 With numpy available the checks are vectorized (the triangle scan is
 ``O(n^3)`` over ~150 symbols); a pure-Python fallback keeps the checker
@@ -33,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.errors import MatchConfigError
 from repro.matching.costs import CostModel
 
 #: Comparison slack for float cost arithmetic.
@@ -69,34 +69,13 @@ def check_metric_axioms(
     ``symbols`` defaults to the full phoneme inventory.  Returns at most
     ``max_violations`` violations (the scan stops early once the cap is
     reached); an empty list means the induced edit distance is a
-    symmetric pseudometric, which is what BK-tree pruning requires.
+    symmetric pseudometric.
     """
     syms = tuple(symbols) if symbols is not None else _inventory_symbols()
     try:
         return _check_numpy(costs, syms, max_violations)
     except ImportError:  # pragma: no cover - numpy is present in CI
         return _check_pure(costs, syms, max_violations)
-
-
-def validate_metric(
-    costs: CostModel,
-    symbols: Sequence[str] | None = None,
-) -> None:
-    """Raise :class:`MatchConfigError` unless ``costs`` is metric.
-
-    This is the build-time form of the BK-tree's docstring requirement:
-    pass the cost model backing a ``BKTree`` distance function (or any
-    custom :class:`~repro.matching.costs.CostModel`) and the full set of
-    symbols it will see; a broken model fails loudly here instead of
-    silently dropping true matches during pruned searches.
-    """
-    violations = check_metric_axioms(costs, symbols, max_violations=5)
-    if violations:
-        shown = "; ".join(str(v) for v in violations)
-        raise MatchConfigError(
-            f"cost model {costs!r} violates the metric axioms the "
-            f"BK-tree and phonetic index require: {shown}"
-        )
 
 
 # ------------------------------------------------------------ numpy path

@@ -53,11 +53,6 @@ class BPlusTree:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def key_count(self) -> int:
-        """Number of distinct keys."""
-        return sum(1 for _ in self.items())
-
     @classmethod
     def bulk_load(cls, items, order: int = 64) -> "BPlusTree":
         """Build a tree from sorted ``(key, bucket)`` pairs in one pass.

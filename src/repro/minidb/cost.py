@@ -19,8 +19,6 @@ Strategy estimates (paper Figs. 9–13):
 * ``parallel`` — vectorized banded DP over all rows, sharded across
   workers (lossless; wins only when the table is large enough to
   amortize pool startup/IPC overhead);
-* ``metric``  — BK-tree range query: sublinear in rows, but every node
-  visit is a full DP call (lossless; the triangle inequality prunes);
 * ``ann``     — articulatory-embedding radius prefilter (quantized
   int8 matrix scan), then the vectorized banded kernel on survivors
   (lossy at the default admission radius — excluded unless
@@ -41,15 +39,11 @@ ROW_OVERHEAD = 4.0
 VECTOR_SPEEDUP = 8.0
 #: Fixed DP-cell-equivalent cost of engaging the process pool.
 PARALLEL_OVERHEAD = 2.0e5
-#: A BK-tree range query visits ~rows**METRIC_EXPONENT nodes (each a
-#: full distance evaluation); empirically between log and linear.
-METRIC_EXPONENT = 0.65
 #: Per-row cost of the quantized int8 embedding scan (one L1 distance
 #: over a ~36-dim vector is far cheaper than one DP cell row).
 ANN_SCAN_COST = 0.5
 
-LOSSLESS = ("naive", "qgram", "parallel", "metric")
-ALL_STRATEGIES = ("naive", "qgram", "index", "parallel", "metric", "ann")
+ALL_STRATEGIES = ("naive", "qgram", "index", "parallel", "ann")
 
 
 @dataclass(frozen=True)
@@ -134,13 +128,6 @@ def estimate_strategies(
                 rows * index_sel,  # exact matches ≈ bucket selectivity
                 PARALLEL_OVERHEAD + vector_cost,
                 True,
-            )
-        )
-    if "metric" in available:
-        calls = min(float(rows), float(rows) ** METRIC_EXPONENT)
-        estimates.append(
-            StrategyEstimate(
-                "metric", calls, calls * (row_dp + ROW_OVERHEAD), True
             )
         )
     if "ann" in available:

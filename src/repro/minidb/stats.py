@@ -4,10 +4,9 @@ The paper's evaluation (Figs. 9–13) shows the best LexEQUAL execution
 strategy flips with lexicon size, threshold and selectivity — so the
 planner needs numbers, not a flag.  ``ANALYZE [table]`` walks each heap
 once for table/column statistics and asks every registered phonetic
-accelerator for its structure statistics plus *sampled* selectivities
-(candidate fraction of the q-gram filter, bucket fraction of the
-grouped-key index) measured by probing the accelerator with a seeded
-sample of its own stored phoneme strings.
+accelerator for *sampled* selectivities (the candidate fraction of
+each candidate source it maintains) measured by probing it with a
+seeded sample of its own stored phoneme strings.
 
 Everything here is JSON-serializable, so the stats catalog persists
 through the storage backend (``stats.json``) and survives restarts.
@@ -36,15 +35,13 @@ class AcceleratorStats:
     ``qgram_sel`` / ``index_sel`` / ``ann_sel`` are measured
     candidate-set fractions (candidates ÷ indexed rows), averaged over
     ``sample_size`` probe queries drawn from the stored strings; None
-    when the corresponding structure is not maintained.
+    when the corresponding candidate source is not maintained.
+    ``avg_posting`` is the q-gram postings' mean list length.
     """
 
     rows: int = 0
     avg_plen: float = 0.0
-    distinct_keys: int = 0
-    max_bucket: int = 0
-    distinct_grams: int = 0
-    qgram_postings: int = 0
+    avg_posting: float | None = None
     qgram_sel: float | None = None
     index_sel: float | None = None
     ann_sel: float | None = None
@@ -130,12 +127,20 @@ class StatsCatalog:
                     for col, cstats in raw.get("columns", {}).items()
                 },
                 accelerated={
-                    col: AcceleratorStats(**astats)
+                    col: _accelerator_stats(astats)
                     for col, astats in raw.get("accelerated", {}).items()
                 },
             )
             catalog._tables[key] = stats
         return catalog
+
+
+def _accelerator_stats(raw: dict) -> AcceleratorStats:
+    """Stats from JSON, ignoring fields an older layout wrote."""
+    known = AcceleratorStats.__dataclass_fields__
+    return AcceleratorStats(
+        **{name: value for name, value in raw.items() if name in known}
+    )
 
 
 def analyze_table(db, table_name: str, *, sample: int = 32) -> TableStats:

@@ -18,7 +18,6 @@ from repro.core.strategies import (
     Strategy,
     StrategyStats,
 )
-from repro.matching.editdist import edit_distance_within
 from repro.parallel.executor import ParallelMatchExecutor
 from repro.parallel.table import EncodedNameTable
 
@@ -90,14 +89,24 @@ class ParallelStrategy(Strategy):
         query_phonemes = self._query_phonemes(query, language)
         executor = self.executor()
         if executor.table.encode_query(query_phonemes) is None:
-            return self._select_fallback(query_phonemes, languages)
-        ids, _dists = executor.match(
-            query_phonemes, self.config.threshold, tuple(languages)
-        )
+            # Out-of-table symbol (possible only for symbol sets
+            # narrower than the inventory): verify every row instead.
+            ids = [
+                i
+                for i in self.catalog.ids()
+                if self._language_ok(self.catalog.language_of(i), languages)
+            ]
+            stats.rows_considered = len(self.catalog)
+            stats.candidates_after_filters = stats.udf_calls = len(ids)
+            ids = self.catalog.verify(query_phonemes, ids)
+        else:
+            ids, _dists = executor.match(
+                query_phonemes, self.config.threshold, tuple(languages)
+            )
+            stats.rows_considered = executor.last_stats["rows"]
+            stats.candidates_after_filters = executor.last_stats["candidates"]
+            stats.udf_calls = executor.last_stats["candidates"]
         results = [self.catalog.record(int(i)) for i in ids]
-        stats.rows_considered = executor.last_stats["rows"]
-        stats.candidates_after_filters = executor.last_stats["candidates"]
-        stats.udf_calls = executor.last_stats["candidates"]
         stats.results = len(results)
         self._finish(stats)
         return results
@@ -118,41 +127,6 @@ class ParallelStrategy(Strategy):
         stats.rows_considered = executor.last_stats["rows"]
         stats.candidates_after_filters = executor.last_stats["candidates"]
         stats.udf_calls = executor.last_stats["candidates"]
-        stats.results = len(results)
-        self._finish(stats)
-        return results
-
-    # ----------------------------------------------------------- fallback
-
-    def _select_fallback(
-        self,
-        query_phonemes,
-        languages: tuple[str, ...],
-    ) -> list[NameRecord]:
-        """Scalar banded scan for queries with out-of-table symbols.
-
-        Unreachable with the default full-inventory encoding; kept so a
-        narrowed symbol table can never cause wrong answers.
-        """
-        stats = StrategyStats()
-        costs = self.matcher.costs
-        threshold = self.config.threshold
-        results = []
-        for row in self.catalog.db.table(self.catalog.table_name).rows():
-            stats.rows_considered += 1
-            if not self._language_ok(row[2], languages):
-                continue
-            phonemes = self.catalog.phonemes_of(row[0])
-            stats.udf_calls += 1
-            budget = threshold * min(len(query_phonemes), len(phonemes))
-            if (
-                edit_distance_within(
-                    query_phonemes, phonemes, budget, costs
-                )
-                is not None
-            ):
-                results.append(NameCatalog._to_record(row))
-        stats.candidates_after_filters = stats.udf_calls
         stats.results = len(results)
         self._finish(stats)
         return results

@@ -48,7 +48,7 @@ ACCEPTANCE_SCALING_FLOOR = 3.0
 #: enforced by ``scripts/quality_smoke.py`` and, at acceptance scale,
 #: ``benchmarks/bench_ann.py``.  Recall is measured on the Figure 11
 #: harness at the default admission radius ("cost ≤ 2", i.e.
-#: ``radius_scale=2.0``); reduction/speedup are dimensionless ratios
+#: ``repro.core.sources.RADIUS_SCALE``); reduction/speedup are ratios
 #: (bigger is better), like every other gate here.
 ANN_RECALL_FLOOR = 0.98
 ANN_REDUCTION_FLOOR = 5.0

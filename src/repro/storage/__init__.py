@@ -5,8 +5,8 @@ our reproduction lacked: a :class:`~repro.storage.manager.StorageManager`
 interface with an in-memory backend (the previous behaviour) and a
 durable file backend — write-ahead log with fsync-on-commit,
 checkpointing, crash recovery by WAL replay — plus snapshot
-serialization of the phonetic B-trees, q-gram tables, BK-trees and
-CSR-encoded parallel tables so a reopened database *attaches* its
+serialization of the B+ tree indexes, the phonetic candidate sources
+and CSR-encoded parallel tables so a reopened database *attaches* its
 indexes instead of re-deriving phonemes for every row.
 
 Usage::

@@ -5,7 +5,7 @@ indexes instead of rebuilding them — for the phonetic structures that
 skips the TTP pass over every row, which dominates cold-start time.
 
 Container format (``dump``/``load``): an 8-byte magic, the snapshot
-``kind`` (so a B-tree file cannot be loaded as a BK-tree), the format
+``kind`` (so a B-tree file cannot be loaded as a checkpoint), the format
 version, a CRC32 of the pickled payload, and the payload itself.  A
 truncated, corrupt or wrong-kind file raises
 :class:`~repro.errors.StorageError` — recovery treats that as "rebuild
@@ -18,20 +18,15 @@ Structure codecs:
   ``bulk_load`` sidesteps pickling the node graph (the leaf ``next``
   chain of a 200k-row tree is thousands of links deep — deeper than
   the pickle recursion limit) and re-validates key order on load.
-* :func:`bktree_state` / :func:`restore_bktree` — BK-tree nodes as a
-  flat parent-linked list; restoring performs **zero** distance calls.
 * :func:`encoded_table_state` / :func:`restore_encoded_table` — the
   CSR arrays of a :class:`~repro.parallel.table.EncodedNameTable`; the
   cost matrices are recomputed from the (small) symbol list rather than
   stored.
-* :func:`ann_index_state` / :func:`restore_ann_index` — the quantized
-  articulatory-embedding matrix of :mod:`repro.matching.embed` with its
-  tombstone mask and position→rowid map; the embedding model itself is
-  recomputed from the symbol list, and a model/matrix width mismatch
-  returns None ("rebuild from the heap") instead of a stale index.
-  This codec — and the ``.ann`` sidecar filename it is stored under —
-  is the storage layer's own business (see
-  :data:`repro.storage.layout.ANN_INDEX_SUFFIX`).
+
+The candidate sources of :mod:`repro.core.sources` carry their own
+``state()``/``from_state()`` codecs; the ``.ann`` sidecar filename the
+embedding matrix is stored under is the storage layer's own business
+(see :data:`repro.storage.layout.ANN_INDEX_SUFFIX`).
 """
 
 from __future__ import annotations
@@ -106,51 +101,6 @@ def restore_btree(state: dict):
     return BPlusTree.bulk_load(state["items"], order=state["order"])
 
 
-# --------------------------------------------------------------- BK-tree
-
-
-def bktree_state(tree) -> dict:
-    """A BK-tree as a flat list of parent-linked node rows.
-
-    Each row is ``(parent_index, bucket, tokens, items)``; the root has
-    ``parent_index = -1``.  Iterative, so arbitrarily deep trees
-    serialize without recursion.
-    """
-    nodes = []
-    root = getattr(tree, "_root", None)
-    if root is not None:
-        stack = [(root, -1, 0)]
-        while stack:
-            node, parent, bucket = stack.pop()
-            index = len(nodes)
-            nodes.append(
-                (parent, bucket, tuple(node.tokens), list(node.items))
-            )
-            for child_bucket, child in node.children.items():
-                stack.append((child, index, child_bucket))
-    return {"resolution": tree._resolution, "nodes": nodes}
-
-
-def restore_bktree(state: dict, distance):
-    """Rebuild a BK-tree from :func:`bktree_state` without distance calls."""
-    from repro.matching.bktree import BKTree, _Node
-
-    tree = BKTree(distance, state["resolution"])
-    built: list = []
-    size = 0
-    for parent, bucket, tokens, items in state["nodes"]:
-        node = _Node(tuple(tokens), None)
-        node.items = list(items)
-        size += len(node.items)
-        built.append(node)
-        if parent < 0:
-            tree._root = node
-        else:
-            built[parent].children[bucket] = node
-    tree._size = size
-    return tree
-
-
 # ------------------------------------------------- encoded parallel table
 
 
@@ -183,44 +133,3 @@ def restore_encoded_table(state: dict, costs):
         state["lang_codes"],
         tuple(state["languages"]),
     )
-
-
-# ------------------------------------------- quantized embedding index
-
-
-def ann_index_state(model, index, rowids) -> dict:
-    """Quantized embedding matrix + tombstones + position→rowid map.
-
-    The embedding model is *not* stored: like the cost matrices above it
-    is a pure function of the cost model and symbol list, recomputed on
-    restore (and cross-checked against the matrix width).
-    """
-    import numpy as np
-
-    state = index.state()
-    state["symbols"] = list(model.encoded.index)
-    state["rowids"] = np.asarray(rowids, dtype=np.int64)
-    return state
-
-
-def restore_ann_index(state: dict, costs):
-    """Rebuild ``(model, index, rowids)`` from :func:`ann_index_state`.
-
-    Returns None when the recomputed model's dimensionality disagrees
-    with the stored matrix (the cost model or embedding layout changed
-    since the checkpoint) — the caller rebuilds from the heap.
-    """
-    from repro.matching.embed import EmbeddingModel, QuantizedMatrixIndex
-
-    model = EmbeddingModel.for_costs(costs, list(state["symbols"]))
-    matrix = state["matrix"]
-    if matrix.ndim != 2 or model.dim != matrix.shape[1]:
-        return None
-    index = QuantizedMatrixIndex.from_state(
-        {
-            "scale": state["scale"],
-            "matrix": matrix,
-            "alive": state["alive"],
-        }
-    )
-    return model, index, state["rowids"]

@@ -48,10 +48,8 @@ from repro.analysis.datarules import (
     TableSpec,
     TtpShadowing,
 )
-from repro.errors import MatchConfigError
-from repro.matching.bktree import BKTree
 from repro.matching.costs import ClusteredCost, LevenshteinCost
-from repro.matching.metric import check_metric_axioms, validate_metric
+from repro.matching.metric import check_metric_axioms
 from repro.phonetics.parse import all_symbols
 
 
@@ -492,32 +490,24 @@ class TestMetricValidation:
     def test_levenshtein_is_a_metric(self):
         assert check_metric_axioms(LevenshteinCost()) == []
 
-    def test_validate_metric_raises_on_broken_model(self):
+    def test_checker_flags_broken_model(self):
         broken = ClusteredCost(
             intra_cluster_cost=1.0, vowel_cross_cost=0.1
         )
         violations = check_metric_axioms(broken)
         assert violations and violations[0].axiom == "triangle"
-        with pytest.raises(MatchConfigError, match="triangle"):
-            validate_metric(broken)
 
-    def test_bktree_optional_validation(self):
-        from repro.matching.editdist import edit_distance
-
-        good = ClusteredCost()
-        tree = BKTree(
-            lambda a, b: edit_distance(a, b, good), validate_costs=good
+    def test_checker_flags_strong_delete_through_weak_cluster_mate(self):
+        # Deleting a strong vowel costs 1.0, but substituting it by its
+        # weak cluster-mate (0.25) and deleting that (0.5) costs 0.75:
+        # d((), ("a",)) = 1.0 > 0.25 + 0.5.
+        violations = check_metric_axioms(ClusteredCost(0.25), ["a", "ə"])
+        assert [(v.axiom, v.symbols) for v in violations] == [
+            ("triangle", ("a", "ə"))
+        ]
+        assert "delete(a)=1 > substitute(a, b) + delete(b)=0.75" in (
+            violations[0].detail
         )
-        tree.add(("n", "e", "r", "u"), "nehru")
-        assert tree.search(("n", "e", "r", "u"), 0.0)
-        broken = ClusteredCost(
-            intra_cluster_cost=1.0, vowel_cross_cost=0.1
-        )
-        with pytest.raises(MatchConfigError, match="violates the metric axioms"):
-            BKTree(
-                lambda a, b: edit_distance(a, b, broken),
-                validate_costs=broken,
-            )
 
 
 # ----------------------------------------------------- the repo lints clean

@@ -110,7 +110,7 @@ class TestQueryCommand:
                 "SELECT author FROM books "
                 "WHERE author LEXEQUAL 'Nehru' THRESHOLD 0.25",
                 "--explain",
-                "--accelerate",
+                "--strategy",
                 "none",
             ]
         )

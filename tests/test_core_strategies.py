@@ -60,9 +60,12 @@ class TestNameCatalog:
     def test_qgram_rows_created(self, matcher):
         catalog = NameCatalog(matcher)
         catalog.add("Nehru", "english")
-        qgrams = catalog.db.table(catalog.qgram_table_name)
+        source = catalog.source("qgram")
         phonemes = catalog.phonemes_of(0)
-        assert len(qgrams) == len(phonemes) + catalog.config.q - 1
+        assert source.posting_count == len(phonemes) + catalog.config.q - 1
+        catalog.add("Gandhi", "english")
+        assert catalog.source("qgram") is source
+        assert len(source) == 2
 
 
 class TestSelect:

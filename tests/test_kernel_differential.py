@@ -12,6 +12,11 @@ The suite drives 5 000+ seeded random phoneme pairs (lengths 0–14,
 every shipped cost model, budgets from knife-edge to generous) through
 all three kernels, then separately exercises the cutoff (reject) path
 and the cooperative deadline-cancel path.
+
+The same differential idea covers the candidate source → verifier
+pipeline: every source's select and join against the naive scan, and
+every SQL accelerator method against the query with the accelerator
+dropped, across DML, checkpoint/reopen and an old snapshot layout.
 """
 
 from __future__ import annotations
@@ -227,7 +232,7 @@ class TestAnnPrefilterDifferential:
     return a *subset* of the naive scan's matches with measured recall
     ≥ 0.98, and with the admission radius set from the proven
     lower-bound constant (``lossless=True``) the result sets must be
-    exactly equal — for both index backends.
+    exactly equal.
     """
 
     ROWS = 640
@@ -269,7 +274,7 @@ class TestAnnPrefilterDifferential:
                                            naive_results):
         from repro.core import AnnPrefilterStrategy
 
-        ann = AnnPrefilterStrategy(catalog, radius_scale=2.0)
+        ann = AnnPrefilterStrategy(catalog)
         matched = hits = 0
         for query, language in queries:
             expected = naive_results[query]
@@ -283,17 +288,13 @@ class TestAnnPrefilterDifferential:
         recall = hits / matched
         assert recall >= 0.98, f"ann recall {recall:.4f} on {matched}"
 
-    @pytest.mark.parametrize("index_kind", ["matrix", "vptree"])
-    def test_lossless_equals_naive(self, catalog, queries,
-                                   naive_results, index_kind):
+    def test_lossless_equals_naive(self, catalog, queries, naive_results):
         from repro.core import AnnPrefilterStrategy
 
-        ann = AnnPrefilterStrategy(
-            catalog, lossless=True, index_kind=index_kind
-        )
+        ann = AnnPrefilterStrategy(catalog, lossless=True)
         for query, language in queries:
             got = {r.id for r in ann.select(query, language)}
-            assert got == naive_results[query], (index_kind, query)
+            assert got == naive_results[query], query
 
 
 class TestDeadlineCancellation:
@@ -331,3 +332,290 @@ class TestDeadlineCancellation:
             self.LONG, self.NOISY, 40.0, LevenshteinCost()
         )
         assert got == edit_distance(self.LONG, self.NOISY, LevenshteinCost())
+
+
+# ------------------------------------------- candidate source → verifier
+
+#: The paper's Section 5 classical configuration and the shipped default.
+PIPELINE_CONFIGS = {
+    "classical": dict(
+        threshold=0.25,
+        intra_cluster_cost=1.0,
+        weak_indel_cost=1.0,
+        vowel_cross_cost=1.0,
+    ),
+    "clustered": {},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PIPELINE_CONFIGS))
+def pipeline(request):
+    """(catalog, queries, naive selects, naive join) per configuration."""
+    from repro.core import LexEqualMatcher, MatchConfig, NameCatalog
+    from repro.core import NaiveUdfStrategy
+    from repro.data.generator import generate_performance_dataset
+    from repro.data.lexicon import build_lexicon
+
+    matcher = LexEqualMatcher(MatchConfig(**PIPELINE_CONFIGS[request.param]))
+    catalog = NameCatalog(matcher)
+    for item in generate_performance_dataset(build_lexicon(), 240):
+        catalog.add(item.name, item.language, ipa=item.ipa)
+    rng = random.Random(SEED + 4)
+    stored = [(r.name, r.language) for r in catalog.records()]
+    queries = [(q, lang, ()) for q, lang in rng.sample(stored, 6)]
+    queries.append((stored[0][0], stored[0][1], ("hindi", "tamil")))
+    queries.append(("Zzyzx", "english", ()))
+    naive = NaiveUdfStrategy(catalog)
+    selects = {
+        query: [r.id for r in naive.select(*query)] for query in queries
+    }
+    join = [(a.id, b.id) for a, b in naive.join()]
+    return catalog, queries, selects, join
+
+
+class TestSourcePipelineDifferential:
+    """Every source × {select, join} × {classical, clustered} vs naive.
+
+    Lossless pipelines (q-grams, the embedding at its proven constant)
+    must return exactly the naive scan's rows and pairs, in order; the
+    lossy ones (grouped key, embedding at the default radius) a subset,
+    the embedding at the pinned recall floor.
+    """
+
+    @staticmethod
+    def _strategy(name, catalog):
+        from repro.core import (
+            AnnPrefilterStrategy,
+            PhoneticIndexStrategy,
+            QGramStrategy,
+        )
+
+        if name == "ann-lossless":
+            return AnnPrefilterStrategy(catalog, lossless=True)
+        return {
+            "qgram": QGramStrategy,
+            "index": PhoneticIndexStrategy,
+            "ann": AnnPrefilterStrategy,
+        }[name](catalog)
+
+    @pytest.mark.parametrize(
+        "name", ["qgram", "index", "ann", "ann-lossless"]
+    )
+    def test_select_and_join_against_naive(self, pipeline, name):
+        from repro.perf.gates import ANN_RECALL_FLOOR
+
+        catalog, queries, selects, join = pipeline
+        strategy = self._strategy(name, catalog)
+        got_selects = {
+            query: [r.id for r in strategy.select(*query)]
+            for query in queries
+        }
+        got_join = [(a.id, b.id) for a, b in strategy.join()]
+        if name in ("qgram", "ann-lossless"):
+            assert got_selects == selects
+            assert got_join == join
+            return
+        expected = found = 0
+        for query in queries:
+            assert set(got_selects[query]) <= set(selects[query]), query
+            expected += len(selects[query])
+            found += len(got_selects[query])
+        assert set(got_join) <= set(join)
+        expected += len(join)
+        found += len(got_join)
+        if name == "ann":
+            assert found / expected >= ANN_RECALL_FLOOR
+
+
+# -------------------------------------------------- SQL accelerator paths
+
+ACCEL_SQL = "SELECT id FROM names WHERE name LEXEQUAL :q THRESHOLD 0.25"
+#: (method, options, lossless)
+ACCELERATORS = [
+    ("qgram", {}, True),
+    ("index", {}, False),
+    ("ann", {}, False),
+    ("parallel", {"workers": 1}, True),
+    ("auto", {}, True),
+    ("auto", {"allow_lossy": True, "workers": 1}, False),
+]
+ACCEL_IDS = [
+    f"{method}{'-' + '-'.join(options) if options else ''}"
+    for method, options, _lossless in ACCELERATORS
+]
+
+
+@pytest.fixture(scope="module")
+def accel_names():
+    from repro.data.generator import generate_performance_dataset
+    from repro.data.lexicon import build_lexicon
+
+    return [
+        item.name
+        for item in generate_performance_dataset(build_lexicon(), 160)
+    ]
+
+
+def _accel_queries(names):
+    rng = random.Random(SEED + 5)
+    picked = rng.sample(names, 5) + ["Zzyzx"]
+    return [
+        (query, suffix)
+        for query in picked
+        for suffix in ("", " INLANGUAGES { english, hindi }")
+    ]
+
+
+def _answers(db, queries) -> dict:
+    return {
+        (query, suffix): sorted(
+            db.execute(ACCEL_SQL + suffix, q=query).rows
+        )
+        for query, suffix in queries
+    }
+
+
+def _load_names(db, names, accelerate) -> None:
+    """Half the rows, the accelerator, then interleaved DML.
+
+    NORESOURCE rows (unsupported script) and NULLs ride along; every
+    fifth row is deleted after the accelerator exists.
+    """
+    from repro.minidb.schema import Column
+    from repro.minidb.values import SqlType
+
+    db.create_table(
+        "names",
+        [
+            Column("id", SqlType.INTEGER, nullable=False),
+            Column("name", SqlType.TEXT),
+        ],
+    )
+    half = len(names) // 2
+    rowids = [
+        db.insert("names", (i, name)) for i, name in enumerate(names[:half])
+    ]
+    accelerate()
+    for i, name in enumerate(names[half:], start=half):
+        rowids.append(db.insert("names", (i, name)))
+        if i % 5 == 0:
+            db.delete_row("names", rowids[i - half])
+    db.insert("names", (len(names), "נהרו"))
+    db.insert("names", (len(names) + 1, None))
+
+
+class TestAcceleratorDifferential:
+    """SQL ``LEXEQUAL`` with each accelerator vs the same query without.
+
+    The accelerator returns verified rows and the planner's UDF recheck
+    still applies NULL, INLANGUAGES and NORESOURCE semantics, so a
+    lossless method must agree exactly with the plain scan, and a lossy
+    one may only drop rows.
+    """
+
+    @pytest.mark.parametrize(
+        "method,options,lossless", ACCELERATORS, ids=ACCEL_IDS
+    )
+    def test_matches_unaccelerated_scan(
+        self, accel_names, method, options, lossless
+    ):
+        from repro import Database, install_lexequal
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+
+        matcher = LexEqualMatcher()
+        db = Database()
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names,
+            lambda: holder.append(
+                create_phonetic_accelerator(
+                    db, "names", "name", matcher, method=method, **options
+                )
+            ),
+        )
+        db.analyze()
+        queries = _accel_queries(accel_names)
+        accelerated = _answers(db, queries)
+        holder[0].drop()
+        plain = _answers(db, queries)
+        assert any(plain.values())
+        for key, rows in plain.items():
+            if lossless:
+                assert accelerated[key] == rows, key
+            else:
+                assert set(accelerated[key]) <= set(rows), key
+
+    @pytest.mark.parametrize(
+        "method,options,lossless", ACCELERATORS, ids=ACCEL_IDS
+    )
+    def test_checkpoint_reopen_same_answers(
+        self, tmp_path, accel_names, method, options, lossless
+    ):
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+        from repro.core.integration import install_lexequal
+        from repro.storage import open_database
+
+        matcher = LexEqualMatcher()
+        db = open_database(str(tmp_path), matcher=matcher, sync=False)
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names,
+            lambda: holder.append(
+                create_phonetic_accelerator(
+                    db, "names", "name", matcher, method=method, **options
+                )
+            ),
+        )
+        db.analyze()
+        db.checkpoint()
+        # A post-checkpoint delta the reopened accelerator must replay.
+        db.insert("names", (999, accel_names[1]))
+        queries = _accel_queries(accel_names)
+        before = _answers(db, queries)
+        holder[0].drop()
+        db.storage.close()
+
+        reopened = open_database(str(tmp_path), matcher=matcher)
+        try:
+            assert reopened.accelerator_for("names", "name") is not None
+            assert _answers(reopened, queries) == before
+        finally:
+            accelerator = reopened.accelerator_for("names", "name")
+            if accelerator is not None:
+                accelerator.drop()
+            reopened.storage.close()
+
+    def test_old_snapshot_layout_rebuilds(self, accel_names):
+        """A pre-sources snapshot (B+ tree gram table, no layout tag) is
+        rebuilt from the heap instead of crashing or answering wrong."""
+        from repro import Database, install_lexequal
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+
+        matcher = LexEqualMatcher()
+        db = Database()
+        install_lexequal(db, matcher)
+        _load_names(db, accel_names, lambda: None)
+        fresh = create_phonetic_accelerator(db, "names", "name", matcher)
+        queries = _accel_queries(accel_names)
+        expected = _answers(db, queries)
+        fresh.drop()
+        old_layout = {
+            "method": "qgram",
+            "phonemes": {0: ("n", "e", "r", "u")},
+            "langs": {0: "english"},
+            "tokens": {0: ("1", "2", "3", "4")},
+            "grams": {"order": 32, "items": [("1\x1f2", [(0, 1)])]},
+        }
+        restored = create_phonetic_accelerator(
+            db, "names", "name", matcher, restore=old_layout
+        )
+        assert _answers(db, queries) == expected
+        assert sorted(restored._phonemes) == sorted(
+            rowid
+            for rowid, row in db.table("names").scan()
+            if row[1] is not None and row[1] != "נהרו"
+        )

@@ -23,7 +23,6 @@ from repro.matching.embed import (
     QUANT_SCALE,
     EmbeddingModel,
     QuantizedMatrixIndex,
-    VPTree,
     quantize,
     quantized_radius,
 )
@@ -197,70 +196,6 @@ class TestQuantizedMatrixIndex:
             time.sleep(0.01)
             with pytest.raises(DeadlineExceededError):
                 index.search(query, 2.0)
-
-
-class TestVPTree:
-    @pytest.fixture()
-    def setup(self):
-        rng = random.Random(SEED + 2)
-        model = _model()
-        strings = _strings(rng, 120)
-        vectors = np.stack([model.encode(s) for s in strings])
-        query = model.encode(rng.choice(strings))
-        return vectors, query
-
-    def test_search_equals_float_brute_force(self, setup):
-        vectors, query = setup
-        tree = VPTree(vectors)
-        for radius in (0.0, 0.5, 1.5, 4.0):
-            got = sorted(tree.search(query, radius).tolist())
-            exact = [
-                i
-                for i, vec in enumerate(vectors)
-                if np.abs(vec - query).sum() <= radius
-            ]
-            assert got == exact, radius
-
-    def test_pruning_does_less_work_than_scan(self, setup):
-        vectors, query = setup
-        tree = VPTree(vectors)
-        tree.search(query, 0.25)
-        assert tree.last_distance_calls < len(vectors)
-
-    def test_add_delete_keep_brute_force_parity(self, setup):
-        vectors, query = setup
-        tree = VPTree(vectors)
-        live = {i: vectors[i] for i in range(len(vectors))}
-        rng = random.Random(SEED + 3)
-        # Enough churn to cross the overflow rebuild threshold.
-        for step in range(60):
-            if rng.random() < 0.6 or not live:
-                position = len(vectors) + step
-                vector = vectors[rng.randrange(len(vectors))] * 1.01
-                tree.add(position, vector)
-                live[position] = vector
-            else:
-                position = rng.choice(sorted(live))
-                tree.delete(position)
-                del live[position]
-        got = sorted(tree.search(query, 2.0).tolist())
-        exact = sorted(
-            pos
-            for pos, vec in live.items()
-            if np.abs(vec - query).sum() <= 2.0
-        )
-        assert got == exact
-
-    def test_matrix_admits_superset_of_vptree(self, setup):
-        # Quantization slack only ever widens admission: the int8 scan
-        # must admit every position the float tree admits.
-        vectors, query = setup
-        tree = VPTree(vectors)
-        index = QuantizedMatrixIndex.from_vectors(vectors)
-        for radius in (0.5, 1.5, 3.0):
-            float_hits = set(tree.search(query, radius).tolist())
-            scan_hits = set(index.search(query, radius).tolist())
-            assert float_hits <= scan_hits, radius
 
 
 class TestLowerBoundGuards:

@@ -1,9 +1,8 @@
-"""The Clustered Edit Distance must be a true metric over the inventory.
+"""The substitution costs of every shipped model form a metric.
 
-The BK metric tree (`repro.matching.bktree`) prunes by the triangle
-inequality, so its exactness rests on the cost model satisfying the
-classical sufficient conditions for a sequence edit distance to be a
-metric:
+These are the classical sufficient conditions for a sequence edit
+distance to be a metric, minus the delete-through-substitute detour that
+fractional weak-indel models break (see ``repro.matching.metric``):
 
 1. symbol substitution costs form a (pseudo)metric: symmetric, zero on
    the diagonal, triangle inequality;

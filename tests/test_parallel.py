@@ -25,7 +25,6 @@ from repro.core import (
     PhoneticIndexStrategy,
     QGramStrategy,
 )
-from repro.core.strategies import MetricIndexStrategy
 from repro.errors import DeadlineExceededError
 from repro.matching.costs import ClusteredCost
 from repro.parallel import (
@@ -306,7 +305,6 @@ class TestGoldenCrossStrategySnapshot:
             NaiveUdfStrategy(catalog),
             QGramStrategy(catalog),
             PhoneticIndexStrategy(catalog),
-            MetricIndexStrategy(catalog),
             parallel,
         ]
         parallel.close()

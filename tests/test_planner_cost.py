@@ -83,15 +83,6 @@ class TestEstimates:
         assert small["parallel"].est_cost > small["naive"].est_cost
         assert big["parallel"].est_cost < big["naive"].est_cost
 
-    def test_metric_is_sublinear(self):
-        ests = self._by_name(rows=100_000, query_len=6, avg_plen=6)
-        assert ests["metric"].est_cost < ests["naive"].est_cost
-        # ~rows**0.65 distance calls, far fewer than a scan...
-        assert ests["metric"].est_rows < 100_000 ** 0.75
-        # ...but never *more* calls than rows exist.
-        tiny = self._by_name(rows=2, query_len=6, avg_plen=6)["metric"]
-        assert tiny.est_rows <= 2
-
     def test_choose_excludes_lossy_by_default(self):
         ests = cost.estimate_strategies(
             rows=10_000, query_len=6, avg_plen=6

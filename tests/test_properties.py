@@ -2,8 +2,9 @@
 
 These encode the guarantees DESIGN.md calls out:
 
-* the DP edit distance is a (pseudo)metric under symmetric costs, and
-  the banded variant agrees with it inside the budget;
+* the DP edit distance is symmetric, and a (pseudo)metric under the
+  cost models whose operations pass the metric-axiom checker; the
+  banded variant agrees with it inside the budget;
 * the batch (numpy) DP is bit-identical to the scalar DP;
 * the q-gram filters never reject a pair the UDF would accept
   (no-false-dismissal soundness), including in cluster space with
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from repro.core.config import MatchConfig
 from repro.matching.costs import ClusteredCost, LevenshteinCost
 from repro.matching.editdist import edit_distance, edit_distance_within
+from repro.matching.metric import check_metric_axioms
 from repro.matching.qgrams import passes_filters
 from repro.phonetics.clusters import default_clustering
 from repro.phonetics.folding import fold_phonemes
@@ -35,14 +37,19 @@ phoneme_strings = st.lists(
     st.sampled_from(SYMBOLS), min_size=0, max_size=10
 ).map(tuple)
 
-cost_models = st.sampled_from(
-    [
-        LevenshteinCost(),
-        ClusteredCost(0.25),
-        ClusteredCost(0.5, weak_indel_cost=1.0, vowel_cross_cost=1.0),
-        ClusteredCost(0.0),
-        ClusteredCost(1.0, weak_indel_cost=0.5),
-    ]
+COST_MODELS = [
+    LevenshteinCost(),
+    ClusteredCost(0.25),
+    ClusteredCost(0.5, weak_indel_cost=1.0, vowel_cross_cost=1.0),
+    ClusteredCost(0.0),
+    ClusteredCost(1.0, weak_indel_cost=0.5),
+]
+cost_models = st.sampled_from(COST_MODELS)
+#: The models whose string distance is a metric over SYMBOLS: the
+#: fractional weak-indel models let a strong phoneme be deleted more
+#: cheaply through a weak cluster-mate (see repro.matching.metric).
+metric_cost_models = st.sampled_from(
+    [m for m in COST_MODELS if not check_metric_axioms(m, SYMBOLS)]
 )
 
 
@@ -64,7 +71,7 @@ class TestEditDistanceMetric:
         a=phoneme_strings,
         b=phoneme_strings,
         c=phoneme_strings,
-        costs=cost_models,
+        costs=metric_cost_models,
     )
     def test_triangle_inequality(self, a, b, c, costs):
         ab = edit_distance(a, b, costs)
@@ -367,36 +374,24 @@ class TestEmbeddingPrefilterContract:
         extra=phoneme_strings,
         query=phoneme_strings,
         radius=st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
-        kind=st.sampled_from(["matrix", "vptree"]),
     )
     def test_insert_then_delete_restores_search(
-        self, strings, extra, query, radius, kind
+        self, strings, extra, query, radius
     ):
         import numpy as np
 
         from repro.matching.batch import EncodedCosts
-        from repro.matching.embed import (
-            EmbeddingModel,
-            QuantizedMatrixIndex,
-            VPTree,
-        )
+        from repro.matching.embed import EmbeddingModel, QuantizedMatrixIndex
 
         model = EmbeddingModel(EncodedCosts(ClusteredCost(0.25), SYMBOLS))
         vectors = np.stack([model.encode(s) for s in strings])
         qvec = model.encode(query)
-        if kind == "matrix":
-            index = QuantizedMatrixIndex.from_vectors(vectors)
-            before = sorted(index.search(qvec, radius).tolist())
-            position = index.append(model.encode(extra))
-            index.delete(position)
-        else:
-            index = VPTree(vectors)
-            before = sorted(index.search(qvec, radius).tolist())
-            position = len(strings)
-            index.add(position, model.encode(extra))
-            index.delete(position)
+        index = QuantizedMatrixIndex.from_vectors(vectors)
+        before = sorted(index.search(qvec, radius).tolist())
+        position = index.append(model.encode(extra))
+        index.delete(position)
         after = sorted(index.search(qvec, radius).tolist())
-        assert after == before, (kind, before, after)
+        assert after == before, (before, after)
 
 
 class TestConverterTotality:

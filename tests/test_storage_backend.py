@@ -13,7 +13,6 @@ from repro import faults
 from repro.core.engine import create_phonetic_accelerator
 from repro.core.matcher import LexEqualMatcher
 from repro.errors import StorageError
-from repro.matching.bktree import BKTree
 from repro.minidb.catalog import Database
 from repro.minidb.schema import Column
 from repro.minidb.values import SqlType
@@ -321,7 +320,7 @@ def test_snapshot_container_rejects_wrong_kind_and_damage(tmp_path):
     loaded = snapshots.load(io.BytesIO(good), "btree")
     assert loaded == {"hello": 1}
     with pytest.raises(StorageError, match="kind"):
-        snapshots.load(io.BytesIO(good), "bktree")
+        snapshots.load(io.BytesIO(good), "checkpoint")
     with pytest.raises(StorageError, match="magic"):
         snapshots.load(io.BytesIO(b"NOTSNAP!" + good[8:]), "btree")
     clipped = good[:-2]
@@ -331,24 +330,6 @@ def test_snapshot_container_rejects_wrong_kind_and_damage(tmp_path):
     flipped[-1] ^= 0xFF
     with pytest.raises(StorageError, match="CRC"):
         snapshots.load(io.BytesIO(bytes(flipped)), "btree")
-
-
-def test_bktree_codec_differential():
-    def distance(a, b):
-        return abs(len(a) - len(b)) + (a[:1] != b[:1])
-
-    tree = BKTree(distance, 0.5)
-    words = ["ka", "kar", "karam", "na", "neru", "nehru", "sa", "sarala"]
-    for i, word in enumerate(words):
-        tree.add(tuple(word), i)
-
-    restored = snapshots.restore_bktree(snapshots.bktree_state(tree), distance)
-    assert len(restored) == len(tree)
-    for probe in ["ka", "nehru", "xy"]:
-        for radius in (0.0, 1.0, 2.5):
-            want = sorted(tree.search(tuple(probe), radius))
-            got = sorted(restored.search(tuple(probe), radius))
-            assert got == want, (probe, radius)
 
 
 def test_encoded_table_codec_differential():
