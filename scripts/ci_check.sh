@@ -34,12 +34,15 @@ echo "== quality smoke (ann prefilter recall + candidate-reduction floors) =="
 mkdir -p results
 python scripts/quality_smoke.py --out results/quality_smoke.json
 
-echo "== perf smoke (banded kernel + parallel executor floors) =="
+echo "== perf smoke (banded kernel, q-gram and parallel executor floors) =="
 mkdir -p results
 python scripts/perf_smoke.py --out results/perf_smoke.json
 
 echo "== perf trend gate (fresh ratios vs committed baseline) =="
 python scripts/perf_compare.py BENCH_baseline.json results/perf_smoke.json
+
+echo "== end-to-end benchmark smoke (metric names, trace targets, zero failures) =="
+python -m pytest benchmarks/e2e -q
 
 echo "== benchmark smoke (Table 1) =="
 REPRO_BENCH_SIZE="${REPRO_BENCH_SIZE:-400}" \

@@ -9,12 +9,14 @@ the build when either regression appears:
   kernel, or the parallel executor returns anything other than the
   reference DP's distances and match sets;
 * **lost speedup** — the banded kernel stops beating the reference DP,
-  or the parallel executor stops beating the sequential naive scan.
+  the parallel executor stops beating the sequential naive scan, or
+  the q-gram strategy (columnar postings + the one verifier) stops
+  beating it.
 
 The floors come from :mod:`repro.perf` — the single source shared with
 ``scripts/perf_compare.py`` and the acceptance benchmark — and are
-deliberately lax at this scale (1.5x kernel, 2x executor on a
-1,500-row catalog) so the gate only trips on real regressions, not CI
+deliberately lax at this scale (1.5x kernel, 2x executor, 10x q-gram on
+a 1,500-row catalog) so the gate only trips on real regressions, not CI
 jitter.  The acceptance-scale floors (20x kernel, 3x scaling at 200k
 rows) are enforced by the benchmark, not here.
 
@@ -50,6 +52,7 @@ from repro.core import (
     MatchConfig,
     NaiveUdfStrategy,
     NameCatalog,
+    QGramStrategy,
 )
 from repro.data.generator import generate_performance_dataset
 from repro.data.lexicon import build_lexicon
@@ -152,14 +155,8 @@ def check_kernels(catalog: NameCatalog) -> tuple[float, float]:
     return banded_speedup, batch_speedup
 
 
-def check_executor(catalog: NameCatalog) -> tuple[float, float]:
-    """Parallel strategy: identical match sets, executor speedup floor.
-
-    Returns ``(best_vs_naive, scaling_4v1)`` where the scaling ratio is
-    the 1-worker wall time over the 4-worker wall time (> 1 means 4
-    workers win; on machines with < 4 CPUs it is recorded but not
-    enforced).
-    """
+def naive_baseline(catalog: NameCatalog) -> tuple[list, dict, float]:
+    """Seeded queries, the naive scan's ids for each, and its wall time."""
     rng = random.Random(SEED + 1)
     english = [
         record.name
@@ -167,12 +164,44 @@ def check_executor(catalog: NameCatalog) -> tuple[float, float]:
         if record.language == "english"
     ]
     queries = rng.sample(english, QUERIES - 1) + ["Zzyzx"]
-
     naive = NaiveUdfStrategy(catalog)
     naive.select(queries[0])  # warm caches; measure steady-state scans
     start = time.perf_counter()
     expected = {q: [r.id for r in naive.select(q)] for q in queries}
-    naive_s = time.perf_counter() - start
+    return queries, expected, time.perf_counter() - start
+
+
+def check_qgram(catalog: NameCatalog, baseline) -> float:
+    """q-gram strategy: identical match sets, speedup over naive.
+
+    Returns ``qgram_vs_naive``, the naive scan's wall time over the
+    q-gram strategy's on the same queries.
+    """
+    queries, expected, naive_s = baseline
+    strategy = QGramStrategy(catalog)
+    strategy.select(queries[0])  # postings built, caches warm
+    start = time.perf_counter()
+    got = {q: [r.id for r in strategy.select(q)] for q in queries}
+    qgram_s = time.perf_counter() - start
+    if got != expected:
+        raise AssertionError("q-gram strategy diverged from the naive scan")
+    speedup = naive_s / max(qgram_s, 1e-9)
+    print(
+        f"qgram: naive {naive_s * 1e3:.0f} ms, qgram "
+        f"{qgram_s * 1e3:.1f} ms -> {speedup:.1f}x"
+    )
+    return speedup
+
+
+def check_executor(catalog: NameCatalog, baseline) -> tuple[float, float]:
+    """Parallel strategy: identical match sets, executor speedup floor.
+
+    Returns ``(best_vs_naive, scaling_4v1)`` where the scaling ratio is
+    the 1-worker wall time over the 4-worker wall time (> 1 means 4
+    workers win; on machines with < 4 CPUs it is recorded but not
+    enforced).
+    """
+    queries, expected, naive_s = baseline
 
     best = 0.0
     seconds: dict[int, float] = {}
@@ -216,7 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"perf smoke: rows={ROWS} seed={SEED}")
     catalog = build_catalog()
     banded, batch = check_kernels(catalog)
-    executor, scaling = check_executor(catalog)
+    baseline = naive_baseline(catalog)
+    qgram = check_qgram(catalog, baseline)
+    executor, scaling = check_executor(catalog, baseline)
     report = {
         "rows": ROWS,
         "seed": SEED,
@@ -226,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
             "kernel_banded_vs_reference": round(banded, 3),
             "kernel_batch_vs_reference": round(batch, 3),
             "executor_vs_naive": round(executor, 3),
+            "qgram_vs_naive": round(qgram, 3),
             f"scaling_{perf.SCALING_WORKERS}v1": round(scaling, 3),
         },
     }

@@ -24,17 +24,14 @@ from __future__ import annotations
 import abc
 import functools
 import math
+from array import array
 from collections.abc import Iterable
 
 from repro import obs
 from repro.core.config import MatchConfig
 from repro.matching.costs import CostModel
 from repro.matching.editdist import edit_distance_within
-from repro.matching.qgrams import (
-    count_filter_threshold,
-    positional_qgrams,
-    publish_filter_counts,
-)
+from repro.matching.qgrams import positional_qgrams, publish_filter_counts
 from repro.phonetics.keys import grouped_key
 from repro.phonetics.parse import PhonemeString
 
@@ -71,15 +68,20 @@ class PhonemeStore(dict):
         A key matches when its clustered edit distance to the query is
         within ``threshold * min(|q|, |c|)``.  Strings outside the
         inventory's code space (possible only for hand-written IPA)
-        take the scalar kernel instead; decisions are identical.
+        take the scalar kernel instead; decisions are identical.  A key
+        deleted since its source listed it (readers take no lock) is
+        skipped.
         """
-        if not keys:
+        found = [(key, self.get(key)) for key in keys]
+        found = [(key, cand) for key, cand in found if cand is not None]
+        if not found:
             return []
         import numpy as np
 
         from repro.matching.batch import batch_edit_distances_within
 
-        candidates = [self[key] for key in keys]
+        keys = [key for key, _cand in found]
+        candidates = [cand for _key, cand in found]
         qlen = len(query_phonemes)
         budgets = [threshold * min(qlen, len(c)) for c in candidates]
         try:
@@ -169,12 +171,38 @@ class CandidateSource(abc.ABC):
         return total / (len(probes) * rows)
 
 
+def _grown(column: array, n: int) -> array:
+    """A copy of ``column[:n]`` with doubled capacity."""
+    capacity = max(2 * len(column), 4)
+    grown = array(column.typecode, bytes(capacity * column.itemsize))
+    grown[:n] = column[:n]
+    return grown
+
+
 class QGramSource(CandidateSource):
     """Positional q-gram postings with the Figure 14 filters (lossless).
 
-    A query's grams probe the postings; position-compatible pairs are
-    counted per key, and the length and count filters drop keys that
-    cannot be within the query's operation bound ``k``.
+    Postings are columns: per gram, a key array and a 1-based position
+    array whose first ``n`` slots are live, plus a dense key-indexed
+    token-length array (-1 for absent keys).  A query views each of its
+    grams' columns as numpy arrays, masks them by position, ``bincount``s
+    the surviving keys into pair counts, and applies the length and
+    count filters to every counted key at once.  Keys so short that the
+    count filter is vacuous (``count_filter_threshold <= 0``) pass on
+    length alone, whether or not they share a gram: the short-string
+    union of Gravano et al. (paper ref. [6]).
+
+    The columns are stdlib ``array.array``s that numpy views without a
+    copy, so building, inserting and restoring a snapshot never import
+    numpy: a server restoring one does not pay numpy's import time
+    before it can accept connections.
+
+    Readers take no lock.  The one writer fills spare capacity beyond
+    the published ``n`` and then publishes the gram's new ``(keys,
+    positions, n)`` tuple in one dict assignment, and it writes a key's
+    length before any of that key's postings.  No array is resized or
+    compacted in place (a reader may hold a view of it): growth and
+    ``remove`` publish fresh arrays.
     """
 
     name = "qgram"
@@ -182,8 +210,9 @@ class QGramSource(CandidateSource):
     def __init__(self, config: MatchConfig):
         super().__init__(config)
         self._tokens: dict[int, tuple] = {}
-        #: gram -> [(key, position), ...]
-        self.postings: dict[tuple, list[tuple[int, int]]] = {}
+        #: gram -> (keys, positions, n); slots past n are spare.
+        self._columns: dict[tuple, tuple[array, array, int]] = {}
+        self._lengths = array("i")
         self.posting_count = 0
 
     def __len__(self) -> int:
@@ -192,81 +221,142 @@ class QGramSource(CandidateSource):
     def add(self, key: int, phonemes: PhonemeString) -> None:
         tokens = filter_tokens(phonemes, self.config)
         self._tokens[key] = tokens
+        lengths = self._lengths
+        if key >= len(lengths):
+            grown = array("i", [-1]) * max(2 * len(lengths), key + 1)
+            grown[: len(lengths)] = lengths
+            self._lengths = lengths = grown
+        lengths[key] = len(tokens)
         grams = positional_qgrams(tokens, self.config.q)
+        columns = self._columns
         for gram in grams:
-            self.postings.setdefault(gram.gram, []).append((key, gram.pos))
+            column = columns.get(gram.gram)
+            if column is None:
+                keys, positions = _grown(array("q"), 0), _grown(array("i"), 0)
+                n = 0
+            else:
+                keys, positions, n = column
+                if n == len(keys):
+                    keys, positions = _grown(keys, n), _grown(positions, n)
+            keys[n] = key
+            positions[n] = gram.pos
+            columns[gram.gram] = (keys, positions, n + 1)
         self.posting_count += len(grams)
 
     def remove(self, key: int) -> None:
+        import numpy as np
+
         tokens = self._tokens.pop(key, None)
         if tokens is None:
             return
         grams = positional_qgrams(tokens, self.config.q)
-        for gram in grams:
-            entries = self.postings[gram.gram]
-            entries.remove((key, gram.pos))
-            if not entries:
-                del self.postings[gram.gram]
+        for gram in {g.gram for g in grams}:
+            keys, positions, n = self._columns[gram]
+            keep = np.frombuffer(keys, np.int64, n) != key
+            if not keep.any():
+                del self._columns[gram]
+                continue
+            kept = np.frombuffer(keys, np.int64, n)[keep]
+            self._columns[gram] = (
+                array("q", kept.tobytes()),
+                array("i", np.frombuffer(positions, np.intc, n)[keep].tobytes()),
+                len(kept),
+            )
+        self._lengths[key] = -1
         self.posting_count -= len(grams)
 
     def avg_posting(self) -> float | None:
         """Mean posting-list length (a cost-model input)."""
-        if not self.postings:
+        if not self._columns:
             return None
-        return self.posting_count / len(self.postings)
+        return self.posting_count / len(self._columns)
 
     def candidates(
         self, query_phonemes: PhonemeString, config: MatchConfig
     ) -> list[int]:
+        import numpy as np
+
         query_tokens = filter_tokens(query_phonemes, self.config)
-        k = config.max_operations(len(query_tokens))
-        q = self.config.q
-        pair_counts: dict[int, int] = {}
-        pos_pass = pos_reject = 0  # published in one batch below
-        probes = probe_misses = 0  # ditto
-        for gram in positional_qgrams(query_tokens, q):
-            postings = self.postings.get(gram.gram, ())
-            probes += 1
-            if not postings:
-                probe_misses += 1
-            for key, pos in postings:
-                if abs(pos - gram.pos) <= k:
-                    pos_pass += 1
-                    pair_counts[key] = pair_counts.get(key, 0) + 1
-                else:
-                    pos_reject += 1
         qlen = len(query_tokens)
-        candidates = []
-        len_pass = len_reject = cnt_pass = cnt_reject = 0
-        for key, count in pair_counts.items():
-            clen = len(self._tokens[key])
-            if abs(qlen - clen) > k:
-                len_reject += 1
+        k = config.max_operations(qlen)
+        q = self.config.q
+        grams = positional_qgrams(query_tokens, q)
+        hits = []
+        postings = misses = 0
+        for gram in grams:
+            column = self._columns.get(gram.gram)
+            if column is None:
+                misses += 1
                 continue
-            len_pass += 1
-            if count < count_filter_threshold(qlen, clen, k, q):
-                cnt_reject += 1
-                continue
-            cnt_pass += 1
-            candidates.append(key)
-        publish_filter_counts(
-            pos_pass, pos_reject, len_pass, len_reject, cnt_pass, cnt_reject
-        )
-        obs.incr("btree.probes", probes)
-        if probe_misses:
-            obs.incr("btree.probe_misses", probe_misses)
-        candidates.sort()
-        return candidates
+            keys, positions, n = column
+            positions = np.frombuffer(positions, np.intc, n)
+            near = np.abs(positions - gram.pos) <= k
+            hits.append(np.frombuffer(keys, np.int64, n)[near])
+            postings += n
+        # Read after the postings, so it covers every key seen in them.
+        lengths = np.frombuffer(self._lengths, np.intc)
+        lo, hi = max(qlen - k, 0), qlen + k
+        # Count filter: pairs >= count_filter_threshold(qlen, clen, k, q)
+        # = max(qlen, clen) - slack.
+        slack = 1 + (k - 1) * q
+        pairs = np.concatenate(hits) if hits else np.empty(0, np.int64)
+        counts = np.bincount(pairs)
+        counted = np.flatnonzero(counts > 0)
+        clens = lengths[counted]
+        len_ok = (clens >= lo) & (clens <= hi)
+        cnt_ok = len_ok & (counts[counted] >= np.maximum(clens, qlen) - slack)
+        found = counted[cnt_ok]
+        vacuous = 0
+        if qlen <= slack and lo <= min(hi, slack):
+            short = np.flatnonzero(
+                (lengths >= lo) & (lengths <= min(hi, slack))
+            )
+            merged = np.union1d(found, short)
+            vacuous = len(merged) - len(found)
+            found = merged
+        if obs.is_enabled():
+            len_pass = int(len_ok.sum())
+            cnt_pass = int(cnt_ok.sum())
+            publish_filter_counts(
+                len(pairs),
+                postings - len(pairs),
+                len_pass + vacuous,
+                len(counted) - len_pass,
+                cnt_pass + vacuous,
+                len_pass - cnt_pass,
+            )
+            obs.incr("btree.probes", len(grams))
+            if misses:
+                obs.incr("btree.probe_misses", misses)
+        return found.tolist()
 
     def state(self) -> dict:
-        return {"tokens": self._tokens, "postings": self.postings}
+        return {
+            "tokens": dict(self._tokens),
+            "lengths": array("i", self._lengths),
+            "columns": {
+                gram: (keys[:n], positions[:n])
+                for gram, (keys, positions, n) in self._columns.items()
+            },
+        }
 
     @classmethod
-    def from_state(cls, config: MatchConfig, state: dict) -> QGramSource:
+    def from_state(
+        cls, config: MatchConfig, state: dict
+    ) -> QGramSource | None:
+        """None for the pre-columnar ``{"tokens", "postings"}`` layout."""
+        if "columns" not in state:
+            return None
         source = cls(config)
         source._tokens = state["tokens"]
-        source.postings = state["postings"]
-        source.posting_count = sum(map(len, source.postings.values()))
+        source._lengths = state["lengths"]
+        source._columns = {
+            gram: (keys, positions, len(keys))
+            for gram, (keys, positions) in state["columns"].items()
+        }
+        source.posting_count = sum(
+            n for _keys, _positions, n in source._columns.values()
+        )
         return source
 
 

@@ -576,7 +576,15 @@ class ParallelMatchExecutor:
                     try:
                         got_epoch, ok, payload = item.recv()
                     except (EOFError, OSError) as exc:
+                        # A dead worker's pipe can report EOF before
+                        # its sentinel fires: name the death either way.
+                        worker.process.join(timeout=0.5)
+                        code = worker.process.exitcode
                         self._teardown_pool()
+                        if code is not None:
+                            raise ParallelExecutionError(
+                                f"worker died mid-query (exitcode {code})"
+                            ) from exc
                         raise ParallelExecutionError(
                             f"worker result pipe broke: {exc}"
                         ) from exc

@@ -11,6 +11,7 @@ and ``benchmarks/bench_parallel_scaling.py``)::
         "kernel_banded_vs_reference": 3.1,
         "kernel_batch_vs_reference": 9.4,
         "executor_vs_naive": 6.2,
+        "qgram_vs_naive": 118.5,
         "scaling_4v1": 2.7
       }
     }
@@ -38,6 +39,9 @@ from __future__ import annotations
 #: must not trip them, only real regressions).
 SMOKE_KERNEL_FLOOR = 1.5
 SMOKE_EXECUTOR_FLOOR = 2.0
+#: q-gram strategy (columnar postings + the batch verifier) over the
+#: naive scan, classical costs; measured ~120x on a 2-CPU host.
+SMOKE_QGRAM_FLOOR = 10.0
 
 #: Acceptance-scale floors (200k-row catalog, the paper's Section 5
 #: viability bar; enforced by ``benchmarks/bench_parallel_scaling.py``).
@@ -83,6 +87,7 @@ DEFAULT_TOLERANCE = 0.35
 SMOKE_FLOORS = {
     "kernel_banded_vs_reference": SMOKE_KERNEL_FLOOR,
     "executor_vs_naive": SMOKE_EXECUTOR_FLOOR,
+    "qgram_vs_naive": SMOKE_QGRAM_FLOOR,
 }
 
 _SCALING_KEY = f"scaling_{SCALING_WORKERS}v1"

@@ -17,6 +17,9 @@ The same differential idea covers the candidate source → verifier
 pipeline: every source's select and join against the naive scan, and
 every SQL accelerator method against the query with the accelerator
 dropped, across DML, checkpoint/reopen and an old snapshot layout.
+The q-gram source is also held to the pairwise Figure 14 filters of
+``repro.matching.qgrams``, and lock-free accelerated selects to the
+answers they gave before a concurrent writer started.
 """
 
 from __future__ import annotations
@@ -427,6 +430,127 @@ class TestSourcePipelineDifferential:
             assert found / expected >= ANN_RECALL_FLOOR
 
 
+# ------------------------------------------ q-gram source vs Figure 14
+
+ORACLE_THRESHOLDS = (0.25, 0.5, 0.75, 1.0)
+
+
+def _fig14_keys(stored: dict, query, config) -> tuple[list[int], int]:
+    """The pairwise Figure 14 check over every stored string.
+
+    A key passes the length filter and has at least
+    ``count_filter_threshold`` position-compatible q-gram pairs with the
+    query; a vacuous threshold (``<= 0``) admits it on length alone.
+    Returns the sorted passing keys and how many of them share no gram.
+    """
+    from repro.core.sources import filter_tokens
+    from repro.matching.qgrams import (
+        count_filter_threshold,
+        length_filter,
+        matching_qgram_pairs,
+        positional_qgrams,
+    )
+
+    q = config.q
+    query_tokens = filter_tokens(query, config)
+    k = config.max_operations(len(query_tokens))
+    query_grams = positional_qgrams(query_tokens, q)
+    keys, gramless = [], 0
+    for key, phonemes in stored.items():
+        tokens = filter_tokens(phonemes, config)
+        if not length_filter(len(query_tokens), len(tokens), k):
+            continue
+        pairs = matching_qgram_pairs(
+            query_grams, positional_qgrams(tokens, q), k
+        )
+        if pairs >= count_filter_threshold(
+            len(query_tokens), len(tokens), k, q
+        ):
+            keys.append(key)
+            gramless += pairs == 0
+    return sorted(keys), gramless
+
+
+class TestQGramSourceOracle:
+    """``QGramSource.candidates`` equals the pairwise Figure 14 check of
+    :mod:`repro.matching.qgrams`, across interleaved add/remove and a
+    pickled ``state()`` → ``from_state()`` round trip."""
+
+    ROWS = 180
+    PROBES = 6
+
+    @pytest.fixture(scope="class")
+    def strings(self):
+        from repro.data.generator import generate_performance_dataset
+        from repro.data.lexicon import build_lexicon
+        from repro.phonetics.parse import parse_ipa
+
+        items = generate_performance_dataset(build_lexicon(), self.ROWS)
+        return [parse_ipa(item.ipa) for item in items]
+
+    def _check(self, source, stored, config, rng) -> int:
+        gramless = 0
+        probes = rng.sample(sorted(stored), self.PROBES)
+        queries = [stored[key] for key in probes] + [("x", "ʒ"), ("a",)]
+        for threshold in ORACLE_THRESHOLDS:
+            at = config.with_threshold(threshold)
+            for query in queries:
+                expected, extra = _fig14_keys(stored, query, at)
+                assert source.candidates(query, at) == expected, (
+                    threshold,
+                    query,
+                )
+                gramless += extra
+        return gramless
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("domain", ["cluster", "phoneme"])
+    def test_equals_pairwise_check(self, strings, q, domain):
+        import pickle
+
+        from repro.core import MatchConfig
+        from repro.core.sources import QGramSource
+
+        config = MatchConfig(q=q, qgram_domain=domain)
+        rng = random.Random(SEED + 6)
+        source = QGramSource(config)
+        stored = {}
+        half = len(strings) // 2
+        for key, phonemes in enumerate(strings[:half]):
+            source.add(key, phonemes)
+            stored[key] = phonemes
+        for key in range(0, half, 4):
+            source.remove(key)
+            del stored[key]
+        source.remove(10_000)  # absent: a no-op
+        gramless = self._check(source, stored, config, rng)
+        for key, phonemes in enumerate(strings[half:], start=half):
+            source.add(key, phonemes)
+            stored[key] = phonemes
+            if key % 3 == 0:
+                source.remove(key - 1)
+                stored.pop(key - 1, None)
+        gramless += self._check(source, stored, config, rng)
+        assert len(source) == len(stored)
+
+        restored = QGramSource.from_state(
+            config, pickle.loads(pickle.dumps(source.state()))
+        )
+        assert restored.posting_count == source.posting_count
+        assert restored.avg_posting() == source.avg_posting()
+        gramless += self._check(restored, stored, config, rng)
+        # The restored columns keep growing and shrinking correctly.
+        for key in sorted(stored)[::5]:
+            restored.remove(key)
+            del stored[key]
+        for key, phonemes in enumerate(strings[:20], start=len(strings)):
+            restored.add(key, phonemes)
+            stored[key] = phonemes
+        gramless += self._check(restored, stored, config, rng)
+        # The short-string union was exercised, not just vacuously true.
+        assert gramless > 0
+
+
 # -------------------------------------------------- SQL accelerator paths
 
 ACCEL_SQL = "SELECT id FROM names WHERE name LEXEQUAL :q THRESHOLD 0.25"
@@ -619,3 +743,152 @@ class TestAcceleratorDifferential:
             for rowid, row in db.table("names").scan()
             if row[1] is not None and row[1] != "נהרו"
         )
+
+    def test_legacy_qgram_state_rebuilds(self, accel_names):
+        """A layout-2 snapshot whose q-gram state is the pre-columnar
+        ``{"tokens", "postings": lists}`` form re-indexes from the
+        snapshot's phonemes and answers exactly like a fresh build."""
+        from repro import Database, install_lexequal
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+        from repro.core.sources import QGramSource
+        from repro.matching.qgrams import positional_qgrams
+
+        matcher = LexEqualMatcher()
+        db = Database()
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names,
+            lambda: holder.append(
+                create_phonetic_accelerator(db, "names", "name", matcher)
+            ),
+        )
+        queries = _accel_queries(accel_names)
+        expected = _answers(db, queries)
+        snapshot = holder[0].snapshot_state()
+        holder[0].drop()
+        tokens = snapshot["qgram"]["tokens"]
+        postings: dict = {}
+        for key, grams in tokens.items():
+            for gram in positional_qgrams(grams, matcher.config.q):
+                postings.setdefault(gram.gram, []).append((key, gram.pos))
+        snapshot["qgram"] = {"tokens": tokens, "postings": postings}
+        assert QGramSource.from_state(matcher.config, snapshot["qgram"]) is None
+
+        restored = create_phonetic_accelerator(
+            db, "names", "name", matcher, restore=snapshot
+        )
+        source = restored._sources["qgram"]
+        assert isinstance(source, QGramSource) and len(source) == len(tokens)
+        assert _answers(db, queries) == expected
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.75, 1.0])
+    def test_high_threshold_matches_unaccelerated_scan(
+        self, accel_names, threshold
+    ):
+        """Where the count filter is vacuous the q-gram source must still
+        admit short strings that share no gram with the query."""
+        from repro import Database, install_lexequal
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+
+        sql = (
+            "SELECT id FROM names WHERE name LEXEQUAL :q "
+            f"THRESHOLD {threshold}"
+        )
+        matcher = LexEqualMatcher()
+        db = Database()
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names,
+            lambda: holder.append(
+                create_phonetic_accelerator(db, "names", "name", matcher)
+            ),
+        )
+        picked = {query for query, _suffix in _accel_queries(accel_names)}
+        queries = sorted(picked | set(accel_names[::16]))
+
+        def answers():
+            return {q: sorted(db.execute(sql, q=q).rows) for q in queries}
+
+        accelerated = answers()
+        holder[0].drop()
+        assert accelerated == answers()
+
+
+def test_selects_stay_consistent_while_a_writer_inserts(accel_names):
+    """Four readers run accelerated LEXEQUAL selects, lock-free, while
+    one writer inserts: no reader fails, and every answer keeps each
+    match that existed before the writer started."""
+    import sys
+    import threading
+
+    from repro import Database, install_lexequal
+    from repro.core import LexEqualMatcher, create_phonetic_accelerator
+    from repro.minidb.schema import Column
+    from repro.minidb.values import SqlType
+
+    matcher = LexEqualMatcher()
+    db = Database()
+    install_lexequal(db, matcher)
+    db.create_table(
+        "names",
+        [
+            Column("id", SqlType.INTEGER, nullable=False),
+            Column("name", SqlType.TEXT),
+        ],
+    )
+    for i, name in enumerate(accel_names):
+        db.insert("names", (i, name))
+    create_phonetic_accelerator(db, "names", "name", matcher)
+    queries = accel_names[::8]
+    before = {q: set(db.execute(ACCEL_SQL, q=q).rows) for q in queries}
+    assert any(before.values())
+    errors: list = []
+    writer_done = threading.Event()
+
+    def writer():
+        try:
+            for round_ in range(3):
+                for i, name in enumerate(accel_names):
+                    db.insert("names", (1000 * (round_ + 1) + i, name))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def reader(offset):
+        try:
+            rounds = 0
+            while not writer_done.is_set() or rounds < 2:
+                for query in queries[offset::4]:
+                    rows = set(db.execute(ACCEL_SQL, q=query).rows)
+                    missing = before[query] - rows
+                    assert not missing, (query, sorted(missing))
+                rounds += 1
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader, args=(offset,))
+        for offset in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-publish, often
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    # Once the writer is done, the accelerator agrees with the scan.
+    accelerated = {q: sorted(db.execute(ACCEL_SQL, q=q).rows) for q in queries}
+    db.accelerator_for("names", "name").drop()
+    assert accelerated == {
+        q: sorted(db.execute(ACCEL_SQL, q=q).rows) for q in queries
+    }

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -185,6 +186,38 @@ class TestExecutorLifecycle:
         if HAVE_SHM_DIR:
             assert name not in shm_entries()
         # ... and the next query transparently starts a fresh pool.
+        ids, _ = ex.match(("n", "e", "h", "r", "u"), 0.3)
+        assert len(ids) > 0
+        ex.close()
+        assert shm_mod.live_segments() == ()
+
+    def test_pipe_eof_before_sentinel_still_names_the_death(
+        self, monkeypatch
+    ):
+        """A loaded host can report the dead worker's result-pipe EOF
+        before its process sentinel; the error must be the same."""
+        from repro.parallel import executor as executor_mod
+
+        ex = _pool_executor()
+        name = ex._segment.name
+        victim = ex._workers[0]
+        # Frozen: the shard result can never arrive before the kill.
+        os.kill(victim.process.pid, signal.SIGSTOP)
+
+        def pipe_only(objects, timeout=None):
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(timeout=5.0)
+            return [victim.result_conn]
+
+        monkeypatch.setattr(
+            executor_mod, "connection", types.SimpleNamespace(wait=pipe_only)
+        )
+        with pytest.raises(
+            ParallelExecutionError, match=r"died mid-query \(exitcode -9\)"
+        ):
+            ex.match(("n", "e", "h", "r", "u"), 0.3)
+        monkeypatch.undo()
+        assert name not in shm_mod.live_segments()
         ids, _ = ex.match(("n", "e", "h", "r", "u"), 0.3)
         assert len(ids) > 0
         ex.close()

@@ -32,6 +32,7 @@ def report(
         "kernel_banded_vs_reference": 5.0,
         "kernel_batch_vs_reference": 8.0,
         "executor_vs_naive": 12.0,
+        "qgram_vs_naive": 100.0,
         "scaling_4v1": 3.2,
     }
     base.update(ratios)
@@ -56,6 +57,10 @@ class TestFloors:
     def test_executor_floor_trips(self):
         failures = perf.check_floors(report(executor_vs_naive=0.9))
         assert any("executor_vs_naive" in f for f in failures)
+
+    def test_qgram_floor_trips(self):
+        failures = perf.check_floors(report(qgram_vs_naive=4.0))
+        assert any("qgram_vs_naive" in f for f in failures)
 
     def test_missing_ratio_trips(self):
         bad = report()
@@ -192,6 +197,7 @@ class TestCommittedBaseline:
             "kernel_banded_vs_reference",
             "kernel_batch_vs_reference",
             "executor_vs_naive",
+            "qgram_vs_naive",
             f"scaling_{perf.SCALING_WORKERS}v1",
         ):
             assert key in baseline["ratios"], key
@@ -199,11 +205,5 @@ class TestCommittedBaseline:
     def test_baseline_clears_its_own_floors(self, baseline):
         # A baseline below the absolute floors would make every fresh
         # run fail check_floors regardless of trend — catch that drift.
-        assert (
-            baseline["ratios"]["kernel_banded_vs_reference"]
-            >= perf.SMOKE_KERNEL_FLOOR
-        )
-        assert (
-            baseline["ratios"]["executor_vs_naive"]
-            >= perf.SMOKE_EXECUTOR_FLOOR
-        )
+        for key, floor in perf.SMOKE_FLOORS.items():
+            assert baseline["ratios"][key] >= floor, key
