@@ -9,15 +9,16 @@ the build when either regression appears:
   kernel, or the parallel executor returns anything other than the
   reference DP's distances and match sets;
 * **lost speedup** — the banded kernel stops beating the reference DP,
-  the parallel executor stops beating the sequential naive scan, or
-  the q-gram strategy (columnar postings + the one verifier) stops
-  beating it.
+  the parallel executor stops beating the sequential naive scan, the
+  q-gram strategy (columnar postings + the one verifier) stops beating
+  it, or the one verifier (``PhonemeStore.verify`` over its stored
+  code columns) stops beating per-key scalar rechecks.
 
 The floors come from :mod:`repro.perf` — the single source shared with
 ``scripts/perf_compare.py`` and the acceptance benchmark — and are
-deliberately lax at this scale (1.5x kernel, 2x executor, 10x q-gram on
-a 1,500-row catalog) so the gate only trips on real regressions, not CI
-jitter.  The acceptance-scale floors (20x kernel, 3x scaling at 200k
+deliberately lax at this scale (1.5x kernel, 2x executor, 10x q-gram,
+1.5x verifier on a 1,500-row catalog) so the gate only trips on real
+regressions, not CI jitter.  The acceptance-scale floors (20x kernel, 3x scaling at 200k
 rows) are enforced by the benchmark, not here.
 
 Besides asserting, the run writes a JSON report of its speedup ratios
@@ -54,6 +55,7 @@ from repro.core import (
     NameCatalog,
     QGramStrategy,
 )
+from repro.core.sources import PhonemeStore
 from repro.data.generator import generate_performance_dataset
 from repro.data.lexicon import build_lexicon
 from repro.matching.batch import EncodedCosts, batch_edit_distances_within
@@ -64,6 +66,10 @@ ROWS = int(os.environ.get("REPRO_PERF_SMOKE_ROWS", "1500"))
 SEED = int(os.environ.get("REPRO_PERF_SMOKE_SEED", "20040314"))
 PAIRS = 400
 QUERIES = 6
+#: Serve-sized verifier batches: candidate keys per query (the
+#: ``serve-mixed-600`` q-gram source leaves ~250), and queries timed.
+VERIFY_KEYS = 250
+VERIFY_QUERIES = 12
 
 
 def build_catalog() -> NameCatalog:
@@ -153,6 +159,60 @@ def check_kernels(catalog: NameCatalog) -> tuple[float, float]:
             f"{perf.SMOKE_KERNEL_FLOOR}x floor"
         )
     return banded_speedup, batch_speedup
+
+
+def check_verifier(catalog: NameCatalog) -> float:
+    """The one verifier: identical keys to per-key scalar rechecks.
+
+    Each query's candidates are the :data:`VERIFY_KEYS` stored strings
+    nearest it in length (what a length filter leaves), verified under
+    the default clustered costs.  Returns ``verify_vs_scalar``, the
+    scalar loop's wall time over ``PhonemeStore.verify``'s.
+    """
+    config = MatchConfig()
+    costs = config.cost_model()
+    threshold = config.threshold
+    store = PhonemeStore(costs)
+    store.update((key, catalog.phonemes_of(key)) for key in catalog.ids())
+    rng = random.Random(SEED + 2)
+    cases = []
+    for key in rng.sample(catalog.ids(), VERIFY_QUERIES):
+        query = store[key]
+        nearest = sorted(store, key=lambda k: abs(len(store[k]) - len(query)))
+        cases.append((query, sorted(nearest[:VERIFY_KEYS])))
+    store.verify(*cases[0], threshold)  # cost tables built
+
+    start = time.perf_counter()
+    got = [store.verify(query, keys, threshold) for query, keys in cases]
+    verify_s = time.perf_counter() - start
+
+    start = time.perf_counter()
+    expected = [
+        [
+            key
+            for key in keys
+            if edit_distance_within(
+                query,
+                store[key],
+                threshold * min(len(query), len(store[key])),
+                costs,
+            )
+            is not None
+        ]
+        for query, keys in cases
+    ]
+    scalar_s = time.perf_counter() - start
+    if got != expected:
+        raise AssertionError(
+            "PhonemeStore.verify diverged from per-key scalar rechecks"
+        )
+    speedup = scalar_s / max(verify_s, 1e-9)
+    print(
+        f"verifier: {VERIFY_QUERIES} queries x {VERIFY_KEYS} keys, scalar "
+        f"{scalar_s * 1e3:.1f} ms, verify {verify_s * 1e3:.1f} ms "
+        f"-> {speedup:.1f}x"
+    )
+    return speedup
 
 
 def naive_baseline(catalog: NameCatalog) -> tuple[list, dict, float]:
@@ -245,6 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"perf smoke: rows={ROWS} seed={SEED}")
     catalog = build_catalog()
     banded, batch = check_kernels(catalog)
+    verifier = check_verifier(catalog)
     baseline = naive_baseline(catalog)
     qgram = check_qgram(catalog, baseline)
     executor, scaling = check_executor(catalog, baseline)
@@ -258,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
             "kernel_batch_vs_reference": round(batch, 3),
             "executor_vs_naive": round(executor, 3),
             "qgram_vs_naive": round(qgram, 3),
+            "verify_vs_scalar": round(verifier, 3),
             f"scaling_{perf.SCALING_WORKERS}v1": round(scaling, 3),
         },
     }

@@ -23,6 +23,13 @@ from repro.matching.costs import ClusteredCost, CostModel, LevenshteinCost
 from repro.phonetics.clusters import PhonemeClustering, default_clustering
 
 
+#: Cost models by (intra-cluster, weak-indel, vowel-cross cost,
+#: clustering identity).  Each entry holds its clustering, so that id
+#: cannot be reused by another clustering while the entry lives.
+_COST_MODELS: dict[tuple, tuple[PhonemeClustering, CostModel]] = {}
+_COST_MODEL_CACHE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     """Immutable LexEQUAL parameter bundle."""
@@ -78,19 +85,37 @@ class MatchConfig:
             )
 
     def cost_model(self) -> CostModel:
-        """The edit-distance cost model induced by this configuration."""
+        """The edit-distance cost model induced by this configuration.
+
+        Memoized on the cost-relevant fields, so the per-query copies
+        :meth:`with_threshold` makes share one model.
+        """
+        key = (
+            self.intra_cluster_cost,
+            self.weak_indel_cost,
+            self.vowel_cross_cost,
+            id(self.clustering),
+        )
+        cached = _COST_MODELS.get(key)
+        if cached is not None:
+            return cached[1]
         if (
             self.intra_cluster_cost >= 1.0
             and self.weak_indel_cost >= 1.0
             and self.vowel_cross_cost >= 1.0
         ):
-            return LevenshteinCost()
-        return ClusteredCost(
-            self.intra_cluster_cost,
-            self.clustering,
-            weak_indel_cost=self.weak_indel_cost,
-            vowel_cross_cost=self.vowel_cross_cost,
-        )
+            model: CostModel = LevenshteinCost()
+        else:
+            model = ClusteredCost(
+                self.intra_cluster_cost,
+                self.clustering,
+                weak_indel_cost=self.weak_indel_cost,
+                vowel_cross_cost=self.vowel_cross_cost,
+            )
+        if len(_COST_MODELS) >= _COST_MODEL_CACHE_SIZE:
+            _COST_MODELS.clear()
+        _COST_MODELS[key] = (self.clustering, model)
+        return model
 
     def with_threshold(self, threshold: float) -> MatchConfig:
         """Copy with a different user match threshold."""

@@ -3,7 +3,8 @@
 Every filtered LexEQUAL evaluation is two steps: a candidate source
 narrows the stored strings to candidate keys, then
 :meth:`PhonemeStore.verify` keeps those within the per-pair budget
-``threshold * min(|q|, |c|)`` using the banded batch kernel.  The SQL
+``threshold * min(|q|, |c|)`` using the banded batch kernel over the
+code columns the store encoded once, at insert.  The SQL
 accelerator (:mod:`repro.core.engine`) and the Strategy API
 (:mod:`repro.core.strategies`) both run that pipeline over:
 
@@ -32,6 +33,7 @@ from repro.core.config import MatchConfig
 from repro.matching.costs import CostModel
 from repro.matching.editdist import edit_distance_within
 from repro.matching.qgrams import positional_qgrams, publish_filter_counts
+from repro.phonetics.inventory import SYMBOL_CODES
 from repro.phonetics.keys import grouped_key
 from repro.phonetics.parse import PhonemeString
 
@@ -41,21 +43,161 @@ from repro.phonetics.parse import PhonemeString
 RADIUS_SCALE = 2.0
 
 
+#: Stored-length sentinels: no string under the key, or a string with a
+#: symbol outside :data:`SYMBOL_CODES` (kept for the scalar kernel).
+ABSENT = -1
+UNENCODABLE = -2
+
+
+def _grown(column: array, n: int, minimum: int = 4) -> array:
+    """A copy of ``column[:n]`` with doubled (at least ``minimum``)
+    capacity."""
+    capacity = max(2 * len(column), minimum)
+    grown = array(column.typecode, bytes(capacity * column.itemsize))
+    grown[:n] = column[:n]
+    return grown
+
+
+def _covering(lengths: array, key: int) -> array:
+    """A copy of a key-indexed length column with room for ``key``, at
+    least doubled; new slots are :data:`ABSENT`."""
+    grown = array("i", [ABSENT]) * max(2 * len(lengths), key + 1)
+    grown[: len(lengths)] = lengths
+    return grown
+
+
 @functools.lru_cache(maxsize=8)
 def _encoded_costs(costs: CostModel):
-    """The batch kernel's cost tables over the full phoneme inventory."""
+    """The batch kernel's cost tables, indexed by :data:`SYMBOL_CODES`."""
     from repro.matching.batch import EncodedCosts
-    from repro.phonetics.inventory import INVENTORY
 
-    return EncodedCosts(costs, sorted(INVENTORY))
+    return EncodedCosts(costs, list(SYMBOL_CODES))
 
 
-class PhonemeStore(dict):
-    """Stored phoneme strings by key, plus the one verifier over them."""
+def _encode(phonemes: PhonemeString) -> bytes | None:
+    """Phoneme string -> one code byte per phoneme; None if a symbol is
+    outside the inventory (possible only for hand-written IPA)."""
+    try:
+        return bytes(map(SYMBOL_CODES.__getitem__, phonemes))
+    except KeyError:
+        return None
+
+
+class PhonemeStore:
+    """Stored phoneme strings by key, encoded once, plus the one verifier.
+
+    A small mapping (``[k] = v``, ``pop``, ``update``, ``get``, ``items``
+    ...) whose every write goes through :meth:`_write`, which also
+    encodes the string into columns: an append-only ``uint8`` code
+    column and dense key-indexed start and length columns, where a
+    length of :data:`ABSENT` or :data:`UNENCODABLE` marks the key.
+    :meth:`verify` gathers candidates from those columns with numpy; no
+    candidate is re-encoded per query.  Building, writing and restoring
+    a store never import numpy.
+
+    Readers take no lock.  The one writer fills spare capacity beyond
+    the published ``used``, writes the key's start, and writes its
+    length last; a re-set key is first marked absent.  Growth and
+    compaction publish a fresh ``(codes, starts, lens, used)`` tuple in
+    one assignment and never resize an array in place (a reader may hold
+    a view of it).  A re-set or popped string's bytes are dead; once
+    they outnumber the live ones the columns are compacted.
+    """
 
     def __init__(self, costs: CostModel):
-        super().__init__()
         self.costs = costs
+        self._strings: dict[int, PhonemeString] = {}
+        #: (codes, starts, lens, used): code bytes past ``used`` are spare.
+        self._columns = (array("B"), array("q"), array("i"), 0)
+        self._dead = 0
+
+    # ------------------------------------------------------- mapping
+
+    def __getitem__(self, key: int) -> PhonemeString:
+        return self._strings[key]
+
+    def __setitem__(self, key: int, phonemes: PhonemeString) -> None:
+        self._write(key, phonemes)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._strings
+
+    def __iter__(self):
+        return iter(self._strings)
+
+    def __len__(self) -> int:
+        return len(self._strings)
+
+    def get(self, key: int, default=None):
+        return self._strings.get(key, default)
+
+    def keys(self):
+        return self._strings.keys()
+
+    def values(self):
+        return self._strings.values()
+
+    def items(self):
+        return self._strings.items()
+
+    def pop(self, key: int, *default):
+        phonemes = self._strings.get(key)
+        if phonemes is None:
+            if default:
+                return default[0]
+            raise KeyError(key)
+        self._write(key, None)
+        return phonemes
+
+    def update(self, strings) -> None:
+        items = strings.items() if hasattr(strings, "items") else strings
+        for key, phonemes in items:
+            self._write(key, phonemes)
+
+    # -------------------------------------------------------- writer
+
+    def _write(self, key: int, phonemes: PhonemeString | None) -> None:
+        """Store (or, for None, remove) one key's string and its codes."""
+        codes, starts, lens, used = self._columns
+        if key < len(lens) and lens[key] != ABSENT:
+            self._dead += max(lens[key], 0)
+            lens[key] = ABSENT  # readers skip the key until rewritten
+        if phonemes is None:
+            self._strings.pop(key, None)
+        else:
+            self._strings[key] = phonemes
+            if key >= len(lens):
+                lens = _covering(lens, key)
+                starts = _grown(starts, len(starts), len(lens))
+                self._columns = (codes, starts, lens, used)
+            encoded = _encode(phonemes)
+            if encoded is None:
+                lens[key] = UNENCODABLE
+            else:
+                end = used + len(encoded)
+                if end > len(codes):
+                    codes = _grown(codes, used, max(end, 64))
+                codes[used:end] = array("B", encoded)
+                starts[key] = used
+                lens[key] = len(encoded)
+                self._columns = (codes, starts, lens, end)
+        if 2 * self._dead > self._columns[3]:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Publish fresh columns holding only the live strings' bytes."""
+        codes, starts, lens, _used = self._columns
+        fresh = array("B")
+        fresh_starts = array("q", bytes(len(starts) * starts.itemsize))
+        for key, length in enumerate(lens):
+            if length >= 0:
+                start = starts[key]
+                fresh_starts[key] = len(fresh)
+                fresh.extend(codes[start : start + length])
+        self._columns = (fresh, fresh_starts, array("i", lens), len(fresh))
+        self._dead = 0
+
+    # -------------------------------------------------------- reader
 
     def verify(
         self,
@@ -66,42 +208,60 @@ class PhonemeStore(dict):
         """The ``keys`` whose phonemes match the query, in input order.
 
         A key matches when its clustered edit distance to the query is
-        within ``threshold * min(|q|, |c|)``.  Strings outside the
-        inventory's code space (possible only for hand-written IPA)
-        take the scalar kernel instead; decisions are identical.  A key
-        deleted since its source listed it (readers take no lock) is
-        skipped.
+        within ``threshold * min(|q|, |c|)``.  The stored code columns
+        feed the batch kernel as one CSR; a key whose string lies
+        outside the code space (or every key, when the query does) takes
+        the scalar kernel instead, with identical decisions.  A key
+        deleted or being rewritten since its source listed it (readers
+        take no lock) is skipped.
         """
-        found = [(key, self.get(key)) for key in keys]
-        found = [(key, cand) for key, cand in found if cand is not None]
-        if not found:
+        if not keys:
             return []
         import numpy as np
 
-        from repro.matching.batch import batch_edit_distances_within
+        from repro.matching.batch import batch_edit_distances_within_encoded
 
-        keys = [key for key, _cand in found]
-        candidates = [cand for _key, cand in found]
-        qlen = len(query_phonemes)
-        budgets = [threshold * min(qlen, len(c)) for c in candidates]
-        try:
-            distances = batch_edit_distances_within(
-                query_phonemes,
-                candidates,
+        codes, starts, lens, used = self._columns
+        lens = np.frombuffer(lens, np.intc)
+        keys = np.asarray(keys, dtype=np.int64)
+        keys = keys[keys < len(lens)]
+        clens = lens[keys]
+        begin = np.frombuffer(starts, np.int64)[keys]
+        # Lengths are written last, so a length read before and after
+        # the start agrees only if that start belongs to it.
+        clens[clens != lens[keys]] = ABSENT
+        batch = (clens >= 0) & (begin + clens <= used)
+        scalar = clens == UNENCODABLE
+        query = _encode(query_phonemes)
+        if query is None:
+            scalar |= batch
+            batch[:] = False
+        accept = np.zeros(len(keys), dtype=bool)
+        if batch.any():
+            clens, begin = clens[batch], begin[batch]
+            offsets = np.zeros(len(clens) + 1, dtype=np.int64)
+            np.cumsum(clens, out=offsets[1:])
+            gather = np.repeat(begin - offsets[:-1], clens)
+            gather += np.arange(offsets[-1])
+            distances = batch_edit_distances_within_encoded(
+                np.frombuffer(query, np.uint8),
+                np.frombuffer(codes, np.uint8)[gather],
+                offsets,
                 _encoded_costs(self.costs),
-                np.asarray(budgets),
-            ).tolist()
-        except KeyError:
+                threshold * np.minimum(len(query), clens),
+            )
+            accept[batch] = distances != math.inf
+        if scalar.any():
             obs.incr("matching.verify.scalar_fallbacks")
-            return [
-                key
-                for key, cand, budget in zip(keys, candidates, budgets)
-                if edit_distance_within(
-                    query_phonemes, cand, budget, self.costs
-                )
-                is not None
-            ]
-        return [key for key, d in zip(keys, distances) if d != math.inf]
+            for i in np.flatnonzero(scalar).tolist():
+                cand = self._strings.get(int(keys[i]))
+                accept[i] = cand is not None and edit_distance_within(
+                    query_phonemes,
+                    cand,
+                    threshold * min(len(query_phonemes), len(cand)),
+                    self.costs,
+                ) is not None
+        return keys[accept].tolist()
 
 
 def filter_tokens(phonemes: PhonemeString, config: MatchConfig) -> tuple:
@@ -171,14 +331,6 @@ class CandidateSource(abc.ABC):
         return total / (len(probes) * rows)
 
 
-def _grown(column: array, n: int) -> array:
-    """A copy of ``column[:n]`` with doubled capacity."""
-    capacity = max(2 * len(column), 4)
-    grown = array(column.typecode, bytes(capacity * column.itemsize))
-    grown[:n] = column[:n]
-    return grown
-
-
 class QGramSource(CandidateSource):
     """Positional q-gram postings with the Figure 14 filters (lossless).
 
@@ -221,12 +373,9 @@ class QGramSource(CandidateSource):
     def add(self, key: int, phonemes: PhonemeString) -> None:
         tokens = filter_tokens(phonemes, self.config)
         self._tokens[key] = tokens
-        lengths = self._lengths
-        if key >= len(lengths):
-            grown = array("i", [-1]) * max(2 * len(lengths), key + 1)
-            grown[: len(lengths)] = lengths
-            self._lengths = lengths = grown
-        lengths[key] = len(tokens)
+        if key >= len(self._lengths):
+            self._lengths = _covering(self._lengths, key)
+        self._lengths[key] = len(tokens)
         grams = positional_qgrams(tokens, self.config.q)
         columns = self._columns
         for gram in grams:

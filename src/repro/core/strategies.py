@@ -92,7 +92,7 @@ class NameCatalog:
         self.db = db or Database()
         self.table_name = table_name
         self._next_id = 0
-        #: id -> phoneme tuple (parsed once at load).
+        #: id -> phoneme tuple (parsed and encoded once at load).
         self._phonemes = PhonemeStore(self.matcher.costs)
         #: id -> lowercase language.
         self._languages: dict[int, str] = {}

@@ -78,7 +78,7 @@ from repro import deadline, obs
 from repro.errors import MatchConfigError
 from repro.matching.batch import EncodedCosts
 from repro.matching.costs import CostModel
-from repro.phonetics.inventory import INVENTORY, Manner
+from repro.phonetics.inventory import INVENTORY, SYMBOL_CODES, Manner
 
 # Feature weights mirror repro.phonetics.features: manner dominates for
 # consonants, height for vowels; the shared bookkeeping components
@@ -255,7 +255,7 @@ class EmbeddingModel:
     ) -> EmbeddingModel:
         """Build from a bare cost model (full inventory by default)."""
         if symbols is None:
-            symbols = sorted(INVENTORY)
+            symbols = list(SYMBOL_CODES)
         return cls(EncodedCosts(costs, list(symbols)))
 
     @staticmethod

@@ -49,15 +49,16 @@ class _AttachedCosts:
 
 
 def _default_symbols(extra: Iterable[str] = ()) -> list[str]:
-    """The full phoneme inventory (plus any out-of-inventory extras).
+    """The one code space (plus any out-of-inventory extras after it).
 
     Using the whole inventory makes the code space query-independent:
     any string :func:`repro.phonetics.parse.parse_ipa` produces encodes
-    without rebuilding the cost tables.
+    without rebuilding the cost tables, to the same codes the verifier
+    stores (:data:`repro.phonetics.inventory.SYMBOL_CODES`).
     """
-    from repro.phonetics.inventory import INVENTORY
+    from repro.phonetics.inventory import SYMBOL_CODES
 
-    symbols = list(INVENTORY)
+    symbols = list(SYMBOL_CODES)
     seen = set(symbols)
     for sym in extra:
         if sym not in seen:

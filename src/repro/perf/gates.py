@@ -12,6 +12,7 @@ and ``benchmarks/bench_parallel_scaling.py``)::
         "kernel_batch_vs_reference": 9.4,
         "executor_vs_naive": 6.2,
         "qgram_vs_naive": 118.5,
+        "verify_vs_scalar": 6.0,
         "scaling_4v1": 2.7
       }
     }
@@ -42,6 +43,9 @@ SMOKE_EXECUTOR_FLOOR = 2.0
 #: q-gram strategy (columnar postings + the batch verifier) over the
 #: naive scan, classical costs; measured ~120x on a 2-CPU host.
 SMOKE_QGRAM_FLOOR = 10.0
+#: ``PhonemeStore.verify`` over ~250-key serve-sized batches against
+#: per-key scalar ``edit_distance_within``, clustered costs.
+SMOKE_VERIFY_FLOOR = 1.5
 
 #: Acceptance-scale floors (200k-row catalog, the paper's Section 5
 #: viability bar; enforced by ``benchmarks/bench_parallel_scaling.py``).
@@ -88,6 +92,7 @@ SMOKE_FLOORS = {
     "kernel_banded_vs_reference": SMOKE_KERNEL_FLOOR,
     "executor_vs_naive": SMOKE_EXECUTOR_FLOOR,
     "qgram_vs_naive": SMOKE_QGRAM_FLOOR,
+    "verify_vs_scalar": SMOKE_VERIFY_FLOOR,
 }
 
 _SCALING_KEY = f"scaling_{SCALING_WORKERS}v1"

@@ -299,6 +299,14 @@ def _build_inventory() -> dict[str, Phoneme]:
 #: Symbol -> Phoneme for every phoneme the library knows about.
 INVENTORY: dict[str, Phoneme] = _build_inventory()
 
+#: The one phoneme code space: symbol -> code in sorted-symbol order.
+#: The verifier's stored code columns, its cost tables and the parallel
+#: executor's table all index by it; every code fits in a byte.
+SYMBOL_CODES: dict[str, int] = {
+    symbol: code for code, symbol in enumerate(sorted(INVENTORY))
+}
+assert len(SYMBOL_CODES) <= 256
+
 #: All inventory symbols, longest first (the parser matches greedily).
 SYMBOLS_BY_LENGTH: tuple[str, ...] = tuple(
     sorted(INVENTORY, key=lambda s: (-len(s), s))

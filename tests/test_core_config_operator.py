@@ -41,6 +41,20 @@ class TestMatchConfig:
         assert isinstance(flat.cost_model(), LevenshteinCost)
         assert isinstance(MatchConfig().cost_model(), ClusteredCost)
 
+    def test_cost_model_shared_across_thresholds(self):
+        """Per-query copies (``with_threshold``) reuse one cost model;
+        a cost-relevant field or another clustering gets its own."""
+        from repro.phonetics.clusters import PhonemeClustering
+
+        config = MatchConfig()
+        model = config.cost_model()
+        assert config.with_threshold(0.5).cost_model() is model
+        assert MatchConfig(threshold=0.1).cost_model() is model
+        assert config.with_intra_cluster_cost(0.5).cost_model() is not model
+        other = PhonemeClustering([["p", "b"]], name="pb")
+        clustered = MatchConfig(clustering=other).cost_model()
+        assert clustered is not model and clustered.clustering is other
+
     def test_with_methods(self):
         config = MatchConfig().with_threshold(0.4)
         assert config.threshold == 0.4

@@ -19,7 +19,10 @@ every SQL accelerator method against the query with the accelerator
 dropped, across DML, checkpoint/reopen and an old snapshot layout.
 The q-gram source is also held to the pairwise Figure 14 filters of
 ``repro.matching.qgrams``, and lock-free accelerated selects to the
-answers they gave before a concurrent writer started.
+answers they gave before a concurrent writer started.  The one
+verifier, ``PhonemeStore.verify`` over its stored code columns, is held
+to per-key scalar rechecks across random writes, a reader holding
+columns from before a growth, and a concurrent writer.
 """
 
 from __future__ import annotations
@@ -783,6 +786,56 @@ class TestAcceleratorDifferential:
         assert isinstance(source, QGramSource) and len(source) == len(tokens)
         assert _answers(db, queries) == expected
 
+    def test_inventory_order_encoded_state_restores(self, accel_names):
+        """A snapshot whose parallel table was encoded in the inventory's
+        insertion order (the code space before ``SYMBOL_CODES``) restores
+        with its own stored symbol list and answers like a fresh build."""
+        from repro import Database, install_lexequal
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+        from repro.parallel import EncodedNameTable
+        from repro.phonetics.inventory import INVENTORY, SYMBOL_CODES
+        from repro.storage import snapshots
+
+        options = {"method": "parallel", "workers": 1}
+        matcher = LexEqualMatcher()
+        db = Database()
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names,
+            lambda: holder.append(
+                create_phonetic_accelerator(
+                    db, "names", "name", matcher, **options
+                )
+            ),
+        )
+        queries = _accel_queries(accel_names)
+        expected = _answers(db, queries)
+        snapshot = holder[0].snapshot_state()
+        holder[0].drop()
+        assert snapshot["encoded"]["symbols"] == list(SYMBOL_CODES)
+        inventory_order = list(INVENTORY)
+        assert inventory_order != list(SYMBOL_CODES)
+        table = EncodedNameTable.from_rows(
+            matcher.costs,
+            [
+                (rowid, "", phonemes)
+                for rowid, phonemes in sorted(snapshot["phonemes"].items())
+            ],
+            symbols=inventory_order,
+        )
+        snapshot["encoded"] = snapshots.encoded_table_state(table)
+
+        restored = create_phonetic_accelerator(
+            db, "names", "name", matcher, restore=snapshot, **options
+        )
+        try:
+            assert _answers(db, queries) == expected
+            assert list(restored._table.encoded.index) == inventory_order
+        finally:
+            restored.drop()
+
     @pytest.mark.parametrize("threshold", [0.5, 0.75, 1.0])
     def test_high_threshold_matches_unaccelerated_scan(
         self, accel_names, threshold
@@ -892,3 +945,331 @@ def test_selects_stay_consistent_while_a_writer_inserts(accel_names):
     assert accelerated == {
         q: sorted(db.execute(ACCEL_SQL, q=q).rows) for q in queries
     }
+
+
+# --------------------------------------- phoneme store vs scalar filter
+
+#: Hand-written IPA outside the inventory's code space.
+UNKNOWN = ("ʘ", "ǂ", "χ")
+
+
+def _scalar_keys(stored: dict, query, keys, threshold, costs) -> list[int]:
+    """The reference verifier: scalar ``edit_distance_within`` per key,
+    in input order, absent keys skipped."""
+    return [
+        key
+        for key in keys
+        if key in stored
+        and edit_distance_within(
+            query,
+            stored[key],
+            threshold * min(len(query), len(stored[key])),
+            costs,
+        )
+        is not None
+    ]
+
+
+class TestPhonemeStoreOracle:
+    """``PhonemeStore.verify`` over its stored code columns equals the
+    scalar filter of the same keys, across random interleavings of
+    ``[k] = v``, ``pop``, re-set and ``update`` (with compaction), for
+    strings and queries inside and outside the code space."""
+
+    @pytest.fixture(scope="class")
+    def strings(self):
+        from repro.data.generator import generate_performance_dataset
+        from repro.data.lexicon import build_lexicon
+        from repro.phonetics.parse import parse_ipa
+
+        items = generate_performance_dataset(build_lexicon(), 160)
+        return [parse_ipa(item.ipa) for item in items]
+
+    @staticmethod
+    def _string(rng, strings):
+        phonemes = list(rng.choice(strings))
+        if rng.random() < 0.1:
+            phonemes[rng.randrange(len(phonemes))] = rng.choice(UNKNOWN)
+        return tuple(phonemes)
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+    def test_interleavings_equal_scalar_filter(self, strings, name):
+        from repro.core import MatchConfig
+        from repro.core.sources import PhonemeStore
+        from repro.errors import PhonemeError
+
+        costs = MatchConfig(**PIPELINE_CONFIGS[name]).cost_model()
+        rng = random.Random(SEED + 7)
+        store = PhonemeStore(costs)
+        stored: dict = {}
+        compactions = []
+        compact = store._compact
+        store._compact = lambda: (compactions.append(1), compact())[1]
+        unknown_matches = 0
+        for step in range(600):
+            op = rng.random()
+            key = rng.randrange(120)
+            if op < 0.45:
+                store[key] = stored[key] = self._string(rng, strings)
+            elif op < 0.7:
+                assert store.pop(key, None) == stored.pop(key, None)
+            else:
+                batch = {
+                    rng.randrange(120): self._string(rng, strings)
+                    for _ in range(rng.randrange(1, 6))
+                }
+                store.update(batch)
+                stored.update(batch)
+            if step % 10:
+                continue
+            assert dict(store) == stored and len(store) == len(stored)
+            keys = rng.sample(range(130), 60)
+            query = self._string(rng, strings)
+            for threshold in (0.25, 0.5, 1.0):
+                try:
+                    expected = _scalar_keys(
+                        stored, query, keys, threshold, costs
+                    )
+                except PhonemeError:
+                    # Clustered costs cannot price an unknown symbol
+                    # against a different one; neither side can.
+                    with pytest.raises(PhonemeError):
+                        store.verify(query, keys, threshold)
+                    continue
+                assert store.verify(query, keys, threshold) == expected
+                unknown_matches += sum(
+                    not set(stored[k]).isdisjoint(UNKNOWN) for k in expected
+                )
+        assert compactions
+        if name == "classical":
+            assert unknown_matches
+
+    def test_one_unencodable_key_alone_goes_scalar(
+        self, strings, monkeypatch
+    ):
+        from repro import obs
+        from repro.core import MatchConfig
+        from repro.core import sources
+        from repro.core.sources import PhonemeStore
+
+        costs = MatchConfig(**PIPELINE_CONFIGS["classical"]).cost_model()
+        store = PhonemeStore(costs)
+        stored = dict(enumerate(strings[:50]))
+        stored[50] = strings[0][:-1] + (UNKNOWN[0],)
+        store.update(stored)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return edit_distance_within(*args)
+
+        monkeypatch.setattr(sources, "edit_distance_within", counted)
+        obs.disable()
+        try:
+            obs.enable()
+            got = store.verify(strings[0], list(stored), 1.0)
+            fallbacks = obs.snapshot()["counters"][
+                "matching.verify.scalar_fallbacks"
+            ]
+        finally:
+            obs.disable()
+        assert calls == [stored[50]]
+        assert fallbacks == 1
+        assert 0 in got and 50 in got
+        assert got == _scalar_keys(
+            stored, strings[0], list(stored), 1.0, costs
+        )
+
+    def test_reader_holding_columns_from_before_a_growth(self, strings):
+        """A reader that read the columns tuple, then lost the GIL while
+        the writer appended, grew the code column and re-set a key,
+        answers as of its tuple: every key written since is skipped,
+        never read from the wrong array."""
+        import copy
+
+        from repro.core import MatchConfig
+        from repro.core.sources import PhonemeStore
+
+        costs = MatchConfig().cost_model()
+        store = PhonemeStore(costs)
+        store.update(enumerate(strings[:5]))
+        paused = copy.copy(store)  # shares the strings, keeps the tuple
+        capacity = len(store._columns[0])
+        key = 5
+        while len(store._columns[0]) == capacity:
+            store[key] = strings[key]
+            key += 1
+        store[0] = strings[key]
+        keys = list(range(key + 1))
+        untouched = dict(enumerate(strings[1:5], start=1))
+        for threshold in (0.25, 0.5, 1.0):
+            for query in strings[1:5]:
+                assert paused.verify(query, keys, threshold) == _scalar_keys(
+                    untouched, query, keys, threshold, costs
+                )
+
+    def test_readers_consistent_while_writer_grows_and_compacts(
+        self, strings
+    ):
+        """One writer grows the columns through several doublings and
+        one compaction while four readers verify, lock-free: no reader
+        fails, each answer keeps every match present before the writer
+        started, and a key being rewritten answers for one of its
+        versions, never a mix."""
+        import sys
+        import threading
+
+        from repro.core import MatchConfig
+        from repro.core.sources import PhonemeStore
+
+        costs = MatchConfig().cost_model()
+        store = PhonemeStore(costs)
+        base = 20
+        store.update(enumerate(strings[:base]))
+        compactions = []
+        compact = store._compact
+        store._compact = lambda: (compactions.append(1), compact())[1]
+        total = len(strings)
+        versions = {
+            key: (strings[key], strings[key - base])
+            for key in range(base, total)
+        }
+        keys = list(range(total + 10))
+        queries = strings[:base:4]
+        threshold = 0.5
+        before = {
+            query: store.verify(query, keys, threshold) for query in queries
+        }
+        allowed = {
+            query: set(before[query])
+            | {
+                key
+                for key, pair in versions.items()
+                if any(
+                    _scalar_keys({key: p}, query, [key], threshold, costs)
+                    for p in pair
+                )
+            }
+            for query in queries
+        }
+        assert any(before.values())
+        capacities = [len(store._columns[0])]
+        errors: list = []
+        writer_done = threading.Event()
+
+        def writer():
+            try:
+                for key in range(base, total):
+                    store[key] = versions[key][0]
+                    capacities.append(len(store._columns[0]))
+                for key in range(base, total):
+                    store[key] = versions[key][1]
+                for key in range(base, total):
+                    store.pop(key)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                writer_done.set()
+
+        def reader(offset):
+            try:
+                rounds = 0
+                while not writer_done.is_set() or rounds < 2:
+                    for query in queries[offset::4]:
+                        got = store.verify(query, keys, threshold)
+                        assert got == sorted(got)
+                        assert set(before[query]) <= set(got), query
+                        assert set(got) <= allowed[query], query
+                    rounds += 1
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(offset,))
+            for offset in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-write, often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(set(capacities)) >= 4  # three doublings or more
+        assert compactions
+        assert {q: store.verify(q, keys, threshold) for q in queries} == before
+
+
+def test_store_and_snapshot_reopen_stay_numpy_free(tmp_path):
+    """Building, writing and ``update``-ing a store, and reopening an
+    accelerator from a snapshot, never import numpy: a restoring server
+    does not pay numpy's import before it is ready."""
+    import subprocess
+    import sys
+    import textwrap
+
+    from repro.core import LexEqualMatcher, create_phonetic_accelerator
+    from repro.core.integration import install_lexequal
+    from repro.minidb.schema import Column
+    from repro.minidb.values import SqlType
+    from repro.storage import open_database
+
+    matcher = LexEqualMatcher()
+    db = open_database(str(tmp_path), matcher=matcher, sync=False)
+    install_lexequal(db, matcher)
+    db.create_table(
+        "names",
+        [
+            Column("id", SqlType.INTEGER, nullable=False),
+            Column("name", SqlType.TEXT),
+        ],
+    )
+    for i, name in enumerate(["Nehru", "Gandhi", "Bose", "नेहरू", "Patel"]):
+        db.insert("names", (i, name))
+    create_phonetic_accelerator(db, "names", "name", matcher)
+    db.analyze()
+    db.checkpoint()
+    db.storage.close()
+    script = textwrap.dedent(
+        f"""
+        import sys
+
+        from repro import obs
+        from repro.core import LexEqualMatcher, MatchConfig
+        from repro.core.sources import PhonemeStore
+        from repro.phonetics.parse import parse_ipa
+        from repro.storage import open_database
+
+        store = PhonemeStore(MatchConfig().cost_model())
+        store[0] = parse_ipa("neːɦruː")
+        store.update({{1: ("ʘ", "a"), 2: ("b", "o", "s")}})
+        store[0] = ("n", "e")
+        store.pop(2)
+        obs.enable()
+        db = open_database({str(tmp_path)!r}, matcher=LexEqualMatcher())
+        accelerator = db.accelerator_for("names", "name")
+        assert len(accelerator._phonemes) == 5
+        assert obs.snapshot()["counters"]["storage.accelerator.attached"] == 1
+        db.storage.close()
+        assert "numpy" not in sys.modules, "numpy imported"
+        """
+    )
+    import os
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -33,6 +33,7 @@ def report(
         "kernel_batch_vs_reference": 8.0,
         "executor_vs_naive": 12.0,
         "qgram_vs_naive": 100.0,
+        "verify_vs_scalar": 6.0,
         "scaling_4v1": 3.2,
     }
     base.update(ratios)
@@ -61,6 +62,10 @@ class TestFloors:
     def test_qgram_floor_trips(self):
         failures = perf.check_floors(report(qgram_vs_naive=4.0))
         assert any("qgram_vs_naive" in f for f in failures)
+
+    def test_verify_floor_trips(self):
+        failures = perf.check_floors(report(verify_vs_scalar=1.2))
+        assert any("verify_vs_scalar" in f for f in failures)
 
     def test_missing_ratio_trips(self):
         bad = report()
@@ -198,6 +203,7 @@ class TestCommittedBaseline:
             "kernel_batch_vs_reference",
             "executor_vs_naive",
             "qgram_vs_naive",
+            "verify_vs_scalar",
             f"scaling_{perf.SCALING_WORKERS}v1",
         ):
             assert key in baseline["ratios"], key
