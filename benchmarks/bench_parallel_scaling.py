@@ -46,6 +46,7 @@ import numpy as np
 
 from repro import perf
 from repro.core import LexEqualMatcher, NaiveUdfStrategy, NameCatalog
+from repro.core.sources import _encode
 from repro.data.generator import generate_performance_dataset
 from repro.evaluation.report import format_table, seconds
 from repro.matching.batch import batch_edit_distances_within_encoded
@@ -179,7 +180,7 @@ def _batch_kernel(catalog) -> dict:
     sample = rng.sample(range(len(catalog)), min(len(catalog), 1500))
     query_id = sample[0]
     query = catalog.phonemes_of(query_id)
-    q = table.encoded.encode(query)
+    q = np.frombuffer(_encode(query), np.uint8).astype(np.int64)
     budgets = threshold * np.minimum(len(q), table.lens)
 
     start = time.perf_counter()

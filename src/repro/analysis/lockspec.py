@@ -130,12 +130,7 @@ SANCTIONED_UNPOLLED_LOOPS: dict[tuple[str, str], str] = {
         "worker idle loop: bounded by the 1s poll timeout plus the "
         "orphaned-parent check; workers disarm inherited deadlines"
     ),
-    ("src/repro/parallel/executor.py", "_worker_match"): (
-        "work-stealing claim loop: bounded by the shared claim counter "
-        "reaching steal_stop; cancellation is enforced parent-side "
-        "because workers disarm inherited deadlines"
-    ),
-    ("src/repro/parallel/executor.py", "_worker_join"): (
+    ("src/repro/parallel/executor.py", "_worker_run"): (
         "work-stealing claim loop: bounded by the shared claim counter "
         "reaching steal_stop; cancellation is enforced parent-side "
         "because workers disarm inherited deadlines"

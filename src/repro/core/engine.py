@@ -102,11 +102,8 @@ class PhoneticAccelerator:
         self._position = table.schema.position(column_name)
         self._phonemes = PhonemeStore(matcher.costs)
         self._plen_sum = 0
-        #: Encoded table + executor for the parallel path, rebuilt
-        #: lazily after table changes.
-        self._table = None
+        #: The parallel path's executor, built on first use.
         self._executor = None
-        self._executor_stale = True
         #: Cost-model report of the last candidate_rowids call: the
         #: concrete method used and its StrategyEstimate (planner
         #: surfaces these in EXPLAIN).
@@ -136,8 +133,6 @@ class PhoneticAccelerator:
         self._plen_sum += len(phonemes)
         for source in self._sources.values():
             source.add(rowid, phonemes)
-        self._table = None
-        self._executor_stale = True
 
     def on_delete(self, rowid: int, row: tuple) -> None:
         phonemes = self._phonemes.pop(rowid, None)
@@ -146,8 +141,6 @@ class PhoneticAccelerator:
         self._plen_sum -= len(phonemes)
         for source in self._sources.values():
             source.remove(rowid)
-        self._table = None
-        self._executor_stale = True
 
     # ------------------------------------------------- snapshot/restore
 
@@ -160,8 +153,6 @@ class PhoneticAccelerator:
         source's state sits under its name; the storage backend moves
         the ``ann`` matrix to its own sidecar file.
         """
-        from repro.storage import snapshots
-
         state: dict = {
             "layout": SNAPSHOT_LAYOUT,
             "method": self.method,
@@ -169,20 +160,17 @@ class PhoneticAccelerator:
         }
         for name, source in self._sources.items():
             state[name] = source.state()
-        if self._parallel and self._phonemes:
-            state["encoded"] = snapshots.encoded_table_state(
-                self._build_table()
-            )
         return state
 
     def _restore_state(self, state: dict) -> bool:
         """Install a snapshot; False = incompatible, rebuild instead.
 
         A source whose state is missing or stale (e.g. a lost ``.ann``
-        sidecar) is rebuilt from the snapshot's phoneme strings.
+        sidecar) is rebuilt from the snapshot's phoneme strings.  An
+        ``"encoded"`` entry (a parallel table stored by older versions)
+        is ignored: the executor gathers its table from the restored
+        store.
         """
-        from repro.storage import snapshots
-
         if (
             state.get("layout") != SNAPSHOT_LAYOUT
             or state.get("method") != self.method
@@ -199,10 +187,6 @@ class PhoneticAccelerator:
                 restored = SOURCES[name](config)
                 restored.add_many(self._phonemes.items())
             self._sources[name] = restored
-        if self._parallel and "encoded" in state:
-            self._table = snapshots.restore_encoded_table(
-                state["encoded"], self.matcher.costs
-            )
         return True
 
     def _sync_with_table(self, table) -> None:
@@ -338,49 +322,16 @@ class PhoneticAccelerator:
 
     def _parallel_matches(
         self, query_phonemes: PhonemeString, config: MatchConfig
-    ) -> list[int] | None:
-        """Exact matching rowids via the sharded executor (or None)."""
-        executor = self._parallel_executor()
-        if executor is None or len(executor.table) == 0:
-            return []
-        if executor.table.encode_query(query_phonemes) is None:
-            return None  # out-of-table symbol: decline to the scan path
-        ids, _dists = executor.match(query_phonemes, config.threshold)
-        return [int(i) for i in ids]
+    ) -> list[int]:
+        """Exact matching rowids via the sharded executor."""
+        if self._executor is None:
+            from repro.parallel import EncodedNameTable, ParallelMatchExecutor
 
-    def _build_table(self):
-        """The encoded CSR table over the current rows (cached).
-
-        A snapshot restore pre-seeds the cache, so a reopened
-        accelerator skips even the numpy re-encode until the table
-        changes.
-        """
-        if self._table is None and self._phonemes:
-            from repro.parallel import EncodedNameTable
-
-            self._table = EncodedNameTable.from_rows(
-                self.matcher.costs,
-                [
-                    (rowid, "", phonemes)
-                    for rowid, phonemes in sorted(self._phonemes.items())
-                ],
+            self._executor = ParallelMatchExecutor(
+                EncodedNameTable.from_store(self._phonemes),
+                workers=self.workers,
             )
-        return self._table
-
-    def _parallel_executor(self):
-        """The parallel-path executor, rebuilt after table changes."""
-        if self._executor_stale:
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
-            if self._phonemes:
-                from repro.parallel import ParallelMatchExecutor
-
-                self._executor = ParallelMatchExecutor(
-                    self._build_table(), workers=self.workers
-                )
-            self._executor_stale = False
-        return self._executor
+        return self._executor.match_keys(query_phonemes, config.threshold)
 
     # ------------------------------------------------------- statistics
 

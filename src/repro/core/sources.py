@@ -83,6 +83,18 @@ def _encode(phonemes: PhonemeString) -> bytes | None:
         return None
 
 
+def _gather(codes: array, begin, lengths):
+    """The runs ``codes[begin[i] : begin[i] + lengths[i]]`` as one CSR:
+    ``(uint8 codes, int64 offsets)``."""
+    import numpy as np
+
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    index = np.repeat(begin - offsets[:-1], lengths)
+    index += np.arange(offsets[-1])
+    return np.frombuffer(codes, np.uint8)[index], offsets
+
+
 class PhonemeStore:
     """Stored phoneme strings by key, encoded once, plus the one verifier.
 
@@ -91,9 +103,11 @@ class PhonemeStore:
     encodes the string into columns: an append-only ``uint8`` code
     column and dense key-indexed start and length columns, where a
     length of :data:`ABSENT` or :data:`UNENCODABLE` marks the key.
-    :meth:`verify` gathers candidates from those columns with numpy; no
-    candidate is re-encoded per query.  Building, writing and restoring
-    a store never import numpy.
+    :meth:`verify` gathers candidates from those columns with numpy,
+    and :meth:`export` gathers every live string for the parallel
+    executor's table; nothing is re-encoded.  Every write bumps
+    :attr:`writes`.  Building, writing and restoring a store never
+    import numpy.
 
     Readers take no lock.  The one writer fills spare capacity beyond
     the published ``used``, writes the key's start, and writes its
@@ -110,6 +124,8 @@ class PhonemeStore:
         #: (codes, starts, lens, used): code bytes past ``used`` are spare.
         self._columns = (array("B"), array("q"), array("i"), 0)
         self._dead = 0
+        #: Bumped by every write: what a gathered copy is current as of.
+        self.writes = 0
 
     # ------------------------------------------------------- mapping
 
@@ -158,6 +174,7 @@ class PhonemeStore:
 
     def _write(self, key: int, phonemes: PhonemeString | None) -> None:
         """Store (or, for None, remove) one key's string and its codes."""
+        self.writes += 1
         codes, starts, lens, used = self._columns
         if key < len(lens) and lens[key] != ABSENT:
             self._dead += max(lens[key], 0)
@@ -199,6 +216,37 @@ class PhonemeStore:
 
     # -------------------------------------------------------- reader
 
+    def _read(self, keys=None):
+        """``(codes, keys, lengths, starts)`` from one columns tuple, for
+        ``keys`` (default: every key slot), dropping keys past the
+        columns.  A key written since the tuple was published, or being
+        rewritten, reads as :data:`ABSENT`."""
+        import numpy as np
+
+        codes, starts, lens, used = self._columns
+        lens = np.frombuffer(lens, np.intc)
+        if keys is None:
+            keys = np.arange(len(lens))
+        keys = keys[keys < len(lens)]
+        clens = lens[keys]
+        begin = np.frombuffer(starts, np.int64)[keys]
+        # Lengths are written last, so a length read before and after
+        # the start agrees only if that start belongs to it.
+        stale = clens != lens[keys]
+        stale |= (clens >= 0) & (begin + clens > used)
+        clens[stale] = ABSENT
+        return codes, keys, clens, begin
+
+    def export(self):
+        """Every live string in the code space, gathered once, in key
+        order: ``(keys, codes, offsets, outside)``, with ``codes`` one
+        ``uint8`` CSR over ``offsets`` and ``outside`` the keys whose
+        strings hold a symbol outside it."""
+        codes, keys, clens, begin = self._read()
+        live = clens >= 0
+        flat, offsets = _gather(codes, begin[live], clens[live])
+        return keys[live], flat, offsets, keys[clens == UNENCODABLE]
+
     def verify(
         self,
         query_phonemes: PhonemeString,
@@ -221,16 +269,8 @@ class PhonemeStore:
 
         from repro.matching.batch import batch_edit_distances_within_encoded
 
-        codes, starts, lens, used = self._columns
-        lens = np.frombuffer(lens, np.intc)
-        keys = np.asarray(keys, dtype=np.int64)
-        keys = keys[keys < len(lens)]
-        clens = lens[keys]
-        begin = np.frombuffer(starts, np.int64)[keys]
-        # Lengths are written last, so a length read before and after
-        # the start agrees only if that start belongs to it.
-        clens[clens != lens[keys]] = ABSENT
-        batch = (clens >= 0) & (begin + clens <= used)
+        codes, keys, clens, begin = self._read(np.asarray(keys, np.int64))
+        batch = clens >= 0
         scalar = clens == UNENCODABLE
         query = _encode(query_phonemes)
         if query is None:
@@ -238,14 +278,11 @@ class PhonemeStore:
             batch[:] = False
         accept = np.zeros(len(keys), dtype=bool)
         if batch.any():
-            clens, begin = clens[batch], begin[batch]
-            offsets = np.zeros(len(clens) + 1, dtype=np.int64)
-            np.cumsum(clens, out=offsets[1:])
-            gather = np.repeat(begin - offsets[:-1], clens)
-            gather += np.arange(offsets[-1])
+            clens = clens[batch]
+            flat, offsets = _gather(codes, begin[batch], clens)
             distances = batch_edit_distances_within_encoded(
                 np.frombuffer(query, np.uint8),
-                np.frombuffer(codes, np.uint8)[gather],
+                flat,
                 offsets,
                 _encoded_costs(self.costs),
                 threshold * np.minimum(len(query), clens),

@@ -9,10 +9,11 @@ vectorized banded kernels of :mod:`repro.matching.batch`.
 
 Design (DESIGN.md §9):
 
-* **encode once, attach everywhere** — the catalog is compiled into an
-  :class:`EncodedNameTable` (CSR ``codes``/``offsets`` int arrays plus
-  ids, lengths, language codes and the cost matrices) and published
-  *once* into a ``multiprocessing.shared_memory`` segment
+* **encode once, attach everywhere** — the :class:`EncodedNameTable`
+  (CSR ``codes``/``offsets`` int arrays plus ids, lengths, language
+  codes and the cost matrices) is a gather of the code columns the
+  phoneme store encoded at insert, re-gathered after writes, and is
+  published *once* into a ``multiprocessing.shared_memory`` segment
   (:mod:`repro.parallel.shm`).  Workers attach by name and build
   zero-copy numpy views — nothing table-sized is ever pickled or
   copy-on-write duplicated, under either start method;

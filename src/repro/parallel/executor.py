@@ -1,8 +1,9 @@
 """The shared-memory warm-pool match executor.
 
 One :class:`ParallelMatchExecutor` owns an
-:class:`~repro.parallel.table.EncodedNameTable` snapshot, a shared
-memory segment holding it, and a persistent pool of worker processes
+:class:`~repro.parallel.table.EncodedNameTable` snapshot (re-gathered
+from its phoneme store after any write to it), a shared memory segment
+holding it, and a persistent pool of worker processes
 that *attach* to the segment (zero-copy views) instead of inheriting
 pickles.  The pool stays warm across queries: per query the parent
 sends each worker one small task message and receives one packed
@@ -50,6 +51,7 @@ import numpy as np
 from multiprocessing import connection
 
 from repro import deadline, obs
+from repro.core.sources import _encode
 from repro.errors import DeadlineExceededError, ReproError
 from repro.matching.batch import batch_edit_distances_within_encoded
 from repro.parallel import shm as shm_mod
@@ -149,69 +151,35 @@ def _claim(counter) -> int:
     return index
 
 
-def _worker_match(table, counter, task):
-    (start, stop, steal_base, steal_chunk, steal_stop, q, threshold,
-     allowed) = task
-    parts = []
-    if start < stop:
-        parts.append(
-            _match_shard_on(table, start, stop, q, threshold, allowed)
-        )
-    steals = 0
+#: Shard kernel per task kind; every shard result is ``(arrays...,
+#: rows, candidates)``.
+_SHARDS = {"match": _match_shard_on, "join": _join_shard_on}
+
+
+def _merge(parts: list[tuple]) -> tuple:
+    """Shard results -> one: array fields concatenated, counts summed."""
+    return tuple(
+        np.concatenate(field)
+        if isinstance(field[0], np.ndarray)
+        else sum(field)
+        for field in zip(*parts)
+    )
+
+
+def _worker_run(kind: str, table, counter, task) -> tuple:
+    """One worker's share of a query: its affinity slice, then tail
+    chunks claimed from the shared counter.  Returns the merged shard
+    result plus the number of chunks stolen."""
+    start, stop, steal_base, steal_chunk, steal_stop, *extra = task
+    shard = _SHARDS[kind]
+    parts = [shard(table, start, stop, *extra)]
     while steal_chunk:
         lo = steal_base + _claim(counter) * steal_chunk
         if lo >= steal_stop:
             break
         hi = min(steal_stop, lo + steal_chunk)
-        parts.append(
-            _match_shard_on(table, lo, hi, q, threshold, allowed)
-        )
-        steals += 1
-    empty = np.empty(0, dtype=np.int64)
-    ids = (
-        np.concatenate([p[0] for p in parts]) if parts else empty
-    )
-    dists = (
-        np.concatenate([p[1] for p in parts])
-        if parts
-        else empty.astype(np.float64)
-    )
-    rows = sum(p[2] for p in parts)
-    candidates = sum(p[3] for p in parts)
-    return ids, dists, rows, candidates, steals
-
-
-def _worker_join(table, counter, task):
-    (start, stop, steal_base, steal_chunk, steal_stop, threshold,
-     cross) = task
-    parts = []
-    if start < stop:
-        parts.append(
-            _join_shard_on(table, start, stop, threshold, cross)
-        )
-    steals = 0
-    while steal_chunk:
-        lo = steal_base + _claim(counter) * steal_chunk
-        if lo >= steal_stop:
-            break
-        hi = min(steal_stop, lo + steal_chunk)
-        parts.append(_join_shard_on(table, lo, hi, threshold, cross))
-        steals += 1
-    empty = np.empty(0, dtype=np.int64)
-    ids_a = (
-        np.concatenate([p[0] for p in parts]) if parts else empty
-    )
-    ids_b = (
-        np.concatenate([p[1] for p in parts]) if parts else empty
-    )
-    dists = (
-        np.concatenate([p[2] for p in parts])
-        if parts
-        else empty.astype(np.float64)
-    )
-    pairs = sum(p[3] for p in parts)
-    candidates = sum(p[4] for p in parts)
-    return ids_a, ids_b, dists, pairs, candidates, steals
+        parts.append(shard(table, lo, hi, *extra))
+    return _merge(parts) + (len(parts) - 1,)
 
 
 def _worker_main(descriptor, counter, task_conn, result_conn, parent_pid) -> None:
@@ -255,10 +223,7 @@ def _worker_main(descriptor, counter, task_conn, result_conn, parent_pid) -> Non
                 return
             _kind, epoch, task = message
             try:
-                if kind == "match":
-                    payload = _worker_match(table, counter, task)
-                else:
-                    payload = _worker_join(table, counter, task)
+                payload = _worker_run(kind, table, counter, task)
                 result_conn.send((epoch, True, payload))
             except Exception as exc:
                 result_conn.send(
@@ -615,6 +580,93 @@ class ParallelMatchExecutor:
             raise ParallelExecutionError("executor used after close()")
         deadline.check("parallel shard dispatch")
 
+    def _current(self) -> EncodedNameTable:
+        """The table, re-gathered from its store after any write to it.
+
+        The one rebuild-on-write rule of the parallel path: a stale
+        table's pool is torn down, and the next pooled query starts a
+        fresh one over the new table.
+        """
+        table = self.table
+        store = table.store
+        if store is not None and store.writes != table.writes:
+            self._teardown_pool()
+            table = self.table = EncodedNameTable.from_store(
+                store, table.language_of
+            )
+        return table
+
+    def match_keys(
+        self,
+        phonemes,
+        threshold: float,
+        languages: tuple[str, ...] = (),
+    ) -> list[int]:
+        """The store keys matching ``phonemes``, ascending.
+
+        The sharded scan covers the table; rows outside the code space
+        (or every row, when the query is) go to the store's verifier,
+        whose scalar fallback decides them exactly.
+        """
+        self._guard()
+        table = self._current()
+        if _encode(phonemes) is None:
+            found, rest = [], sorted(table.store.keys())
+            self.last_stats = {"rows": len(rest), "candidates": 0}
+        else:
+            ids, _dists = self.match(phonemes, threshold, languages)
+            found, rest = ids.tolist(), table.outside
+        if languages:
+            wanted = {lang.lower() for lang in languages}
+            language_of = table.language_of or {}
+            rest = [key for key in rest if language_of.get(key, "") in wanted]
+        if rest:
+            found += table.store.verify(phonemes, rest, threshold)
+            found.sort()
+        self.last_stats["candidates"] += len(rest)
+        self.last_stats["matches"] = len(found)
+        return found
+
+    def join_keys(
+        self, threshold: float, *, cross_language_only: bool = True
+    ) -> list[tuple[int, int]]:
+        """All matching store-key pairs ``(a, b)``, ``a < b``, sorted.
+
+        Pairs within the table come from :meth:`match_all_pairs`; each
+        row outside the code space is verified against every other row
+        by the store's scalar fallback and merged in.
+        """
+        ids_a, ids_b, _dists = self.match_all_pairs(
+            threshold, cross_language_only=cross_language_only
+        )
+        pairs = list(zip(ids_a.tolist(), ids_b.tolist()))
+        table = self.table
+        if not table.outside:
+            return pairs
+        store, outside = table.store, set(table.outside)
+        language_of = table.language_of or {}
+        keys = sorted(store.keys())
+        for key in table.outside:
+            language = language_of.get(key, "")
+            others = [
+                other
+                for other in keys
+                if other != key
+                and (other > key or other not in outside)
+                and not (
+                    cross_language_only
+                    and language_of.get(other, "") == language
+                )
+            ]
+            self.last_stats["candidates"] += len(others)
+            pairs += [
+                (min(key, other), max(key, other))
+                for other in store.verify(store[key], others, threshold)
+            ]
+        pairs.sort()
+        self.last_stats["matches"] = len(pairs)
+        return pairs
+
     # ------------------------------------------------------------- match
 
     def match(
@@ -629,54 +681,21 @@ class ParallelMatchExecutor:
         identical to the sequential scan with the reference DP.
         """
         self._guard()
-        table = self.table
-        q = table.encode_query(phonemes)
+        table = self._current()
+        q = _encode(phonemes)
         if q is None:
             raise ParallelExecutionError(
                 "query contains a phoneme symbol outside the encoded "
                 "cost tables"
             )
+        q = np.frombuffer(q, np.uint8).astype(np.int64)
         allowed = table.language_codes_for(tuple(languages))
-        empty = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         if allowed is not None and allowed.size == 0:
             self.last_stats = {"rows": 0, "candidates": 0, "matches": 0}
-            return empty
-        with obs.timed("parallel.match"):
-            if self._pooled():
-                parts = self._run_pool(
-                    "match", (q, float(threshold), allowed)
-                )
-                deadline.check("parallel shard merge")
-                steals = sum(p[4] for p in parts)
-            else:
-                parts = [
-                    _match_shard_on(
-                        table, start, stop, q, float(threshold), allowed
-                    )
-                    for start, stop in self._select_shards()
-                ]
-                steals = 0
-        if not parts:
-            self.last_stats = {"rows": 0, "candidates": 0, "matches": 0}
-            return empty
-        ids = np.concatenate([p[0] for p in parts])
-        dists = np.concatenate([p[1] for p in parts])
-        rows = sum(p[2] for p in parts)
-        candidates = sum(p[3] for p in parts)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        ids, dists = self._execute("match", (q, float(threshold), allowed))
         order = np.argsort(ids, kind="stable")
-        ids, dists = ids[order], dists[order]
-        self.last_stats = {
-            "rows": rows,
-            "candidates": candidates,
-            "matches": len(ids),
-        }
-        obs.incr("parallel.queries")
-        obs.incr("parallel.shards", len(parts))
-        obs.incr("parallel.steal_chunks", steals)
-        obs.incr("parallel.rows", rows)
-        obs.incr("parallel.candidates", candidates)
-        obs.incr("parallel.matches", len(ids))
-        return ids, dists
+        return ids[order], dists[order]
 
     def match_all_pairs(
         self,
@@ -690,46 +709,45 @@ class ParallelMatchExecutor:
         always the smaller record id of the pair.
         """
         self._guard()
-        empty = np.empty(0, dtype=np.int64)
-        with obs.timed("parallel.join"):
-            if self._pooled():
-                parts = self._run_pool(
-                    "join",
-                    (float(threshold), bool(cross_language_only)),
-                )
-                deadline.check("parallel shard merge")
-                steals = sum(p[5] for p in parts)
-            else:
-                parts = [
-                    _join_shard_on(
-                        self.table,
-                        start,
-                        stop,
-                        float(threshold),
-                        bool(cross_language_only),
-                    )
-                    for start, stop in self._join_shards()
-                ]
-                steals = 0
-        if not parts:
-            self.last_stats = {"rows": 0, "candidates": 0, "matches": 0}
-            return empty, empty.copy(), empty.astype(np.float64)
-        ids_a = np.concatenate([p[0] for p in parts])
-        ids_b = np.concatenate([p[1] for p in parts])
-        dists = np.concatenate([p[2] for p in parts])
-        pairs = sum(p[3] for p in parts)
-        candidates = sum(p[4] for p in parts)
+        self._current()
+        ids_a, ids_b, dists = self._execute(
+            "join", (float(threshold), bool(cross_language_only))
+        )
         order = np.lexsort((ids_b, ids_a))
-        ids_a, ids_b, dists = ids_a[order], ids_b[order], dists[order]
+        return ids_a[order], ids_b[order], dists[order]
+
+    def _execute(self, kind: str, extra: tuple) -> list:
+        """One ``match`` or ``join`` over the table, on the pool or
+        inline: the merged result arrays.  Work counts go to
+        :attr:`last_stats` and the ``parallel.*`` counters."""
+        with obs.timed(f"parallel.{kind}"):
+            if self._pooled():
+                parts = self._run_pool(kind, extra)
+                deadline.check("parallel shard merge")
+            else:
+                shard = _SHARDS[kind]
+                shards = (
+                    self._select_shards()
+                    if kind == "match"
+                    else self._join_shards()
+                )
+                parts = [
+                    shard(self.table, start, stop, *extra) + (0,)
+                    for start, stop in shards or [(0, 0)]
+                ]
+        *arrays, rows, candidates, steals = _merge(parts)
+        matches = len(arrays[0])
         self.last_stats = {
-            "rows": pairs,
+            "rows": rows,
             "candidates": candidates,
-            "matches": len(ids_a),
+            "matches": matches,
         }
-        obs.incr("parallel.join_queries")
+        obs.incr(
+            "parallel.queries" if kind == "match" else "parallel.join_queries"
+        )
         obs.incr("parallel.shards", len(parts))
         obs.incr("parallel.steal_chunks", steals)
-        obs.incr("parallel.rows", pairs)
+        obs.incr("parallel.rows", rows)
         obs.incr("parallel.candidates", candidates)
-        obs.incr("parallel.matches", len(ids_a))
-        return ids_a, ids_b, dists
+        obs.incr("parallel.matches", matches)
+        return arrays

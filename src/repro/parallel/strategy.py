@@ -27,8 +27,8 @@ class ParallelStrategy(Strategy):
 
     ``workers`` defaults to the machine's CPU count; ``workers=1`` runs
     the same kernels inline (no pool) and is the fastest sequential
-    scan.  The encoded table snapshot (and the pool) is built lazily on
-    first use and rebuilt automatically when the catalog has grown.
+    scan.  The executor (table and pool) is built on first use; it
+    re-gathers its table from the catalog's phoneme store after writes.
     """
 
     name = "parallel"
@@ -43,25 +43,18 @@ class ParallelStrategy(Strategy):
         self.workers = workers
         self._start_method = start_method
         self._executor: ParallelMatchExecutor | None = None
-        self._snapshot_id = -1
 
     # ---------------------------------------------------------- lifecycle
 
     def executor(self) -> ParallelMatchExecutor:
-        """The current executor, (re)built if the catalog changed."""
-        if (
-            self._executor is None
-            or self._snapshot_id != self.catalog._next_id
-        ):
-            if self._executor is not None:
-                self._executor.close()
-            table = EncodedNameTable.from_catalog(self.catalog)
+        """The executor, built on first use; it re-gathers its table
+        itself after the catalog changes."""
+        if self._executor is None:
             self._executor = ParallelMatchExecutor(
-                table,
+                EncodedNameTable.from_catalog(self.catalog),
                 workers=self.workers,
                 start_method=self._start_method,
             )
-            self._snapshot_id = self.catalog._next_id
         return self._executor
 
     def close(self) -> None:
@@ -69,7 +62,6 @@ class ParallelStrategy(Strategy):
         if self._executor is not None:
             self._executor.close()
             self._executor = None
-            self._snapshot_id = -1
 
     def __enter__(self) -> ParallelStrategy:
         return self
@@ -85,28 +77,16 @@ class ParallelStrategy(Strategy):
         language: str = "english",
         languages: tuple[str, ...] = (),
     ) -> list[NameRecord]:
-        stats = StrategyStats()
-        query_phonemes = self._query_phonemes(query, language)
+        stats = StrategyStats(rows_considered=len(self.catalog))
         executor = self.executor()
-        if executor.table.encode_query(query_phonemes) is None:
-            # Out-of-table symbol (possible only for symbol sets
-            # narrower than the inventory): verify every row instead.
-            ids = [
-                i
-                for i in self.catalog.ids()
-                if self._language_ok(self.catalog.language_of(i), languages)
-            ]
-            stats.rows_considered = len(self.catalog)
-            stats.candidates_after_filters = stats.udf_calls = len(ids)
-            ids = self.catalog.verify(query_phonemes, ids)
-        else:
-            ids, _dists = executor.match(
-                query_phonemes, self.config.threshold, tuple(languages)
-            )
-            stats.rows_considered = executor.last_stats["rows"]
-            stats.candidates_after_filters = executor.last_stats["candidates"]
-            stats.udf_calls = executor.last_stats["candidates"]
-        results = [self.catalog.record(int(i)) for i in ids]
+        ids = executor.match_keys(
+            self._query_phonemes(query, language),
+            self.config.threshold,
+            tuple(languages),
+        )
+        stats.candidates_after_filters = executor.last_stats["candidates"]
+        stats.udf_calls = stats.candidates_after_filters
+        results = [self.catalog.record(i) for i in ids]
         stats.results = len(results)
         self._finish(stats)
         return results
@@ -114,19 +94,18 @@ class ParallelStrategy(Strategy):
     def join(
         self, *, cross_language_only: bool = True
     ) -> list[tuple[NameRecord, NameRecord]]:
-        stats = StrategyStats()
+        n = len(self.catalog)
+        stats = StrategyStats(rows_considered=n * (n - 1) // 2)
         executor = self.executor()
-        ids_a, ids_b, _dists = executor.match_all_pairs(
-            self.config.threshold,
-            cross_language_only=cross_language_only,
+        pairs = executor.join_keys(
+            self.config.threshold, cross_language_only=cross_language_only
         )
         results = [
-            (self.catalog.record(int(a)), self.catalog.record(int(b)))
-            for a, b in zip(ids_a, ids_b)
+            (self.catalog.record(a), self.catalog.record(b))
+            for a, b in pairs
         ]
-        stats.rows_considered = executor.last_stats["rows"]
         stats.candidates_after_filters = executor.last_stats["candidates"]
-        stats.udf_calls = executor.last_stats["candidates"]
+        stats.udf_calls = stats.candidates_after_filters
         stats.results = len(results)
         self._finish(stats)
         return results

@@ -2,7 +2,9 @@
 
 :class:`EncodedNameTable` is the flat-array snapshot the parallel
 executor shards: phoneme strings as one CSR int-code array pair, record
-ids, and language codes.  Everything is numpy or plain tuples, and the
+ids, and language codes, gathered from the code columns a
+:class:`~repro.core.sources.PhonemeStore` encoded at insert.
+Everything is numpy or plain tuples, and the
 table publishes itself into one ``multiprocessing.shared_memory``
 segment (:meth:`share`) that worker processes attach to by name
 (:meth:`attach`) — no per-row Python objects and no table-sized pickles
@@ -11,13 +13,11 @@ ever cross a process boundary, under either start method.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matching.batch import EncodedCosts
-from repro.matching.costs import CostModel
+from repro.core.sources import _encoded_costs
 from repro.parallel import shm as shm_mod
 
 
@@ -48,99 +48,58 @@ class _AttachedCosts:
         self.min_indel = min_indel
 
 
-def _default_symbols(extra: Iterable[str] = ()) -> list[str]:
-    """The one code space (plus any out-of-inventory extras after it).
-
-    Using the whole inventory makes the code space query-independent:
-    any string :func:`repro.phonetics.parse.parse_ipa` produces encodes
-    without rebuilding the cost tables, to the same codes the verifier
-    stores (:data:`repro.phonetics.inventory.SYMBOL_CODES`).
-    """
-    from repro.phonetics.inventory import SYMBOL_CODES
-
-    symbols = list(SYMBOL_CODES)
-    seen = set(symbols)
-    for sym in extra:
-        if sym not in seen:
-            seen.add(sym)
-            symbols.append(sym)
-    return symbols
-
-
 class EncodedNameTable:
-    """An immutable encoded snapshot of ``(id, language, phonemes)`` rows."""
+    """An immutable encoded snapshot of a phoneme store's rows.
 
-    def __init__(
-        self,
-        encoded: EncodedCosts,
-        codes: np.ndarray,
-        offsets: np.ndarray,
-        ids: np.ndarray,
-        lang_codes: np.ndarray,
-        languages: tuple[str, ...],
-    ):
-        self.encoded = encoded
-        self.codes = codes
-        self.offsets = offsets
-        self.ids = ids
-        self.lang_codes = lang_codes
-        self.languages = languages
-        self.lens = np.diff(offsets)
+    Rows are the store's keys in the code space, in key order.  A table
+    gathered on the parent side also remembers its provenance: the
+    ``store``, its key -> language map ``language_of`` (None: every row
+    has language ``""``), the store's ``writes`` count at the gather, and
+    the ``outside`` keys left out because their strings hold a symbol
+    outside the code space.  An attached worker view has none of these.
+    """
+
+    store = None
+    language_of = None
+    writes = -1
+    outside = ()
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @classmethod
-    def from_rows(
-        cls,
-        costs: CostModel,
-        rows: Iterable[tuple[int, str, tuple[str, ...]]],
-        symbols: Iterable[str] | None = None,
-    ) -> EncodedNameTable:
-        """Build from ``(record_id, language, phoneme_tuple)`` rows."""
-        rows = list(rows)
-        if symbols is None:
-            extra = {
-                tok for _id, _lang, phonemes in rows for tok in phonemes
-            }
-            symbols = _default_symbols(extra)
-        encoded = EncodedCosts(costs, list(symbols))
-        lang_index: dict[str, int] = {}
-        ids = np.empty(len(rows), dtype=np.int64)
-        lang_codes = np.empty(len(rows), dtype=np.int16)
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        chunks = []
-        for pos, (record_id, language, phonemes) in enumerate(rows):
-            ids[pos] = record_id
-            language = language.lower()
-            if language not in lang_index:
-                lang_index[language] = len(lang_index)
-            lang_codes[pos] = lang_index[language]
-            chunk = encoded.encode(phonemes)
-            chunks.append(chunk)
-            offsets[pos + 1] = offsets[pos] + len(chunk)
-        codes = (
-            np.concatenate(chunks)
-            if chunks
-            else np.empty(0, dtype=np.int64)
+    def from_store(cls, store, language_of=None) -> EncodedNameTable:
+        """Gather a :class:`~repro.core.sources.PhonemeStore`'s code
+        columns, widened to int64 once, with no re-encoding."""
+        writes = store.writes
+        keys, codes, offsets, outside = store.export()
+        names = (
+            [language_of[key] for key in keys.tolist()]
+            if language_of is not None
+            else [""] * len(keys)
         )
-        return cls(
-            encoded,
-            codes,
-            offsets,
-            ids,
-            lang_codes,
-            tuple(lang_index),
+        languages = tuple(dict.fromkeys(names))
+        code_of = {name: code for code, name in enumerate(languages)}
+        table = cls.__new__(cls)
+        table.encoded = _encoded_costs(store.costs)
+        table.codes = codes.astype(np.int64)
+        table.offsets = offsets
+        table.ids = keys.astype(np.int64)
+        table.lang_codes = np.fromiter(
+            map(code_of.__getitem__, names), np.int16, len(names)
         )
+        table.languages = languages
+        table.lens = np.diff(offsets)
+        table.store = store
+        table.language_of = language_of
+        table.writes = writes
+        table.outside = outside.tolist()
+        return table
 
     @classmethod
     def from_catalog(cls, catalog) -> EncodedNameTable:
-        """Snapshot a :class:`~repro.core.strategies.NameCatalog`."""
-        rows = [
-            (record.id, record.language, catalog.phonemes_of(record.id))
-            for record in catalog.records()
-        ]
-        return cls.from_rows(catalog.matcher.costs, rows)
+        """Gather a :class:`~repro.core.strategies.NameCatalog`'s store."""
+        return cls.from_store(catalog._phonemes, catalog._languages)
 
     # --------------------------------------------------- shared memory
 
@@ -176,8 +135,8 @@ class EncodedNameTable:
         """Rebuild a zero-copy view of a shared table in this process.
 
         The returned table is read-only and kernel-complete (matching
-        and joins work); ``encode_query`` does not — workers receive
-        queries already encoded.  The caller owns the returned
+        and joins work); workers receive queries already encoded.  The
+        caller owns the returned
         :class:`~repro.parallel.shm.AttachedSegment` and must keep it
         alive as long as the table is used.
         """
@@ -197,23 +156,6 @@ class EncodedNameTable:
         table.lens = arrays["lens"]
         table.languages = descriptor.languages
         return table, attached
-
-    def encode_query(self, phonemes) -> np.ndarray | None:
-        """Query phonemes -> code vector; None if a symbol is unknown.
-
-        Unknown symbols are possible only for cost-model symbol sets
-        narrower than the inventory; callers fall back to the scalar
-        kernels in that case.
-        """
-        index = self.encoded.index
-        try:
-            return np.fromiter(
-                (index[t] for t in phonemes),
-                dtype=np.int64,
-                count=len(phonemes),
-            )
-        except KeyError:
-            return None
 
     def language_codes_for(
         self, languages: tuple[str, ...]

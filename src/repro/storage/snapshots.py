@@ -18,10 +18,6 @@ Structure codecs:
   ``bulk_load`` sidesteps pickling the node graph (the leaf ``next``
   chain of a 200k-row tree is thousands of links deep — deeper than
   the pickle recursion limit) and re-validates key order on load.
-* :func:`encoded_table_state` / :func:`restore_encoded_table` — the
-  CSR arrays of a :class:`~repro.parallel.table.EncodedNameTable`; the
-  cost matrices are recomputed from the (small) symbol list rather than
-  stored.
 
 The candidate sources of :mod:`repro.core.sources` carry their own
 ``state()``/``from_state()`` codecs; the ``.ann`` sidecar filename the
@@ -99,37 +95,3 @@ def restore_btree(state: dict):
     from repro.minidb.btree import BPlusTree
 
     return BPlusTree.bulk_load(state["items"], order=state["order"])
-
-
-# ------------------------------------------------- encoded parallel table
-
-
-def encoded_table_state(table) -> dict:
-    """CSR arrays + symbol list of an ``EncodedNameTable``.
-
-    Cost matrices are *not* stored: they are a pure function of the
-    cost model and symbol list, recomputed on restore.
-    """
-    return {
-        "codes": table.codes,
-        "offsets": table.offsets,
-        "ids": table.ids,
-        "lang_codes": table.lang_codes,
-        "languages": tuple(table.languages),
-        "symbols": list(table.encoded.index),
-    }
-
-
-def restore_encoded_table(state: dict, costs):
-    """Rebuild an ``EncodedNameTable`` from :func:`encoded_table_state`."""
-    from repro.matching.batch import EncodedCosts
-    from repro.parallel.table import EncodedNameTable
-
-    return EncodedNameTable(
-        EncodedCosts(costs, list(state["symbols"])),
-        state["codes"],
-        state["offsets"],
-        state["ids"],
-        state["lang_codes"],
-        tuple(state["languages"]),
-    )

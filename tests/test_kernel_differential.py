@@ -787,12 +787,18 @@ class TestAcceleratorDifferential:
         assert _answers(db, queries) == expected
 
     def test_inventory_order_encoded_state_restores(self, accel_names):
-        """A snapshot whose parallel table was encoded in the inventory's
-        insertion order (the code space before ``SYMBOL_CODES``) restores
-        with its own stored symbol list and answers like a fresh build."""
+        """A LEXSNAP written by older versions of a ``parallel``
+        accelerator still carries an ``"encoded"`` table (here in the
+        inventory's insertion order, the code space before
+        ``SYMBOL_CODES``).  It reopens without re-running TTP, the entry
+        is ignored, and the answers equal the unaccelerated scan."""
+        import io
+
+        import numpy as np
+
         from repro import Database, install_lexequal
         from repro.core import LexEqualMatcher, create_phonetic_accelerator
-        from repro.parallel import EncodedNameTable
+        from repro.core.engine import SNAPSHOT_LAYOUT
         from repro.phonetics.inventory import INVENTORY, SYMBOL_CODES
         from repro.storage import snapshots
 
@@ -811,28 +817,48 @@ class TestAcceleratorDifferential:
             ),
         )
         queries = _accel_queries(accel_names)
-        expected = _answers(db, queries)
         snapshot = holder[0].snapshot_state()
         holder[0].drop()
-        assert snapshot["encoded"]["symbols"] == list(SYMBOL_CODES)
+        assert "encoded" not in snapshot
+        assert snapshot["layout"] == SNAPSHOT_LAYOUT == 2
+        expected = _answers(db, queries)
         inventory_order = list(INVENTORY)
         assert inventory_order != list(SYMBOL_CODES)
-        table = EncodedNameTable.from_rows(
-            matcher.costs,
-            [
-                (rowid, "", phonemes)
-                for rowid, phonemes in sorted(snapshot["phonemes"].items())
-            ],
-            symbols=inventory_order,
-        )
-        snapshot["encoded"] = snapshots.encoded_table_state(table)
+        index = {symbol: code for code, symbol in enumerate(inventory_order)}
+        rows = sorted(snapshot["phonemes"].items())
+        lengths = [len(phonemes) for _rowid, phonemes in rows]
+        snapshot["encoded"] = {
+            "codes": np.array(
+                [index[s] for _rowid, ph in rows for s in ph], np.int64
+            ),
+            "offsets": np.concatenate([[0], np.cumsum(lengths)]),
+            "ids": np.array([rowid for rowid, _ph in rows], np.int64),
+            "lang_codes": np.zeros(len(rows), np.int16),
+            "languages": ("",),
+            "symbols": inventory_order,
+        }
+        stored = io.BytesIO()
+        snapshots.dump(stored, "accelerator", snapshot)
+        stored.seek(0)
+        snapshot = snapshots.load(stored, "accelerator")
 
-        restored = create_phonetic_accelerator(
-            db, "names", "name", matcher, restore=snapshot, **options
-        )
+        calls = []
+        transform = matcher.registry.transform
+        matcher.registry.transform = lambda *a: (
+            calls.append(a), transform(*a)
+        )[1]
         try:
+            restored = create_phonetic_accelerator(
+                db, "names", "name", matcher, restore=snapshot, **options
+            )
+        finally:
+            del matcher.registry.transform
+        try:
+            assert calls == []
             assert _answers(db, queries) == expected
-            assert list(restored._table.encoded.index) == inventory_order
+            table = restored._executor.table
+            assert table.store is restored._phonemes
+            assert "encoded" not in restored.snapshot_state()
         finally:
             restored.drop()
 
@@ -1273,3 +1299,216 @@ def test_store_and_snapshot_reopen_stay_numpy_free(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------ parallel path over the store's columns
+
+
+def _out_of_inventory(phonemes) -> tuple:
+    """A stored string with its middle symbol replaced by one outside
+    the code space (hand-written IPA; ``parse_ipa`` would reject it)."""
+    middle = len(phonemes) // 2
+    return (*phonemes[:middle], UNKNOWN[0], *phonemes[middle + 1 :])
+
+
+class TestParallelPathOneEncoding:
+    """The parallel executor's table is a gather of ``PhonemeStore``'s
+    code columns.  A row outside the code space stays out of the table
+    and goes through the store's scalar fallback, so the parallel path
+    still equals the naive scan, including across writes between
+    queries; under clustered costs it raises ``PhonemeError`` where the
+    naive scan does."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        from repro.data.generator import generate_performance_dataset
+        from repro.data.lexicon import build_lexicon
+
+        return generate_performance_dataset(build_lexicon(), 90)
+
+    def test_export_equals_symbol_codes_of_live_strings(self, items):
+        from repro.core import MatchConfig
+        from repro.core.sources import PhonemeStore
+        from repro.parallel import EncodedNameTable
+        from repro.phonetics.inventory import SYMBOL_CODES
+        from repro.phonetics.parse import parse_ipa
+
+        strings = [parse_ipa(item.ipa) for item in items]
+        rng = random.Random(SEED + 11)
+        store = PhonemeStore(MatchConfig().cost_model())
+        stored: dict = {}
+        compactions = []
+        compact = store._compact
+        store._compact = lambda: (compactions.append(1), compact())[1]
+        for step in range(500):
+            key = rng.randrange(70)
+            if rng.random() < 0.6:
+                phonemes = rng.choice(strings)
+                if rng.random() < 0.1:
+                    phonemes = _out_of_inventory(phonemes)
+                store[key] = stored[key] = phonemes
+            else:
+                assert store.pop(key, None) == stored.pop(key, None)
+            if step % 20:
+                continue
+            table = EncodedNameTable.from_store(store)
+            inside = sorted(
+                key
+                for key, phonemes in stored.items()
+                if all(symbol in SYMBOL_CODES for symbol in phonemes)
+            )
+            assert table.ids.tolist() == inside
+            assert table.outside == sorted(set(stored) - set(inside))
+            assert table.codes.dtype == np.int64
+            assert table.codes.tolist() == [
+                SYMBOL_CODES[symbol] for key in inside for symbol in stored[key]
+            ]
+            assert table.offsets.tolist() == np.cumsum(
+                [0] + [len(stored[key]) for key in inside]
+            ).tolist()
+            assert table.writes == store.writes
+        assert compactions
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+    def test_strategy_equals_naive(self, items, name, workers, monkeypatch):
+        from repro.core import LexEqualMatcher, MatchConfig, NameCatalog
+        from repro.core import NaiveUdfStrategy
+        from repro.errors import PhonemeError
+        from repro.parallel import ParallelStrategy
+
+        catalog = NameCatalog(
+            LexEqualMatcher(MatchConfig(**PIPELINE_CONFIGS[name]))
+        )
+        for item in items[:60]:
+            catalog.add(item.name, item.language, ipa=item.ipa)
+        naive = NaiveUdfStrategy(catalog)
+        first = catalog.record(0)
+        queries = [
+            (first.name, first.language, ()),
+            (first.name, first.language, ("hindi", "tamil")),
+            (catalog.record(7).name, catalog.record(7).language, ()),
+        ]
+
+        def answers(strategy):
+            selects = [
+                [r.id for r in strategy.select(*query)] for query in queries
+            ]
+            joins = [
+                [(a.id, b.id) for a, b in strategy.join(cross_language_only=c)]
+                for c in (True, False)
+            ]
+            return selects, joins
+
+        with ParallelStrategy(catalog, workers=workers) as parallel:
+            assert answers(parallel) == answers(naive)
+            # Writes between queries: more rows, one of them (placed
+            # straight into the store) outside the code space.
+            for item in items[60:]:
+                catalog.add(item.name, item.language, ipa=item.ipa)
+            catalog._phonemes[0] = _out_of_inventory(catalog.phonemes_of(0))
+            # A query outside the code space verifies every row.
+            transform = catalog.matcher.registry.transform
+            hand = _out_of_inventory(catalog.phonemes_of(5))
+            monkeypatch.setattr(
+                catalog.matcher.registry,
+                "transform",
+                lambda text, language: (
+                    hand if text == "Handwritten" else transform(text, language)
+                ),
+            )
+            queries.append(("Handwritten", "english", ()))
+            if name == "classical":
+                expected = answers(naive)
+                assert answers(parallel) == expected
+                assert 0 in expected[0][0]  # the out-of-table row matched
+                assert 5 in expected[0][-1]  # so did the outside query
+            else:
+                for query in (queries[0], queries[-1]):
+                    with pytest.raises(PhonemeError):
+                        naive.select(*query)
+                    with pytest.raises(PhonemeError):
+                        parallel.select(*query)
+                with pytest.raises(PhonemeError):
+                    naive.join(cross_language_only=False)
+                with pytest.raises(PhonemeError):
+                    parallel.join(cross_language_only=False)
+            table = parallel.executor().table
+            assert table.outside == [0]
+            assert len(table) == len(catalog) - 1
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+    def test_accelerator_equals_unaccelerated_scan(
+        self, accel_names, name, monkeypatch
+    ):
+        from repro import Database, install_lexequal
+        from repro.core import LexEqualMatcher, MatchConfig
+        from repro.core import create_phonetic_accelerator
+        from repro.errors import PhonemeError
+
+        matcher = LexEqualMatcher(MatchConfig(**PIPELINE_CONFIGS[name]))
+        hand = "Handwritten"
+        transform = matcher.registry.transform
+        source = transform(accel_names[0], "english")
+        monkeypatch.setattr(
+            matcher.registry,
+            "transform",
+            lambda text, language: (
+                _out_of_inventory(source)
+                if text == hand
+                else transform(text, language)
+            ),
+        )
+        db = Database()
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names[:80],
+            lambda: holder.append(
+                create_phonetic_accelerator(
+                    db, "names", "name", matcher, method="parallel", workers=2
+                )
+            ),
+        )
+        queries = [(accel_names[0], ""), (accel_names[5], "")]
+
+        def both():
+            accelerated = _answers(db, queries)
+            accelerator = holder.pop()
+            accelerator.drop()
+            plain = _answers(db, queries)
+            holder.append(
+                create_phonetic_accelerator(
+                    db, "names", "name", matcher, method="parallel", workers=2
+                )
+            )
+            return accelerated, plain
+
+        try:
+            accelerated, plain = both()
+            assert accelerated == plain
+            # A first query built the executor; writes follow.
+            _answers(db, queries)
+            rowid = db.insert("names", (900, hand))
+            db.insert("names", (901, accel_names[0]))
+            db.delete_row("names", rowid - 3)
+            assert holder[0]._executor is not None
+            if name == "classical":
+                accelerated = _answers(db, queries)
+                assert holder[0]._executor.table.outside == [rowid]
+                holder[0].drop()
+                holder.clear()
+                plain = _answers(db, queries)
+                assert accelerated == plain
+                assert (900,) in plain[accel_names[0], ""]
+                return
+            with pytest.raises(PhonemeError):
+                _answers(db, queries)
+            holder[0].drop()
+            holder.clear()
+            with pytest.raises(PhonemeError):
+                _answers(db, queries)
+        finally:
+            for accelerator in holder:
+                accelerator.drop()

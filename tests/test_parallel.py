@@ -25,6 +25,7 @@ from repro.core import (
     PhoneticIndexStrategy,
     QGramStrategy,
 )
+from repro.core.sources import PhonemeStore, _encode
 from repro.errors import DeadlineExceededError
 from repro.matching.costs import ClusteredCost
 from repro.parallel import (
@@ -45,7 +46,15 @@ ROWS = [
 
 
 def _table(costs=None) -> EncodedNameTable:
-    return EncodedNameTable.from_rows(costs or ClusteredCost(0.25), ROWS)
+    store = PhonemeStore(costs or ClusteredCost(0.25))
+    store.update((rid, phonemes) for rid, _lang, phonemes in ROWS)
+    return EncodedNameTable.from_store(
+        store, {rid: lang for rid, lang, _phonemes in ROWS}
+    )
+
+
+def _empty_table() -> EncodedNameTable:
+    return EncodedNameTable.from_store(PhonemeStore(ClusteredCost(0.25)))
 
 
 class TestEncodedNameTable:
@@ -55,8 +64,9 @@ class TestEncodedNameTable:
         for pos, (_id, _lang, phonemes) in enumerate(ROWS):
             start, stop = table.offsets[pos], table.offsets[pos + 1]
             assert stop - start == len(phonemes) == table.lens[pos]
-            expected = table.encoded.encode(phonemes)
+            expected = np.frombuffer(_encode(phonemes), np.uint8)
             assert (table.codes[start:stop] == expected).all()
+        assert table.codes.dtype == np.int64
 
     def test_language_codes(self):
         table = _table()
@@ -67,11 +77,10 @@ class TestEncodedNameTable:
         assert table.language_codes_for(()) is None
 
     def test_encode_query_unknown_symbol(self):
-        table = _table()
-        assert table.encode_query(("n", "e")) is not None
-        assert table.encode_query(("n", "<no-such>")) is None
+        assert _encode(("n", "e")) is not None
+        assert _encode(("n", "<no-such>")) is None
 
-    def test_from_catalog_matches_from_rows(self):
+    def test_from_catalog_matches_from_store(self):
         matcher = LexEqualMatcher()
         catalog = NameCatalog(matcher)
         catalog.add("Nehru", "english", ipa="nehru")
@@ -79,10 +88,21 @@ class TestEncodedNameTable:
         table = EncodedNameTable.from_catalog(catalog)
         assert len(table) == 2
         assert list(table.ids) == [0, 1]
-        assert table.encoded.costs is matcher.costs
+        # The store's cached cost tables: equal cost models share them.
+        assert table.encoded.costs == matcher.costs
+        store = PhonemeStore(matcher.costs)
+        store.update(
+            (i, catalog.phonemes_of(i)) for i in catalog.ids()
+        )
+        gathered = EncodedNameTable.from_store(
+            store, {i: catalog.language_of(i) for i in catalog.ids()}
+        )
+        for name in ("codes", "offsets", "ids", "lang_codes"):
+            assert np.array_equal(getattr(table, name), getattr(gathered, name))
+        assert table.languages == gathered.languages == ("english",)
 
     def test_empty_table(self):
-        table = EncodedNameTable.from_rows(ClusteredCost(0.25), [])
+        table = _empty_table()
         assert len(table) == 0
 
 
@@ -194,7 +214,7 @@ class TestParallelMatchExecutor:
                     ex.match(("n", "e", "h", "r", "u"), 0.5)
 
     def test_empty_table_matches_nothing(self):
-        table = EncodedNameTable.from_rows(ClusteredCost(0.25), [])
+        table = _empty_table()
         with ParallelMatchExecutor(table, workers=4) as ex:
             ids, dists = ex.match(("n",), 0.5)
             assert len(ids) == 0

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import deadline
+from repro.core.sources import PhonemeStore
 from repro.matching.costs import ClusteredCost
 from repro.parallel import EncodedNameTable, ParallelMatchExecutor
 from repro.parallel import shm as shm_mod
@@ -39,7 +40,11 @@ ROWS = [
 
 
 def _table() -> EncodedNameTable:
-    return EncodedNameTable.from_rows(ClusteredCost(0.25), ROWS)
+    store = PhonemeStore(ClusteredCost(0.25))
+    store.update((rid, phonemes) for rid, _lang, phonemes in ROWS)
+    return EncodedNameTable.from_store(
+        store, {rid: lang for rid, lang, _phonemes in ROWS}
+    )
 
 
 def shm_entries() -> set[str]:
@@ -350,15 +355,17 @@ class TestForgetAll:
 
 _SIGTERM_SCRIPT = """
 import sys, time
+from repro.core.sources import PhonemeStore
 from repro.matching.costs import ClusteredCost
 from repro.parallel import EncodedNameTable, ParallelMatchExecutor
 
-rows = [
-    (0, "english", ("n", "e", "h", "r", "u")),
-    (1, "hindi", ("n", "e", "r", "o")),
-    (2, "tamil", ("n", "e", "r", "u")),
-]
-table = EncodedNameTable.from_rows(ClusteredCost(0.25), rows)
+store = PhonemeStore(ClusteredCost(0.25))
+store.update({
+    0: ("n", "e", "h", "r", "u"),
+    1: ("n", "e", "r", "o"),
+    2: ("n", "e", "r", "u"),
+})
+table = EncodedNameTable.from_store(store)
 ex = ParallelMatchExecutor(table, workers=2)
 ex.match(("n", "e", "h", "r", "u"), 0.3)
 print(ex._segment.name, flush=True)
@@ -400,15 +407,17 @@ def test_sigterm_drain_unlinks_segment():
 
 _ORPHAN_SCRIPT = """
 import sys, time
+from repro.core.sources import PhonemeStore
 from repro.matching.costs import ClusteredCost
 from repro.parallel import EncodedNameTable, ParallelMatchExecutor
 
-rows = [
-    (0, "english", ("n", "e", "h", "r", "u")),
-    (1, "hindi", ("n", "e", "r", "o")),
-    (2, "tamil", ("n", "e", "r", "u")),
-]
-table = EncodedNameTable.from_rows(ClusteredCost(0.25), rows)
+store = PhonemeStore(ClusteredCost(0.25))
+store.update({
+    0: ("n", "e", "h", "r", "u"),
+    1: ("n", "e", "r", "o"),
+    2: ("n", "e", "r", "u"),
+})
+table = EncodedNameTable.from_store(store)
 ex = ParallelMatchExecutor(table, workers=2)
 ex.match(("n", "e", "h", "r", "u"), 0.3)
 print(" ".join(str(w.process.pid) for w in ex._workers), flush=True)
@@ -458,15 +467,17 @@ def test_workers_exit_after_parent_sigkill():
 _SIGIGN_SCRIPT = """
 import os, signal, sys, time
 signal.signal(signal.SIGTERM, signal.SIG_IGN)
+from repro.core.sources import PhonemeStore
 from repro.matching.costs import ClusteredCost
 from repro.parallel import EncodedNameTable, ParallelMatchExecutor
 
-rows = [
-    (0, "english", ("n", "e", "h", "r", "u")),
-    (1, "hindi", ("n", "e", "r", "o")),
-    (2, "tamil", ("n", "e", "r", "u")),
-]
-table = EncodedNameTable.from_rows(ClusteredCost(0.25), rows)
+store = PhonemeStore(ClusteredCost(0.25))
+store.update({
+    0: ("n", "e", "h", "r", "u"),
+    1: ("n", "e", "r", "o"),
+    2: ("n", "e", "r", "u"),
+})
+table = EncodedNameTable.from_store(store)
 ex = ParallelMatchExecutor(table, workers=2)
 ex.match(("n", "e", "h", "r", "u"), 0.3)
 print(ex._segment.name, flush=True)

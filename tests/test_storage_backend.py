@@ -6,7 +6,6 @@ import io
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro import faults
@@ -16,7 +15,6 @@ from repro.errors import StorageError
 from repro.minidb.catalog import Database
 from repro.minidb.schema import Column
 from repro.minidb.values import SqlType
-from repro.parallel.table import EncodedNameTable
 from repro.storage import open_database, snapshots
 from repro.storage.wal import replay as wal_replay
 from repro.storage import layout
@@ -330,25 +328,3 @@ def test_snapshot_container_rejects_wrong_kind_and_damage(tmp_path):
     flipped[-1] ^= 0xFF
     with pytest.raises(StorageError, match="CRC"):
         snapshots.load(io.BytesIO(bytes(flipped)), "btree")
-
-
-def test_encoded_table_codec_differential():
-    costs = LexEqualMatcher().costs
-    rows = [
-        (0, "english", ("n", "e", "h", "r", "u")),
-        (1, "english", ("n", "e", "r", "o")),
-        (2, "tamil", ("n", "e", "r", "u")),
-    ]
-    table = EncodedNameTable.from_rows(costs, rows)
-    restored = snapshots.restore_encoded_table(
-        snapshots.encoded_table_state(table), costs
-    )
-    assert np.array_equal(restored.codes, table.codes)
-    assert np.array_equal(restored.offsets, table.offsets)
-    assert np.array_equal(restored.ids, table.ids)
-    assert np.array_equal(restored.lang_codes, table.lang_codes)
-    assert restored.languages == table.languages
-    query = ("n", "e", "r", "u")
-    assert np.array_equal(
-        restored.encode_query(query), table.encode_query(query)
-    )
