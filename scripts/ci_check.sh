@@ -34,7 +34,7 @@ echo "== quality smoke (ann prefilter recall + candidate-reduction floors) =="
 mkdir -p results
 python scripts/quality_smoke.py --out results/quality_smoke.json
 
-echo "== perf smoke (banded kernel, verifier, q-gram and parallel executor floors) =="
+echo "== perf smoke (banded kernel, verifier, q-gram, parallel executor and join-pruning floors) =="
 mkdir -p results
 python scripts/perf_smoke.py --out results/perf_smoke.json
 

@@ -12,14 +12,18 @@ the build when either regression appears:
   the parallel executor stops beating the sequential naive scan, the
   q-gram strategy (columnar postings + the one verifier) stops beating
   it, or the one verifier (``PhonemeStore.verify`` over its stored
-  code columns) stops beating per-key scalar rechecks.
+  code columns) stops beating per-key scalar rechecks;
+* **lost pruning** — the batch kernel's class-count bound stops keeping
+  the cross-language join's DP off most length-filter survivors at the
+  paper's clustered costs (a pair count, not a timing).
 
 The floors come from :mod:`repro.perf` — the single source shared with
 ``scripts/perf_compare.py`` and the acceptance benchmark — and are
 deliberately lax at this scale (1.5x kernel, 2x executor, 10x q-gram,
-1.5x verifier on a 1,500-row catalog) so the gate only trips on real
-regressions, not CI jitter.  The acceptance-scale floors (20x kernel, 3x scaling at 200k
-rows) are enforced by the benchmark, not here.
+1.5x verifier, 5x join pruning on a 1,500-row catalog) so the gate
+only trips on real regressions, not CI jitter.  The acceptance-scale
+floors (20x kernel, 3x scaling at 200k rows) are enforced by the
+benchmark, not here.
 
 Besides asserting, the run writes a JSON report of its speedup ratios
 (``--out``); ``scripts/perf_compare.py`` diffs that report against the
@@ -47,7 +51,7 @@ sys.path.insert(
 
 import numpy as np
 
-from repro import perf
+from repro import obs, perf
 from repro.core import (
     LexEqualMatcher,
     MatchConfig,
@@ -72,15 +76,18 @@ VERIFY_KEYS = 250
 VERIFY_QUERIES = 12
 
 
-def build_catalog() -> NameCatalog:
-    config = MatchConfig(
-        threshold=0.25,
-        intra_cluster_cost=1.0,
-        weak_indel_cost=1.0,
-        vowel_cross_cost=1.0,
-    )
+#: The kernel and strategy checks' classical costs.
+CLASSICAL = MatchConfig(
+    threshold=0.25,
+    intra_cluster_cost=1.0,
+    weak_indel_cost=1.0,
+    vowel_cross_cost=1.0,
+)
+
+
+def build_catalog(items, config: MatchConfig = CLASSICAL) -> NameCatalog:
     catalog = NameCatalog(LexEqualMatcher(config))
-    for item in generate_performance_dataset(build_lexicon(), ROWS):
+    for item in items:
         catalog.add(item.name, item.language, ipa=item.ipa)
     return catalog
 
@@ -292,6 +299,43 @@ def check_executor(catalog: NameCatalog, baseline) -> tuple[float, float]:
     return best, scaling
 
 
+def check_join_pruning(catalog: NameCatalog) -> float:
+    """The class-count bound on the cross-language join, clustered costs.
+
+    Runs the inline parallel join and checks every pair it returns
+    against the scalar operator.  Returns ``join_dp_reduction``: the
+    pairs the length filter keeps (the DP's pairs plus the bound's
+    ``matching.batch.bound_pruned``) over the pairs the DP runs on.  A
+    count, not a timing: it cannot flake.
+    """
+    costs = catalog.matcher.costs
+    threshold = catalog.config.threshold
+    obs.disable()
+    try:
+        obs.enable()
+        with ParallelStrategy(catalog, workers=1) as strategy:
+            pairs = strategy.join(cross_language_only=True)
+            dp = strategy.last_stats.udf_calls
+        pruned = obs.snapshot()["counters"].get(
+            "matching.batch.bound_pruned", 0
+        )
+    finally:
+        obs.disable()
+    for a, b in pairs:
+        qa, qb = catalog.phonemes_of(a.id), catalog.phonemes_of(b.id)
+        budget = threshold * min(len(qa), len(qb))
+        if edit_distance_within(qa, qb, budget, costs) is None:
+            raise AssertionError(
+                f"parallel join returned a non-matching pair ({a.id}, {b.id})"
+            )
+    reduction = (dp + pruned) / max(dp, 1)
+    print(
+        f"join pruning: {len(pairs)} pairs, {dp + pruned:.0f} after the "
+        f"length filter, {dp} reach the DP -> {reduction:.1f}x"
+    )
+    return reduction
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -303,12 +347,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     print(f"perf smoke: rows={ROWS} seed={SEED}")
-    catalog = build_catalog()
+    items = generate_performance_dataset(build_lexicon(), ROWS)
+    catalog = build_catalog(items)
     banded, batch = check_kernels(catalog)
     verifier = check_verifier(catalog)
     baseline = naive_baseline(catalog)
     qgram = check_qgram(catalog, baseline)
     executor, scaling = check_executor(catalog, baseline)
+    join_pruning = check_join_pruning(build_catalog(items, MatchConfig()))
     report = {
         "rows": ROWS,
         "seed": SEED,
@@ -320,6 +366,7 @@ def main(argv: list[str] | None = None) -> int:
             "executor_vs_naive": round(executor, 3),
             "qgram_vs_naive": round(qgram, 3),
             "verify_vs_scalar": round(verifier, 3),
+            "join_dp_reduction": round(join_pruning, 3),
             f"scaling_{perf.SCALING_WORKERS}v1": round(scaling, 3),
         },
     }

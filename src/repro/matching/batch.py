@@ -26,7 +26,12 @@ cell can lie on the optimal path of a within-budget result, so
 clipping is exact and subsumes the Ukkonen band, whose off-diagonal
 cells always exceed the budget), dead-candidate compression that drops
 candidates whose whole DP row went over budget, and matrix narrowing
-when the longest survivor shortens.  The parallel executor
+when the longest survivor shortens.  Before any DP row, a class-count
+lower bound (:func:`_count_bounds`, derived from the cost tables by
+:func:`count_bound_tables`) drops candidates whose symbol counts per
+class of cheap substitutions already cost more than their budget —
+lossless, and at the paper's clustered costs it keeps most pairs out
+of the DP (DESIGN.md §9).  The parallel executor
 (:mod:`repro.parallel`) attaches to pre-encoded int arrays in shared
 memory and calls the ``_encoded`` variant directly.
 
@@ -47,7 +52,30 @@ from repro.errors import DeadlineExceededError
 from repro.matching.costs import CostModel
 
 
-class EncodedCosts:
+class CostTables:
+    """Kernel-facing cost tables, plus the class-count bound derived
+    from them.
+
+    ``sub[a, b]`` substitutes query symbol ``a`` with candidate symbol
+    ``b``; ``ins``/``dele`` insert a candidate symbol and delete a query
+    symbol; ``min_indel`` is the cheapest insert or delete.  The bound's
+    tables (:func:`count_bound_tables`) are derived here, once per cost
+    table, so every holder of the tables — a cost model compiled in this
+    process or a worker's zero-copy views over a shared segment — prunes
+    identically.
+    """
+
+    def __init__(self, sub, ins, dele, min_indel: float):
+        self.sub = sub
+        self.ins = ins
+        self.dele = dele
+        self.min_indel = min_indel
+        self.classes, self.wq, self.wc = count_bound_tables(
+            sub, ins, dele, min_indel
+        )
+
+
+class EncodedCosts(CostTables):
     """A cost model compiled to integer-indexed numpy lookup tables."""
 
     def __init__(self, costs: CostModel, symbols: Sequence[str]):
@@ -57,23 +85,111 @@ class EncodedCosts:
             if sym not in self.index:
                 self.index[sym] = len(self.index)
         size = len(self.index)
-        self.sub = np.zeros((size, size), dtype=np.float64)
-        self.ins = np.zeros(size, dtype=np.float64)
-        self.dele = np.zeros(size, dtype=np.float64)
+        sub = np.zeros((size, size), dtype=np.float64)
+        ins = np.zeros(size, dtype=np.float64)
+        dele = np.zeros(size, dtype=np.float64)
         for a, ia in self.index.items():
-            self.ins[ia] = costs.insert(a)
-            self.dele[ia] = costs.delete(a)
+            ins[ia] = costs.insert(a)
+            dele[ia] = costs.delete(a)
             for b, ib in self.index.items():
-                self.sub[ia, ib] = costs.substitute(a, b)
-        #: Cached for the banded kernels (worker processes receive this
-        #: object pickled; the scalar lookup avoids re-deriving it).
-        self.min_indel = float(costs.min_indel_cost())
+                sub[ia, ib] = costs.substitute(a, b)
+        super().__init__(sub, ins, dele, float(costs.min_indel_cost()))
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Token sequence -> int vector (tokens must be known symbols)."""
         return np.fromiter(
             (self.index[t] for t in tokens), dtype=np.int64, count=len(tokens)
         )
+
+
+def count_bound_tables(sub, ins, dele, min_indel: float):
+    """The class-count lower bound's tables: ``(classes, wq, wc)``.
+
+    ``classes[s]`` is symbol ``s``'s class: the connected components of
+    "``sub(a, b) < min_indel`` either way", so symbols one cheap
+    substitution apart share a class and classical unit costs give
+    singletons.  ``wq[K]`` is the cheapest way to move a query symbol of
+    class ``K`` out of it — delete it, or substitute it with a symbol of
+    another class; ``wc[K]`` is the same for a candidate symbol, with
+    insertions and ``sub[a, s]``.  Any partition gives a sound bound
+    (see :func:`_count_bounds`); this one only makes it tight.
+    """
+    size = len(ins)
+    near = (sub < min_indel) | (sub.T < min_indel)
+    labels = np.arange(size)
+    # Label propagation: each pass lowers every label to its smallest
+    # neighbour's; a component of ``size`` symbols settles within
+    # ``size`` passes.
+    for _ in range(size):
+        lowered = np.where(near, labels, size).min(axis=1, initial=size)
+        if np.array_equal(lowered, labels):
+            break
+        labels = lowered
+    _, classes = np.unique(labels, return_inverse=True)
+    return (classes, *class_weights(classes, sub, ins, dele))
+
+
+def class_weights(classes, sub, ins, dele):
+    """``(wq, wc)`` for a partition ``classes`` of the symbols: the
+    cheapest single operation that takes a query (candidate) symbol out
+    of its class."""
+    count = int(classes.max()) + 1 if len(classes) else 0
+    out_sub = np.where(classes[:, None] != classes, sub, np.inf)
+    wq = np.full(count, np.inf)
+    wc = np.full(count, np.inf)
+    np.minimum.at(
+        wq, classes, np.minimum(dele, out_sub.min(axis=1, initial=np.inf))
+    )
+    np.minimum.at(
+        wc, classes, np.minimum(ins, out_sub.min(axis=0, initial=np.inf))
+    )
+    return wq, wc
+
+
+def _count_bounds(
+    q: np.ndarray,
+    codes: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    encoded: CostTables,
+) -> np.ndarray:
+    """A lower bound on each candidate's edit distance from ``q``.
+
+    With ``hq``/``hc`` the per-class symbol counts of the query and a
+    candidate, the bound is ``max(Σ wq·(hq − hc)⁺, Σ wc·(hc − hq)⁺)``.
+    It is sound for any partition and any costs (no triangle inequality
+    needed): an edit script touches each symbol once, and at most
+    ``hc[K]`` query symbols of class ``K`` can be substituted within
+    ``K``, so every other one is deleted or substituted out of ``K`` —
+    at least ``wq[K]`` each, one query symbol per operation; likewise
+    for the candidate side.  Only the query's classes can have
+    ``hq > 0``, so counts are taken over those columns plus the
+    weighted sum of each candidate's symbols outside them — all terms
+    non-negative, so a zero bound is computed as exactly zero.
+    """
+    classes = encoded.classes
+    q_classes, hq = np.unique(classes[q], return_counts=True)
+    width = len(q_classes)
+    # Column of each class: its slot among the query's, or ``width``.
+    column = np.full(len(encoded.wq), width)
+    column[q_classes] = np.arange(width)
+    batch = len(lens)
+    row = np.repeat(np.arange(batch), lens)
+    index = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    index += np.arange(len(index))
+    symbol_classes = classes[codes[index]]
+    cols = column[symbol_classes]
+    hc = np.bincount(
+        row * (width + 1) + cols, minlength=batch * (width + 1)
+    ).reshape(batch, width + 1)[:, :width]
+    outside = cols == width
+    lb_c = np.maximum(hc - hq, 0) @ encoded.wc[q_classes] + np.bincount(
+        row[outside],
+        weights=encoded.wc[symbol_classes[outside]],
+        minlength=batch,
+    )
+    lb_q = np.maximum(hq - hc, 0) @ encoded.wq[q_classes]
+    return np.maximum(lb_q, lb_c)
 
 
 #: Candidate-axis block size for the padded all-candidates DP.  Each DP
@@ -140,9 +256,10 @@ def batch_edit_distances_within_encoded(
     q: np.ndarray,
     codes: np.ndarray,
     offsets: np.ndarray,
-    encoded: EncodedCosts,
+    encoded: CostTables,
     budgets,
     rows: np.ndarray | None = None,
+    counts: dict | None = None,
 ) -> np.ndarray:
     """`batch_edit_distances_within` over pre-encoded flat int arrays.
 
@@ -153,6 +270,10 @@ def batch_edit_distances_within_encoded(
     with the whole table otherwise.  This is the fork-friendly entry
     point: worker processes hold the arrays (shipped once) and evaluate
     shards without rebuilding Python objects.
+
+    A candidate reaches the banded DP only if it passes the length
+    filter and the class-count lower bound (:func:`_count_bounds`);
+    ``counts["dp"]``, when given, grows by the number that do.
     """
     all_starts = offsets[:-1]
     all_lens = np.diff(offsets)
@@ -171,11 +292,25 @@ def batch_edit_distances_within_encoded(
     obs.incr("matching.batch.calls")
     if not feasible.any():
         return result
+    # The class-count bound prunes before the DP; it cannot prune at an
+    # infinite budget, so exact-distance callers skip it.
+    bounded = not np.isinf(budgets).all()
     deadline_at = deadline.current()
-    stats = {"cells": 0, "pruned": 0}
+    stats = {"cells": 0, "pruned": 0, "bound_pruned": 0}
     idx = np.nonzero(feasible)[0]
     for lo in range(0, len(idx), PADDED_BLOCK):
         blk = idx[lo : lo + PADDED_BLOCK]
+        if bounded:
+            # The slack lets rounding only ever keep a pair.
+            keep = _count_bounds(
+                q, codes, starts[blk], lens[blk], encoded
+            ) <= budgets[blk] * (1 + 1e-9)
+            stats["bound_pruned"] += len(blk) - int(keep.sum())
+            blk = blk[keep]
+            if not blk.size:
+                continue
+        if counts is not None:
+            counts["dp"] += len(blk)
         result[blk] = _padded_within(
             q,
             codes,
@@ -189,6 +324,8 @@ def batch_edit_distances_within_encoded(
     obs.incr("matching.batch.cells", stats["cells"])
     if stats["pruned"]:
         obs.incr("matching.batch.pruned", stats["pruned"])
+    if stats["bound_pruned"]:
+        obs.incr("matching.batch.bound_pruned", stats["bound_pruned"])
     return result
 
 
@@ -197,7 +334,7 @@ def _padded_within(
     codes: np.ndarray,
     starts: np.ndarray,
     lens: np.ndarray,
-    encoded: EncodedCosts,
+    encoded: CostTables,
     budgets: np.ndarray,
     deadline_at: float | None,
     stats: dict,

@@ -81,16 +81,14 @@ def _match_shard_on(
     rows = np.arange(start, stop)
     if allowed is not None:
         rows = rows[np.isin(table.lang_codes[start:stop], allowed)]
-    lens = table.lens[rows]
-    budgets = threshold * np.minimum(len(q), lens)
-    candidates = int(
-        (np.abs(lens - len(q)) * table.encoded.min_indel <= budgets).sum()
-    )
+    budgets = threshold * np.minimum(len(q), table.lens[rows])
+    counts = {"dp": 0}
     dists = batch_edit_distances_within_encoded(
-        q, table.codes, table.offsets, table.encoded, budgets, rows=rows
+        q, table.codes, table.offsets, table.encoded, budgets, rows=rows,
+        counts=counts,
     )
     hit = np.isfinite(dists)
-    return table.ids[rows[hit]], dists[hit], stop - start, candidates
+    return table.ids[rows[hit]], dists[hit], stop - start, counts["dp"]
 
 
 def _join_shard_on(
@@ -106,7 +104,7 @@ def _join_shard_on(
     ids_b: list[np.ndarray] = []
     dist_parts: list[np.ndarray] = []
     pairs = 0
-    candidates = 0
+    counts = {"dp": 0}
     for i in range(start, stop):
         rows = np.arange(i + 1, n)
         pairs += rows.size
@@ -115,14 +113,10 @@ def _join_shard_on(
         if rows.size == 0:
             continue
         q = table.codes[table.offsets[i] : table.offsets[i + 1]]
-        lens = table.lens[rows]
-        budgets = threshold * np.minimum(len(q), lens)
-        candidates += int(
-            (np.abs(lens - len(q)) * table.encoded.min_indel <= budgets)
-            .sum()
-        )
+        budgets = threshold * np.minimum(len(q), table.lens[rows])
         dists = batch_edit_distances_within_encoded(
-            q, table.codes, table.offsets, table.encoded, budgets, rows=rows
+            q, table.codes, table.offsets, table.encoded, budgets,
+            rows=rows, counts=counts,
         )
         hit = np.isfinite(dists)
         if hit.any():
@@ -136,7 +130,7 @@ def _join_shard_on(
         np.concatenate(ids_b) if ids_b else empty,
         np.concatenate(dist_parts) if dist_parts else empty.astype(float),
         pairs,
-        candidates,
+        counts["dp"],
     )
 
 
@@ -152,7 +146,8 @@ def _claim(counter) -> int:
 
 
 #: Shard kernel per task kind; every shard result is ``(arrays...,
-#: rows, candidates)``.
+#: rows, candidates)``, where ``candidates`` counts the pairs the
+#: kernel ran its DP on.
 _SHARDS = {"match": _match_shard_on, "join": _join_shard_on}
 
 
@@ -277,7 +272,10 @@ class ParallelMatchExecutor:
         self._counter = None
         self._epoch = 0
         self._closed = False
-        #: Work accounting of the most recent match()/match_all_pairs().
+        #: Work accounting of the most recent match()/match_all_pairs():
+        #: ``rows`` scanned, ``candidates`` the pairs a DP ran on (past
+        #: the kernel's length filter and class-count bound, plus any
+        #: scalar fallbacks), and ``matches``.
         self.last_stats: dict[str, int] = {}
         if self._pooled():
             self._start_pool()

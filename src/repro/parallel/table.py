@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.sources import _encoded_costs
+from repro.matching.batch import CostTables
 from repro.parallel import shm as shm_mod
 
 
@@ -28,24 +29,6 @@ class SharedTableDescriptor:
     segment: shm_mod.SegmentDescriptor
     languages: tuple[str, ...]
     min_indel: float
-
-
-class _AttachedCosts:
-    """Kernel-facing cost tables as zero-copy views over a segment.
-
-    Quacks like :class:`~repro.matching.batch.EncodedCosts` for the
-    batch kernels (``sub``/``ins``/``dele``/``min_indel``); it carries
-    no ``CostModel`` and no symbol index, which workers never need —
-    queries arrive pre-encoded.
-    """
-
-    __slots__ = ("sub", "ins", "dele", "min_indel")
-
-    def __init__(self, sub, ins, dele, min_indel: float):
-        self.sub = sub
-        self.ins = ins
-        self.dele = dele
-        self.min_indel = min_indel
 
 
 class EncodedNameTable:
@@ -135,15 +118,17 @@ class EncodedNameTable:
         """Rebuild a zero-copy view of a shared table in this process.
 
         The returned table is read-only and kernel-complete (matching
-        and joins work); workers receive queries already encoded.  The
-        caller owns the returned
+        and joins work); workers receive queries already encoded.  Its
+        :class:`~repro.matching.batch.CostTables` derive the kernel's
+        class-count bound from the shared cost matrices here, with the
+        same code as the parent's.  The caller owns the returned
         :class:`~repro.parallel.shm.AttachedSegment` and must keep it
         alive as long as the table is used.
         """
         attached = shm_mod.attach(descriptor.segment)
         arrays = attached.arrays
         table = cls.__new__(cls)
-        table.encoded = _AttachedCosts(
+        table.encoded = CostTables(
             arrays["sub"],
             arrays["ins"],
             arrays["dele"],

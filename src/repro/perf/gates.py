@@ -13,6 +13,7 @@ and ``benchmarks/bench_parallel_scaling.py``)::
         "executor_vs_naive": 6.2,
         "qgram_vs_naive": 118.5,
         "verify_vs_scalar": 6.0,
+        "join_dp_reduction": 33.5,
         "scaling_4v1": 2.7
       }
     }
@@ -46,6 +47,12 @@ SMOKE_QGRAM_FLOOR = 10.0
 #: ``PhonemeStore.verify`` over ~250-key serve-sized batches against
 #: per-key scalar ``edit_distance_within``, clustered costs.
 SMOKE_VERIFY_FLOOR = 1.5
+#: The cross-language join at the paper's clustered costs
+#: (``MatchConfig()``): pairs the length filter keeps over pairs the DP
+#: runs on, i.e. what the class-count bound prunes.  A count, not a
+#: timing; measured ~33x on the smoke catalog and ~24x on the 1,500-row
+#: end-to-end join table.
+SMOKE_JOIN_PRUNING_FLOOR = 5.0
 
 #: Acceptance-scale floors (200k-row catalog, the paper's Section 5
 #: viability bar; enforced by ``benchmarks/bench_parallel_scaling.py``).
@@ -93,6 +100,7 @@ SMOKE_FLOORS = {
     "executor_vs_naive": SMOKE_EXECUTOR_FLOOR,
     "qgram_vs_naive": SMOKE_QGRAM_FLOOR,
     "verify_vs_scalar": SMOKE_VERIFY_FLOOR,
+    "join_dp_reduction": SMOKE_JOIN_PRUNING_FLOOR,
 }
 
 _SCALING_KEY = f"scaling_{SCALING_WORKERS}v1"

@@ -1,0 +1,311 @@
+"""The class-count lower bound the batch kernel prunes with.
+
+``batch_edit_distances_within_encoded`` drops a candidate before its DP
+when ``max(Σ wq·(hq − hc)⁺, Σ wc·(hc − hq)⁺)`` — per-class symbol
+counts of query and candidate, weighted by the cheapest operation that
+moves a symbol out of its class — exceeds the candidate's budget.  The
+bound must never exceed the exact distance, for the derived partition
+and for any coarsening of it, under every cost-model shape; pruning
+with it must leave every distance and decision equal to the scalar
+``edit_distance_within``; and rounding may only ever keep a pair.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from types import SimpleNamespace
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro import obs
+from repro.core.config import MatchConfig
+from repro.core.sources import PhonemeStore, _encoded_costs
+from repro.matching.batch import (
+    EncodedCosts,
+    _count_bounds,
+    batch_edit_distances_within_encoded,
+    class_weights,
+)
+from repro.matching.costs import CostModel, LevenshteinCost
+from repro.matching.editdist import edit_distance_within
+from repro.parallel.table import EncodedNameTable
+from repro.phonetics.inventory import SYMBOL_CODES
+
+SYMBOLS = list(SYMBOL_CODES)
+
+#: The five cost-model shapes: classical, the paper's clustered
+#: defaults, free intra-cluster substitution, classical weak indels,
+#: classical vowel-cross substitution.
+COST_MODELS = {
+    "levenshtein": LevenshteinCost(),
+    "default": MatchConfig().cost_model(),
+    "intra-0": MatchConfig(intra_cluster_cost=0.0).cost_model(),
+    "weak-indel-1": MatchConfig(weak_indel_cost=1.0).cost_model(),
+    "vowel-cross-1": MatchConfig(vowel_cross_cost=1.0).cost_model(),
+}
+cost_models = st.sampled_from(list(COST_MODELS.values()))
+
+
+@st.composite
+def string_sets(draw, max_strings=6):
+    """Code strings (empties included) over one small random symbol
+    pool, so queries and candidates share classes often."""
+    pool = draw(
+        st.lists(
+            st.integers(0, len(SYMBOLS) - 1), min_size=1, max_size=6
+        )
+    )
+    strings = st.lists(st.sampled_from(pool), max_size=8)
+    return draw(st.lists(strings, min_size=2, max_size=max_strings))
+
+
+def _csr(strings):
+    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in strings], out=offsets[1:])
+    codes = np.array([c for s in strings for c in s], dtype=np.int64)
+    return codes, offsets
+
+
+def _bounds(tables, q, candidates):
+    codes, offsets = _csr(candidates)
+    return _count_bounds(
+        np.asarray(q, dtype=np.int64),
+        codes,
+        offsets[:-1],
+        np.diff(offsets),
+        tables,
+    )
+
+
+def _exact(encoded, q, candidates):
+    codes, offsets = _csr(candidates)
+    return batch_edit_distances_within_encoded(
+        np.asarray(q, dtype=np.int64), codes, offsets, encoded, np.inf
+    )
+
+
+def _reference_bound(tables, q, c):
+    """The bound, spelled out per class."""
+    hq = Counter(tables.classes[s] for s in q)
+    hc = Counter(tables.classes[s] for s in c)
+    return max(
+        sum(tables.wq[k] * max(hq[k] - hc[k], 0) for k in hq | hc),
+        sum(tables.wc[k] * max(hc[k] - hq[k], 0) for k in hq | hc),
+    )
+
+
+class TestDerivation:
+    def test_default_costs_give_clustered_classes(self):
+        encoded = _encoded_costs(MatchConfig().cost_model())
+        assert len(encoded.wq) == 15
+        assert set(encoded.wq) | set(encoded.wc) == {0.5, 1.0}
+
+    def test_classical_costs_give_bag_distance(self):
+        encoded = _encoded_costs(LevenshteinCost())
+        assert len(encoded.wq) == len(SYMBOLS)
+        assert set(encoded.wq) == set(encoded.wc) == {1.0}
+
+    @pytest.mark.parametrize("name", list(COST_MODELS))
+    def test_attached_tables_derive_the_same_bound(self, name):
+        store = PhonemeStore(COST_MODELS[name])
+        store[0] = ("a",)
+        table = EncodedNameTable.from_store(store)
+        encoded = table.encoded
+        segment, descriptor = table.share()
+        try:
+            attached, mapping = EncodedNameTable.attach(descriptor)
+            try:
+                got = attached.encoded
+                assert np.array_equal(got.classes, encoded.classes)
+                assert np.array_equal(got.wq, encoded.wq)
+                assert np.array_equal(got.wc, encoded.wc)
+            finally:
+                del attached, got
+                mapping.close()
+        finally:
+            segment.unlink()
+
+
+class TestSoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(strings=string_sets(), costs=cost_models)
+    def test_bound_never_exceeds_exact_distance(self, strings, costs):
+        encoded = _encoded_costs(costs)
+        q, candidates = strings[0], strings[1:]
+        bounds = _bounds(encoded, q, candidates)
+        assert (bounds <= _exact(encoded, q, candidates)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(strings=string_sets(), costs=cost_models)
+    def test_batched_bound_is_the_per_class_formula(self, strings, costs):
+        encoded = _encoded_costs(costs)
+        q, candidates = strings[0], strings[1:]
+        assert _bounds(encoded, q, candidates).tolist() == [
+            _reference_bound(encoded, q, c) for c in candidates
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        strings=string_sets(),
+        costs=cost_models,
+        singletons=st.booleans(),
+        merge=st.lists(
+            st.integers(0, 3), min_size=len(SYMBOLS), max_size=len(SYMBOLS)
+        ),
+    )
+    def test_any_coarser_partition_is_sound(
+        self, strings, costs, singletons, merge
+    ):
+        """Merging classes at random (from the derived partition, or
+        from singletons: every partition) keeps the bound sound."""
+        encoded = _encoded_costs(costs)
+        base = np.arange(len(SYMBOLS)) if singletons else encoded.classes
+        classes = np.asarray(merge)[base]
+        wq, wc = class_weights(
+            classes, encoded.sub, encoded.ins, encoded.dele
+        )
+        tables = SimpleNamespace(classes=classes, wq=wq, wc=wc)
+        q, candidates = strings[0], strings[1:]
+        bounds = _bounds(tables, q, candidates)
+        assert (bounds <= _exact(encoded, q, candidates)).all()
+
+    def test_each_side_prunes(self):
+        encoded = _encoded_costs(MatchConfig().cost_model())
+        p, b, s, a = (SYMBOL_CODES[sym] for sym in ("p", "b", "s", "a"))
+        # p and b share a cluster: no bound between them.
+        assert _bounds(encoded, [p], [[b]]).tolist() == [0.0]
+        # Query-heavy, then candidate-heavy: each side carries the max
+        # (a vowel leaves its class for 0.5, a stop or s for 1).
+        assert _bounds(encoded, [p, b, s, a], [[p]]).tolist() == [2.5]
+        assert _bounds(encoded, [p, a], [[b, b, s]]).tolist() == [2.0]
+
+
+class TestPrunedKernel:
+    def _battery(self, rng, costs):
+        """Queries against random and lightly edited candidates."""
+        cases = []
+        for _ in range(24):
+            q = [rng.randrange(len(SYMBOLS)) for _ in range(rng.randint(0, 9))]
+            candidates = []
+            for _ in range(40):
+                if q and rng.random() < 0.5:
+                    c = list(q)
+                    for _ in range(rng.randint(0, 2)):
+                        c[rng.randrange(len(c))] = rng.randrange(len(SYMBOLS))
+                else:
+                    c = [
+                        rng.randrange(len(SYMBOLS))
+                        for _ in range(rng.randint(0, 9))
+                    ]
+                candidates.append(c)
+            cases.append((q, candidates, rng.choice([0.1, 0.25, 0.35, 0.5])))
+        return cases
+
+    @pytest.mark.parametrize("name", list(COST_MODELS))
+    def test_equals_scalar_kernel_where_the_bound_prunes(self, name):
+        costs = COST_MODELS[name]
+        encoded = _encoded_costs(costs)
+        rng = random.Random(20040314)
+        obs.disable()
+        try:
+            obs.enable()
+            dp = feasible = 0
+            for q, candidates, threshold in self._battery(rng, costs):
+                lens = np.array([len(c) for c in candidates])
+                budgets = threshold * np.minimum(len(q), lens)
+                codes, offsets = _csr(candidates)
+                counts = {"dp": 0}
+                got = batch_edit_distances_within_encoded(
+                    np.asarray(q, dtype=np.int64),
+                    codes,
+                    offsets,
+                    encoded,
+                    budgets,
+                    counts=counts,
+                )
+                dp += counts["dp"]
+                feasible += int(
+                    (np.abs(lens - len(q)) * encoded.min_indel <= budgets).sum()
+                )
+                for c, budget, distance in zip(candidates, budgets, got):
+                    want = edit_distance_within(
+                        [SYMBOLS[s] for s in q],
+                        [SYMBOLS[s] for s in c],
+                        budget,
+                        costs,
+                    )
+                    assert distance == (np.inf if want is None else want)
+            pruned = obs.snapshot()["counters"]["matching.batch.bound_pruned"]
+        finally:
+            obs.disable()
+        assert pruned > 0
+        assert dp + pruned == feasible
+
+    def test_infinite_budgets_skip_the_bound(self):
+        encoded = _encoded_costs(MatchConfig().cost_model())
+        obs.disable()
+        try:
+            obs.enable()
+            _exact(encoded, [1, 2, 3], [[40, 41], [], [7, 8, 9, 10]])
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert "matching.batch.bound_pruned" not in counters
+
+
+class _DecimalIndels(CostModel):
+    """Per-symbol indel costs that are not binary fractions, so sums
+    taken in different orders round differently."""
+
+    def __init__(self, indel):
+        self.indel = indel
+
+    def insert(self, symbol):
+        return self.indel[symbol]
+
+    def delete(self, symbol):
+        return self.indel[symbol]
+
+    def substitute(self, a, b):
+        return 0.0 if a == b else 5.0
+
+    def min_op_cost(self):
+        return min(self.indel.values())
+
+    def min_indel_cost(self):
+        return min(self.indel.values())
+
+
+@pytest.mark.parametrize(
+    "indel, query, candidate",
+    [
+        (
+            {"a": 0.3, "c": 0.2, "d": 0.6, "g": 0.2, "h": 0.1},
+            "hgdacachdg",
+            "cach",
+        ),
+        (
+            {"a": 0.3, "c": 0.1, "d": 0.3, "g": 0.7, "h": 0.6},
+            "hcagacad",
+            "caa",
+        ),
+        ({"a": 0.7, "b": 0.3, "c": 0.6, "e": 0.1, "g": 0.2}, "ccgbeag", "g"),
+    ],
+)
+def test_rounding_only_ever_keeps_a_pair(indel, query, candidate):
+    """The bound equals the distance here, but sums in another order:
+    computed, it lands above the DP's own distance.  At a budget of
+    exactly that distance the pair must still be accepted."""
+    encoded = EncodedCosts(_DecimalIndels(indel), sorted(indel))
+    q, c = encoded.encode(query), encoded.encode(candidate)
+    distance = _exact(encoded, q, [c])[0]
+    assert _bounds(encoded, q, [c])[0] > distance
+    codes, offsets = _csr([c])
+    got = batch_edit_distances_within_encoded(
+        q, codes, offsets, encoded, distance
+    )
+    assert got[0] == distance

@@ -34,6 +34,7 @@ def report(
         "executor_vs_naive": 12.0,
         "qgram_vs_naive": 100.0,
         "verify_vs_scalar": 6.0,
+        "join_dp_reduction": 30.0,
         "scaling_4v1": 3.2,
     }
     base.update(ratios)
@@ -66,6 +67,10 @@ class TestFloors:
     def test_verify_floor_trips(self):
         failures = perf.check_floors(report(verify_vs_scalar=1.2))
         assert any("verify_vs_scalar" in f for f in failures)
+
+    def test_join_pruning_floor_trips(self):
+        failures = perf.check_floors(report(join_dp_reduction=4.0))
+        assert any("join_dp_reduction" in f for f in failures)
 
     def test_missing_ratio_trips(self):
         bad = report()
@@ -204,6 +209,7 @@ class TestCommittedBaseline:
             "executor_vs_naive",
             "qgram_vs_naive",
             "verify_vs_scalar",
+            "join_dp_reduction",
             f"scaling_{perf.SCALING_WORKERS}v1",
         ):
             assert key in baseline["ratios"], key
