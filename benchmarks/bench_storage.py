@@ -93,9 +93,8 @@ def _build_durable(data_dir: str, items, matcher) -> float:
                 "names",
                 (i, LangText(item.name, item.language), item.language),
             )
-    # allow_lossy so "auto" also maintains the embedding prefilter:
-    # its quantized matrix persists as the .ann sidecar, putting the
-    # rebuild-vs-reopen claim on the ann artifact too.
+    # allow_lossy so "auto" also maintains the grouped-key source: both
+    # sources' states persist in the accelerator's .idx snapshot.
     create_phonetic_accelerator(
         db, "names", "name", matcher, method="auto", allow_lossy=True
     )
@@ -136,17 +135,6 @@ def test_storage_cold_reopen_and_planner():
 
         accelerator = db.accelerator_for("names", "name")
         assert accelerator is not None, "accelerator not re-attached"
-        # The embedding sidecar must come back pre-built (attached from
-        # the .ann snapshot, not lazily re-encoded on first use).
-        assert accelerator._sources["ann"]._index is not None, (
-            "ann sidecar not restored"
-        )
-        from repro.storage import layout as storage_layout
-
-        ann_file = storage_layout.ann_index_path(
-            data_dir, "accel_names_name"
-        )
-        data["ann_sidecar_bytes"] = os.path.getsize(ann_file)
 
         planner_ms = []
         chosen = {}

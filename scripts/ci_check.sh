@@ -30,10 +30,6 @@ PYTHONPATH=src python -m repro.cli lint
 echo "== concurrency lint (LEX-C rule family, DESIGN.md §8) =="
 PYTHONPATH=src python -m repro.cli lint --concurrency
 
-echo "== quality smoke (ann prefilter recall + candidate-reduction floors) =="
-mkdir -p results
-python scripts/quality_smoke.py --out results/quality_smoke.json
-
 echo "== perf smoke (banded kernel, verifier, q-gram, parallel executor and join-pruning floors) =="
 mkdir -p results
 python scripts/perf_smoke.py --out results/perf_smoke.json

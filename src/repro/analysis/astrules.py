@@ -337,7 +337,6 @@ class FailpointDrift(Rule):
 METRIC_DOMAINS = frozenset(
     {
         "accelerator",
-        "ann",
         "btree",
         "client",
         "cluster",
@@ -829,7 +828,7 @@ class StorageBoundary(Rule):
                     layout.STATS_FILENAME,
                 }
             ),
-            (layout.INDEX_SUFFIX, layout.ANN_INDEX_SUFFIX),
+            (layout.INDEX_SUFFIX,),
         )
 
     @staticmethod

@@ -52,8 +52,13 @@ import argparse
 import sys
 
 from repro.core.config import MatchConfig
+from repro.core.engine import METHODS
 from repro.core.matcher import LexEqualMatcher
 from repro.errors import ReproError
+
+#: ``--strategy`` values: every accelerator method, or plain UDF
+#: evaluation.
+STRATEGY_CHOICES = (*METHODS, "none")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -651,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--strategy",
-        choices=("auto", "qgram", "index", "parallel", "ann", "none"),
+        choices=STRATEGY_CHOICES,
         help="execution strategy for books.author (default: qgram; "
         "'auto' = cost-based per-query choice)",
     )
@@ -683,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_init.add_argument(
         "--strategy",
-        choices=("auto", "qgram", "index", "parallel", "ann", "none"),
+        choices=STRATEGY_CHOICES,
         help="persisted accelerator method (default: auto)",
     )
     p_init.add_argument(
@@ -727,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--strategy",
-        choices=("auto", "qgram", "index", "parallel", "ann", "none"),
+        choices=STRATEGY_CHOICES,
         help="phonetic accelerator for books.author (default: qgram; "
         "'auto' = cost-based per-query choice)",
     )

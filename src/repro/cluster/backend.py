@@ -154,6 +154,7 @@ def _open_shard_slice(
     from repro.core.engine import create_phonetic_accelerator
     from repro.core.integration import install_lexequal
     from repro.storage import open_database
+    from repro.storage.bootstrap import accelerator_method
     from repro.storage.manager import MemoryBackend
 
     with faults.suppressed():
@@ -178,6 +179,7 @@ def _open_shard_slice(
         install_lexequal(db, matcher)
         strategies = set()
         for entry in meta:
+            method = accelerator_method(entry)
             # Rebuild over the owned slice; the persisted snapshot
             # covers the full lexicon, so restoring it would answer
             # other shards' rows from this shard.
@@ -186,12 +188,12 @@ def _open_shard_slice(
                 entry["table"],
                 entry["column"],
                 matcher,
-                method=entry["method"],
+                method=method,
                 workers=workers or entry.get("workers"),
                 allow_lossy=entry.get("allow_lossy", False),
             )
-            strategies.add(entry["method"])
-            if entry["method"] == "auto":
+            strategies.add(method)
+            if method == "auto":
                 db.analyze()
         strategy = ",".join(sorted(strategies)) if strategies else "none"
     return db, wal_lsn, strategy

@@ -8,9 +8,9 @@
 * :mod:`repro.core.matcher` — :class:`LexEqualMatcher`, the cached,
   configured façade used by applications and by the database strategies;
 * :mod:`repro.core.sources` — the candidate sources (q-gram postings,
-  grouped phoneme key, embedding prefilter) and the one verifier;
-* :mod:`repro.core.strategies` — the naive UDF, q-gram filter,
-  phonetic index and embedding prefilter execution strategies over a
+  grouped phoneme key) and the one verifier;
+* :mod:`repro.core.strategies` — the naive UDF, q-gram filter and
+  phonetic index execution strategies over a
   :class:`NameCatalog`;
 * :mod:`repro.core.integration` — installing LexEQUAL into a
   :class:`repro.minidb.Database` as a UDF so the paper's SQL (Figures 3,
@@ -27,7 +27,6 @@ from repro.core.strategies import (
     NaiveUdfStrategy,
     QGramStrategy,
     PhoneticIndexStrategy,
-    AnnPrefilterStrategy,
 )
 from repro.core.integration import install_lexequal
 from repro.core.engine import (
@@ -47,7 +46,6 @@ __all__ = [
     "NaiveUdfStrategy",
     "QGramStrategy",
     "PhoneticIndexStrategy",
-    "AnnPrefilterStrategy",
     "install_lexequal",
     "PhoneticAccelerator",
     "create_phonetic_accelerator",

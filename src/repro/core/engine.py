@@ -11,8 +11,7 @@ efficiency".  This module is that implementation for the minidb engine:
   candidate sources of :mod:`repro.core.sources` its method can use:
   q-gram postings (``method="qgram"``, lossless), grouped-key buckets
   (``method="index"``, fastest, with the Section 5.3 false-dismissal
-  caveat) or the embedding prefilter (``method="ann"``, lossy through
-  its admission radius); ``method="parallel"`` instead scans every row
+  caveat); ``method="parallel"`` instead scans every row
   with the sharded process-pool executor (lossless);
 * every method returns *verified* rows: candidates go through the one
   batch verifier, :meth:`repro.core.sources.PhonemeStore.verify`;
@@ -43,17 +42,17 @@ from repro.phonetics.parse import PhonemeString
 #: snapshot in any other layout is rebuilt from the table.
 SNAPSHOT_LAYOUT = 2
 
-METHODS = ("qgram", "index", "parallel", "ann", "auto")
+METHODS = ("qgram", "index", "parallel", "auto")
 
 
 def _source_names(method: str, allow_lossy: bool) -> tuple[str, ...]:
     """The candidate sources a method can use.
 
     ``auto`` keeps only what its cost model may choose: the lossless
-    q-gram source, plus the lossy ones under ``allow_lossy``.
+    q-gram source, plus the lossy grouped-key one under ``allow_lossy``.
     """
     if method == "auto":
-        return ("qgram", "index", "ann") if allow_lossy else ("qgram",)
+        return ("qgram", "index") if allow_lossy else ("qgram",)
     return (method,) if method in SOURCES else ()
 
 
@@ -78,7 +77,7 @@ class PhoneticAccelerator:
         if method not in METHODS:
             raise DatabaseError(
                 f"accelerator method must be 'qgram', 'index', "
-                f"'parallel', 'ann' or 'auto', got {method!r}"
+                f"'parallel' or 'auto', got {method!r}"
             )
         self.db = db
         self.table_name = table_name
@@ -87,7 +86,7 @@ class PhoneticAccelerator:
         self.method = method
         self.workers = workers
         #: auto only: whether the cost model may choose the lossy
-        #: grouped-key and embedding sources (paper Section 5.3).
+        #: grouped-key source (paper Section 5.3).
         self.allow_lossy = allow_lossy
         config = matcher.config
         self._sources = {
@@ -150,8 +149,7 @@ class PhoneticAccelerator:
         Persisted by the storage backend at checkpoint time so a
         reopened database attaches this accelerator without re-running
         TTP over the table (see :mod:`repro.storage.snapshots`).  Each
-        source's state sits under its name; the storage backend moves
-        the ``ann`` matrix to its own sidecar file.
+        source's state sits under its name.
         """
         state: dict = {
             "layout": SNAPSHOT_LAYOUT,
@@ -165,11 +163,11 @@ class PhoneticAccelerator:
     def _restore_state(self, state: dict) -> bool:
         """Install a snapshot; False = incompatible, rebuild instead.
 
-        A source whose state is missing or stale (e.g. a lost ``.ann``
-        sidecar) is rebuilt from the snapshot's phoneme strings.  An
-        ``"encoded"`` entry (a parallel table stored by older versions)
-        is ignored: the executor gathers its table from the restored
-        store.
+        A source whose state is missing or stale is rebuilt from the
+        snapshot's phoneme strings.  Entries for sources this
+        accelerator does not use are ignored: an ``"encoded"`` parallel
+        table or an ``"ann"`` embedding matrix stored by older versions
+        (the executor gathers its table from the restored store).
         """
         if (
             state.get("layout") != SNAPSHOT_LAYOUT
@@ -222,11 +220,10 @@ class PhoneticAccelerator:
         (or, for ``parallel``, the sharded scan) feeds the one batch
         verifier, so the list is exactly the matching rows for
         ``qgram`` and ``parallel`` and a subset of them for the lossy
-        ``index`` and ``ann``.  The planner's UDF recheck then applies
-        NULL, INLANGUAGES and degradation semantics to true matches
-        only.  Returns None (declining, planner falls back to a scan)
-        when the query value's language is unsupported or its phonemes
-        cannot be encoded.
+        ``index``.  The planner's UDF recheck then applies NULL,
+        INLANGUAGES and degradation semantics to true matches only.
+        Returns None (declining, planner falls back to a scan) when the
+        query value cannot be converted to phonemes.
         """
         obs.incr(f"accelerator.{self.method}.calls")
         try:
@@ -255,14 +252,6 @@ class PhoneticAccelerator:
             obs.incr("accelerator.auto.chose_naive")
             return None
         rowids = self._matches(method, query_phonemes, config)
-        if rowids is None and self.method == "auto":
-            # Query not encodable for the chosen path: fall back to
-            # the lossless q-gram source instead of declining.
-            method = self.last_method = "qgram"
-            rowids = self._matches(method, query_phonemes, config)
-        if rowids is None:
-            obs.incr(f"accelerator.{self.method}.declined")
-            return None
         if self.method == "auto":
             obs.incr(f"accelerator.auto.chose_{method}")
         obs.observe(f"accelerator.{self.method}.candidates", len(rowids))
@@ -270,13 +259,11 @@ class PhoneticAccelerator:
 
     def _matches(
         self, method: str, query_phonemes: PhonemeString, config: MatchConfig
-    ) -> list[int] | None:
-        """Verified matching rowids via ``method`` (None: not encodable)."""
+    ) -> list[int]:
+        """Verified matching rowids via ``method``."""
         if method == "parallel":
             return self._parallel_matches(query_phonemes, config)
         keys = self._sources[method].candidates(query_phonemes, config)
-        if keys is None:
-            return None
         return self._phonemes.verify(query_phonemes, keys, config.threshold)
 
     def _resolve_method(self, query_phonemes: PhonemeString, config):
@@ -310,7 +297,6 @@ class PhoneticAccelerator:
             avg_plen=avg_plen,
             qgram_sel=stats.qgram_sel if stats is not None else None,
             index_sel=stats.index_sel if stats is not None else None,
-            ann_sel=stats.ann_sel if stats is not None else None,
             avg_posting=stats.avg_posting if stats is not None else None,
             workers=self.workers,
             available=tuple(available),
@@ -400,13 +386,9 @@ def create_phonetic_accelerator(
     result change; ``method="index"`` gives Table 3 behaviour (fastest,
     may false-dismiss); ``method="parallel"`` evaluates predicates with
     the sharded banded-kernel executor (lossless; ``workers`` sizes its
-    process pool, default CPU count); ``method="ann"`` prefilters with
-    the quantized articulatory-embedding index of
-    :mod:`repro.matching.embed` (lossy through the admission radius,
-    recall pinned by the quality harness); ``method="auto"`` lets the
-    cost model pick a strategy per query from ANALYZE statistics
-    (lossy index/ann only with ``allow_lossy``, parallel only with
-    ``workers``).
+    process pool, default CPU count); ``method="auto"`` lets the cost
+    model pick a strategy per query from ANALYZE statistics (lossy
+    index only with ``allow_lossy``, parallel only with ``workers``).
     Also installs the LexEQUAL UDF family if the database does not have
     it yet.
 

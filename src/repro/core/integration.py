@@ -212,11 +212,9 @@ def demo_books_db(
     The shared demo database behind ``lexequal query``/``stats`` and the
     query server's default service.  ``accelerate`` picks the phonetic
     accelerator on ``books.author``: ``"qgram"`` (default), ``"index"``,
-    ``"parallel"`` (sharded executor, sized by ``workers``), ``"ann"``
-    (articulatory-embedding prefilter + exact verification, lossy
-    through its admission radius), ``"auto"`` (cost-based per-query
-    choice from ANALYZE statistics), or ``"none"`` for plain UDF
-    evaluation.
+    ``"parallel"`` (sharded executor, sized by ``workers``), ``"auto"``
+    (cost-based per-query choice from ANALYZE statistics), or ``"none"``
+    for plain UDF evaluation.
     """
     from repro import faults
 

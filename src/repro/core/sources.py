@@ -11,9 +11,7 @@ accelerator (:mod:`repro.core.engine`) and the Strategy API
 * :class:`QGramSource` — positional q-gram postings with the length,
   count and position filters of Figure 14 (lossless);
 * :class:`GroupedKeySource` — the grouped phoneme string identifier of
-  Figure 15 (may false-dismiss);
-* :class:`AnnSource` — the quantized articulatory-embedding radius scan
-  of :mod:`repro.matching.embed` (lossy at :data:`RADIUS_SCALE`).
+  Figure 15 (may false-dismiss).
 
 Sources are keyed by ints (heap rowids or catalog record ids); their
 ``state``/``from_state`` pair is the LEXSNAP codec, and ``selectivity``
@@ -36,12 +34,6 @@ from repro.matching.qgrams import positional_qgrams, publish_filter_counts
 from repro.phonetics.inventory import SYMBOL_CODES
 from repro.phonetics.keys import grouped_key
 from repro.phonetics.parse import PhonemeString
-
-#: Admission radius of the embedding prefilter per unit of
-#: ``threshold * |query|``: the measured-recall operating point ("cost
-#: <= 2") the quality harness pins.
-RADIUS_SCALE = 2.0
-
 
 #: Stored-length sentinels: no string under the key, or a string with a
 #: symbol outside :data:`SYMBOL_CODES` (kept for the scalar kernel).
@@ -333,8 +325,8 @@ class CandidateSource(abc.ABC):
     @abc.abstractmethod
     def candidates(
         self, query_phonemes: PhonemeString, config: MatchConfig
-    ) -> list[int] | None:
-        """Sorted candidate keys; None if the query cannot be encoded."""
+    ) -> list[int]:
+        """Sorted candidate keys."""
 
     @abc.abstractmethod
     def state(self) -> dict:
@@ -357,14 +349,11 @@ class CandidateSource(abc.ABC):
         self, probes: list[PhonemeString], config: MatchConfig
     ) -> float | None:
         """Mean candidate fraction over ``probes`` (None: nothing to
-        measure).  A query the source cannot encode counts as a scan."""
+        measure)."""
         rows = len(self)
         if not rows or not probes:
             return None
-        total = 0
-        for phonemes in probes:
-            keys = self.candidates(phonemes, config)
-            total += rows if keys is None else len(keys)
+        total = sum(len(self.candidates(p, config)) for p in probes)
         return total / (len(probes) * rows)
 
 
@@ -606,135 +595,9 @@ class GroupedKeySource(CandidateSource):
         return source
 
 
-class AnnSource(CandidateSource):
-    """Quantized articulatory-embedding radius scan.
-
-    Admits keys whose embedding lies within ``scale * threshold * |q|``
-    of the query's, where ``scale`` is :data:`RADIUS_SCALE` (lossy,
-    recall pinned by the quality harness) or, under ``lossless=True``,
-    the embedding's proven lower-bound constant (no true match can be
-    dismissed).  Added strings are embedded in one batch at the next
-    query; strings outside the embedding's code space are always
-    admitted, so they are never lost to the prefilter.
-    """
-
-    name = "ann"
-
-    def __init__(self, config: MatchConfig):
-        super().__init__(config)
-        self.costs = config.cost_model()
-        self._model = None
-        self._index = None
-        #: Matrix row -> key, and key -> live matrix row.
-        self._keys: list[int] = []
-        self._rows: dict[int, int] = {}
-        self._pending: dict[int, PhonemeString] = {}
-        self._unencodable: dict[int, PhonemeString] = {}
-
-    def __len__(self) -> int:
-        return len(self._rows) + len(self._pending) + len(self._unencodable)
-
-    def add(self, key: int, phonemes: PhonemeString) -> None:
-        self._pending[key] = phonemes
-
-    def remove(self, key: int) -> None:
-        if self._pending.pop(key, None) is not None:
-            return
-        if self._unencodable.pop(key, None) is not None:
-            return
-        row = self._rows.pop(key, None)
-        if row is not None:
-            self._index.delete(row)
-
-    def _flush(self):
-        """The embedding model, with every pending string indexed."""
-        import numpy as np
-
-        from repro.matching.embed import EmbeddingModel, QuantizedMatrixIndex
-
-        if self._model is None:
-            self._model = EmbeddingModel.for_costs(self.costs)
-            self._index = QuantizedMatrixIndex(self._model.dim)
-        model = self._model
-        if not self._pending:
-            return model
-        keys, chunks = [], []
-        for key, phonemes in self._pending.items():
-            try:
-                chunks.append(model.encoded.encode(phonemes))
-            except KeyError:
-                self._unencodable[key] = phonemes
-                continue
-            keys.append(key)
-        self._pending = {}
-        if keys:
-            offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-            np.cumsum([len(c) for c in chunks], out=offsets[1:])
-            vectors = model.encode_many(np.concatenate(chunks), offsets)
-            start = self._index.extend(vectors)
-            self._rows.update(
-                (key, start + i) for i, key in enumerate(keys)
-            )
-            self._keys.extend(keys)
-        return model
-
-    def candidates(
-        self,
-        query_phonemes: PhonemeString,
-        config: MatchConfig,
-        *,
-        lossless: bool = False,
-    ) -> list[int] | None:
-        model = self._flush()
-        try:
-            query_vector = model.encode(query_phonemes)
-        except KeyError:
-            return None
-        scale = model.lower_bound_constant() if lossless else RADIUS_SCALE
-        radius = scale * config.threshold * len(query_phonemes)
-        rows = self._index.search(query_vector, radius)
-        keys = [self._keys[row] for row in rows.tolist()]
-        keys.extend(self._unencodable)
-        keys.sort()
-        return keys
-
-    def state(self) -> dict:
-        import numpy as np
-
-        model = self._flush()
-        state = self._index.state()
-        state["symbols"] = list(model.encoded.index)
-        state["rowids"] = np.asarray(self._keys, dtype=np.int64)
-        state["unencodable"] = dict(self._unencodable)
-        return state
-
-    @classmethod
-    def from_state(cls, config: MatchConfig, state: dict) -> AnnSource | None:
-        """None when the recomputed model's width disagrees with the
-        stored matrix (the cost model or embedding layout changed)."""
-        from repro.matching.embed import EmbeddingModel, QuantizedMatrixIndex
-
-        source = cls(config)
-        model = EmbeddingModel.for_costs(source.costs, list(state["symbols"]))
-        matrix = state["matrix"]
-        if matrix.ndim != 2 or model.dim != matrix.shape[1]:
-            return None
-        index = QuantizedMatrixIndex.from_state(state)
-        source._model = model
-        source._index = index
-        source._keys = [int(key) for key in state["rowids"]]
-        source._rows = {
-            key: row
-            for row, key in enumerate(source._keys)
-            if index.alive[row]
-        }
-        source._unencodable = dict(state.get("unencodable", {}))
-        return source
-
-
 #: Source registry, by cost-model strategy name.
 SOURCES: dict[str, type[CandidateSource]] = {
-    source.name: source for source in (QGramSource, GroupedKeySource, AnnSource)
+    source.name: source for source in (QGramSource, GroupedKeySource)
 }
 
 

@@ -13,8 +13,7 @@ table (Section 5):
   phoneme string identifier* (Figure 15) yields the candidates, at the
   price of false dismissals.
 
-:class:`AnnPrefilterStrategy` adds the articulatory-embedding prefilter.
-All three filtered strategies are one :class:`FilteredStrategy` over a
+Both filtered strategies are one :class:`FilteredStrategy` over a
 candidate source of :mod:`repro.core.sources`: candidates, then the
 language filter, then the one batch verifier.
 
@@ -357,17 +356,12 @@ class FilteredStrategy(Strategy):
     every stored string, keeps candidates with a larger id (each pair
     once), and verifies them the same way.  Verified matches are exact,
     so a lossless source returns exactly :class:`NaiveUdfStrategy`'s
-    results and a lossy one a subset of them.  A query the source
-    cannot encode is verified against every row.
+    results and a lossy one a subset of them.
     """
 
     def __init__(self, catalog: NameCatalog, source: CandidateSource):
         super().__init__(catalog)
         self.source = source
-
-    def _candidates(self, query_phonemes: PhonemeString) -> list[int]:
-        keys = self.source.candidates(query_phonemes, self.config)
-        return self.catalog.ids() if keys is None else keys
 
     def select(
         self,
@@ -378,7 +372,7 @@ class FilteredStrategy(Strategy):
         catalog = self.catalog
         stats = StrategyStats(rows_considered=len(catalog))
         query_phonemes = self._query_phonemes(query, language)
-        keys = self._candidates(query_phonemes)
+        keys = self.source.candidates(query_phonemes, self.config)
         if languages:
             wanted = {lang.lower() for lang in languages}
             keys = [k for k in keys if catalog.language_of(k) in wanted]
@@ -402,7 +396,7 @@ class FilteredStrategy(Strategy):
             language_a = catalog.language_of(id_a)
             keys = [
                 k
-                for k in self._candidates(phonemes_a)
+                for k in self.source.candidates(phonemes_a, self.config)
                 if k > id_a
                 and not (
                     cross_language_only
@@ -443,46 +437,6 @@ class PhoneticIndexStrategy(FilteredStrategy):
 
     def __init__(self, catalog: NameCatalog):
         super().__init__(catalog, catalog.source("index"))
-
-
-class AnnPrefilterStrategy(FilteredStrategy):
-    """Articulatory-embedding radius prefilter (:class:`AnnSource`).
-
-    Lossy at the default admission radius (recall pinned by the quality
-    harness); with ``lossless=True`` the radius uses the embedding's
-    proven lower-bound constant, and results equal naive's exactly.
-    """
-
-    name = "ann-prefilter"
-
-    def __init__(self, catalog: NameCatalog, *, lossless: bool = False):
-        super().__init__(catalog, catalog.source("ann"))
-        self.lossless = lossless
-
-    def _candidates(self, query_phonemes: PhonemeString) -> list[int]:
-        keys = self.source.candidates(
-            query_phonemes, self.config, lossless=self.lossless
-        )
-        if keys is None:
-            obs.incr("ann.prefilter.fallback_scans")
-            return self.catalog.ids()
-        return keys
-
-    def select(
-        self,
-        query: str,
-        language: str = "english",
-        languages: tuple[str, ...] = (),
-    ) -> list[NameRecord]:
-        results = super().select(query, language, languages)
-        if obs.is_enabled():
-            obs.incr("ann.prefilter.queries")
-            obs.incr(
-                "ann.prefilter.candidates",
-                self.last_stats.candidates_after_filters,
-            )
-            obs.incr("ann.prefilter.verified_matches", len(results))
-        return results
 
 
 class ExactStrategy(Strategy):
@@ -545,7 +499,6 @@ STRATEGY_CLASSES: dict[str, type[Strategy]] = {
     "naive": NaiveUdfStrategy,
     "qgram": QGramStrategy,
     "index": PhoneticIndexStrategy,
-    "ann": AnnPrefilterStrategy,
 }
 
 
@@ -581,8 +534,8 @@ def choose_strategy(
     Estimates every candidate strategy with :mod:`repro.minidb.cost`,
     feeding it each source's measured selectivity for this very query
     (:func:`repro.core.sources.cost_inputs`), then instantiates the
-    winner.  The lossy sources (``index``, ``ann``) may false-dismiss,
-    so they are only eligible under ``allow_lossy`` — exactly the
+    winner.  The lossy grouped-key source (``index``) may false-dismiss,
+    so it is only eligible under ``allow_lossy`` — exactly the
     planner's rule.  ``available`` restricts the field.
     """
     from repro.minidb import cost

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import MatchConfig
-from repro.core.sources import AnnSource
 from repro.data.lexicon import MultiscriptLexicon
 from repro.evaluation.metrics import QualityCounts, ideal_match_count
 from repro.matching.batch import pairwise_distance_matrix
@@ -144,35 +143,11 @@ class StrategyQuality:
     precision: float
 
 
-def _ann_admitted_pairs(
-    prepared: _PreparedLexicon, config: MatchConfig
-) -> np.ndarray:
-    """Upper-triangle mask of pairs the embedding prefilter admits.
-
-    Every string probes an :class:`~repro.core.sources.AnnSource` over
-    the lexicon, as a join does: pair (i, j) is admitted when ``j`` is
-    among ``i``'s candidates (the i-side admission radius).
-    """
-    source = AnnSource(config)
-    source.add_many(enumerate(prepared.phonemes))
-    n = len(prepared.phonemes)
-    admitted = np.zeros((n, n), dtype=bool)
-    for i, phonemes in enumerate(prepared.phonemes):
-        keys = source.candidates(phonemes, config)
-        admitted[i, slice(None) if keys is None else keys] = True
-    return admitted[prepared.upper]
-
-
 def strategy_quality(
     lexicon: MultiscriptLexicon,
     config: MatchConfig | None = None,
     *,
-    strategies: tuple[str, ...] = (
-        "naive",
-        "qgram",
-        "index",
-        "ann",
-    ),
+    strategies: tuple[str, ...] = ("naive", "qgram", "index"),
 ) -> list[StrategyQuality]:
     """Per-strategy Figure 11/12 quality, prefilters included.
 
@@ -180,12 +155,10 @@ def strategy_quality(
     share one result set — every pair within the edit-distance budget —
     so their ``recall_vs_exact`` is 1.0 by construction and this
     function scores them once each only so a golden test can pin that
-    fact.  The lossy strategies are scored through their actual
-    admission rule: grouped-key equality for ``index``, the served
-    embedding prefilter (:class:`~repro.core.sources.AnnSource`) for
-    ``ann``; their final
-    result set is the intersection with the exact matches, exactly what
-    the exact verifier yields.
+    fact.  The lossy ``index`` strategy is scored through its actual
+    admission rule, grouped-key equality; its final result set is the
+    intersection with the exact matches, exactly what the exact
+    verifier yields.
     """
     config = config or MatchConfig()
     prepared = _PreparedLexicon(lexicon)
@@ -206,8 +179,6 @@ def strategy_quality(
             )
             i_idx, j_idx = prepared.upper
             return keys[i_idx] == keys[j_idx]
-        if strategy == "ann":
-            return _ann_admitted_pairs(prepared, config)
         return np.ones(all_pairs, dtype=bool)
 
     results = []

@@ -36,8 +36,8 @@ of the DP (DESIGN.md §9).  The parallel executor
 memory and calls the ``_encoded`` variant directly.
 
 numpy is an optional dependency of the library proper: only this module
-and its callers (the verifier, the embedding prefilter, the parallel
-executor and the evaluation harness) import it.
+and its callers (the verifier, the parallel executor and the
+evaluation harness) import it.
 """
 
 from __future__ import annotations

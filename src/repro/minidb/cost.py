@@ -18,11 +18,7 @@ Strategy estimates (paper Figs. 9–13):
   false-dismiss** — excluded unless ``allow_lossy``);
 * ``parallel`` — vectorized banded DP over all rows, sharded across
   workers (lossless; wins only when the table is large enough to
-  amortize pool startup/IPC overhead);
-* ``ann``     — articulatory-embedding radius prefilter (quantized
-  int8 matrix scan), then the vectorized banded kernel on survivors
-  (lossy at the default admission radius — excluded unless
-  ``allow_lossy``; recall is pinned by the quality harness).
+  amortize pool startup/IPC overhead).
 """
 
 from __future__ import annotations
@@ -39,11 +35,8 @@ ROW_OVERHEAD = 4.0
 VECTOR_SPEEDUP = 8.0
 #: Fixed DP-cell-equivalent cost of engaging the process pool.
 PARALLEL_OVERHEAD = 2.0e5
-#: Per-row cost of the quantized int8 embedding scan (one L1 distance
-#: over a ~36-dim vector is far cheaper than one DP cell row).
-ANN_SCAN_COST = 0.5
 
-ALL_STRATEGIES = ("naive", "qgram", "index", "parallel", "ann")
+ALL_STRATEGIES = ("naive", "qgram", "index", "parallel")
 
 
 @dataclass(frozen=True)
@@ -71,17 +64,15 @@ def estimate_strategies(
     qgram_sel: float | None = None,
     index_sel: float | None = None,
     avg_posting: float | None = None,
-    ann_sel: float | None = None,
     workers: int | None = None,
     available: tuple[str, ...] = ALL_STRATEGIES,
 ) -> list[StrategyEstimate]:
     """Estimate every available strategy for one query.
 
-    ``qgram_sel``/``index_sel``/``ann_sel`` are measured candidate
-    fractions from the stats catalog (see :mod:`repro.minidb.stats`);
-    when missing, conservative defaults are used (q-grams keep 10% of
-    rows, a grouped-key bucket holds ``1/sqrt(rows)`` of them, the
-    embedding radius admits 10%).
+    ``qgram_sel``/``index_sel`` are measured candidate fractions from
+    the stats catalog (see :mod:`repro.minidb.stats`); when missing,
+    conservative defaults are used (q-grams keep 10% of rows, a
+    grouped-key bucket holds ``1/sqrt(rows)`` of them).
     """
     rows = max(0, int(rows))
     qlen = max(1, int(query_len))
@@ -128,19 +119,6 @@ def estimate_strategies(
                 rows * index_sel,  # exact matches ≈ bucket selectivity
                 PARALLEL_OVERHEAD + vector_cost,
                 True,
-            )
-        )
-    if "ann" in available:
-        if ann_sel is None:
-            ann_sel = 0.10
-        cand = rows * ann_sel
-        # Survivors are verified by the vectorized banded kernel, not
-        # the scalar UDF, so per-candidate DP is discounted like the
-        # parallel path (single shard: no pool overhead to amortize).
-        verify = cand * (row_dp / VECTOR_SPEEDUP + ROW_OVERHEAD)
-        estimates.append(
-            StrategyEstimate(
-                "ann", cand, rows * ANN_SCAN_COST + verify, False
             )
         )
     return estimates

@@ -32,8 +32,8 @@ class ColumnStats:
 class AcceleratorStats:
     """Phonetic-accelerator statistics for one ``table.column``.
 
-    ``qgram_sel`` / ``index_sel`` / ``ann_sel`` are measured
-    candidate-set fractions (candidates ÷ indexed rows), averaged over
+    ``qgram_sel`` / ``index_sel`` are measured candidate-set
+    fractions (candidates ÷ indexed rows), averaged over
     ``sample_size`` probe queries drawn from the stored strings; None
     when the corresponding candidate source is not maintained.
     ``avg_posting`` is the q-gram postings' mean list length.
@@ -44,7 +44,6 @@ class AcceleratorStats:
     avg_posting: float | None = None
     qgram_sel: float | None = None
     index_sel: float | None = None
-    ann_sel: float | None = None
     sample_size: int = 0
     threshold: float = 0.0
 

@@ -10,13 +10,8 @@ never drift apart again (they did once: the smoke docstring claimed
 """
 
 from repro.perf.gates import (
-    ACCEPTANCE_ANN_SPEEDUP_FLOOR,
     ACCEPTANCE_KERNEL_FLOOR,
     ACCEPTANCE_SCALING_FLOOR,
-    ANN_ACCEPTANCE_FLOORS,
-    ANN_QUALITY_FLOORS,
-    ANN_RECALL_FLOOR,
-    ANN_REDUCTION_FLOOR,
     DEFAULT_TOLERANCE,
     SCALING_BEAT_FLOOR,
     SCALING_MIN_ROWS,
@@ -30,13 +25,8 @@ from repro.perf.gates import (
 )
 
 __all__ = [
-    "ACCEPTANCE_ANN_SPEEDUP_FLOOR",
     "ACCEPTANCE_KERNEL_FLOOR",
     "ACCEPTANCE_SCALING_FLOOR",
-    "ANN_ACCEPTANCE_FLOORS",
-    "ANN_QUALITY_FLOORS",
-    "ANN_RECALL_FLOOR",
-    "ANN_REDUCTION_FLOOR",
     "DEFAULT_TOLERANCE",
     "SCALING_BEAT_FLOOR",
     "SCALING_MIN_ROWS",

@@ -59,27 +59,6 @@ SMOKE_JOIN_PRUNING_FLOOR = 5.0
 ACCEPTANCE_KERNEL_FLOOR = 20.0
 ACCEPTANCE_SCALING_FLOOR = 3.0
 
-#: Quality floors for the embedding prefilter (``--strategy ann``),
-#: enforced by ``scripts/quality_smoke.py`` and, at acceptance scale,
-#: ``benchmarks/bench_ann.py``.  Recall is measured on the Figure 11
-#: harness at the default admission radius ("cost ≤ 2", i.e.
-#: ``repro.core.sources.RADIUS_SCALE``); reduction/speedup are ratios
-#: (bigger is better), like every other gate here.
-ANN_RECALL_FLOOR = 0.98
-ANN_REDUCTION_FLOOR = 5.0
-ACCEPTANCE_ANN_SPEEDUP_FLOOR = 2.0
-#: Smoke scale is too small for an end-to-end wall-clock win to be
-#: reliable (index build amortizes over few queries), so the smoke gate
-#: enforces recall + candidate reduction only.
-ANN_QUALITY_FLOORS = {
-    "ann_recall_vs_exact": ANN_RECALL_FLOOR,
-    "ann_candidate_reduction": ANN_REDUCTION_FLOOR,
-}
-ANN_ACCEPTANCE_FLOORS = {
-    **ANN_QUALITY_FLOORS,
-    "ann_speedup_vs_best_exact": ACCEPTANCE_ANN_SPEEDUP_FLOOR,
-}
-
 #: The worker count whose scaling ratio reports measure, and the
 #: hardware-permitting minimum: N workers must at least beat 1 worker.
 SCALING_WORKERS = 4

@@ -31,6 +31,17 @@ from repro.storage import snapshots
 from repro.storage.manager import FileBackend
 from repro.storage.wal import WalRecord
 
+#: Accelerator methods that older versions persisted, and the method
+#: each reopens as.  ``ann``, a removed lossy embedding prefilter,
+#: approximated the lossless q-gram source's answers; its snapshot then
+#: names another method, so the accelerator rebuilds from the table.
+RETIRED_METHODS = {"ann": "qgram"}
+
+
+def accelerator_method(entry: dict) -> str:
+    """The method to attach a manifest accelerator entry with."""
+    return RETIRED_METHODS.get(entry["method"], entry["method"])
+
 
 def open_database(
     data_dir: str,
@@ -149,7 +160,7 @@ def _attach_accelerators(
             entry["table"],
             entry["column"],
             matcher=matcher,
-            method=entry["method"],
+            method=accelerator_method(entry),
             workers=entry.get("workers"),
             allow_lossy=entry.get("allow_lossy", False),
             restore=snapshot,

@@ -16,7 +16,6 @@ A data directory looks like::
       stats.json        # ANALYZE output (the persisted stats catalog)
       indexes/          # one .idx snapshot per registered artifact
         accel_books_author.idx
-        accel_books_author.ann   # embedding-matrix sidecar (if any)
 """
 
 from __future__ import annotations
@@ -32,11 +31,6 @@ CHECKPOINT_FILENAME = "checkpoint.bin"
 STATS_FILENAME = "stats.json"
 INDEX_DIRNAME = "indexes"
 INDEX_SUFFIX = ".idx"
-#: Sidecar holding an accelerator's quantized embedding matrix (the
-#: bulky part of an ``ann`` snapshot, checkpointed separately so the
-#: main ``.idx`` artifact stays small and a corrupt sidecar degrades to
-#: "rebuild the embedding index" without losing the rest).
-ANN_INDEX_SUFFIX = ".ann"
 
 #: Artifact names must be path-safe (they become ``indexes/<name>.idx``).
 _SAFE = frozenset(
@@ -96,9 +90,3 @@ def index_path(data_dir: str, artifact_name: str) -> str:
         index_dir(data_dir), safe_artifact_name(artifact_name) + INDEX_SUFFIX
     )
 
-
-def ann_index_path(data_dir: str, artifact_name: str) -> str:
-    return os.path.join(
-        index_dir(data_dir),
-        safe_artifact_name(artifact_name) + ANN_INDEX_SUFFIX,
-    )

@@ -319,31 +319,10 @@ class FileBackend(StorageManager):
                 artifact = provider()
                 if artifact is None:
                     continue
-                ann_state = None
-                if isinstance(artifact, dict) and "ann" in artifact:
-                    # The quantized embedding matrix goes to its own
-                    # sidecar: the main .idx artifact stays small and a
-                    # corrupt sidecar degrades to an embedding rebuild.
-                    artifact = dict(artifact)
-                    ann_state = artifact.pop("ann")
                 self._write_atomic(
                     layout.index_path(self.data_dir, name),
                     lambda fh, a=artifact: snapshots.dump(fh, "artifact", a),
                 )
-                ann_path = layout.ann_index_path(self.data_dir, name)
-                if ann_state is not None:
-                    self._write_atomic(
-                        ann_path,
-                        lambda fh, a=ann_state: snapshots.dump(
-                            fh, "ann-index", a
-                        ),
-                    )
-                elif os.path.exists(ann_path):
-                    # The accelerator no longer carries an embedding
-                    # index: drop the stale sidecar so a later reopen
-                    # cannot resurrect it.
-                    os.remove(ann_path)
-                    layout.fsync_dir(os.path.dirname(ann_path))
             if faults.fire("storage.checkpoint"):
                 raise StorageError(
                     "injected checkpoint abort before rename "
@@ -415,24 +394,7 @@ class FileBackend(StorageManager):
         path = layout.index_path(self.data_dir, name)
         try:
             with open(path, "rb") as fh:
-                artifact = snapshots.load(fh, "artifact")
-        except FileNotFoundError:
-            return None
-        except (StorageError, OSError):
-            obs.incr("storage.artifact.unreadable")
-            return None
-        if isinstance(artifact, dict):
-            ann_state = self._load_ann_sidecar(name)
-            if ann_state is not None:
-                artifact["ann"] = ann_state
-        return artifact
-
-    def _load_ann_sidecar(self, name: str) -> object | None:
-        """The ``.ann`` embedding sidecar, if present and intact."""
-        path = layout.ann_index_path(self.data_dir, name)
-        try:
-            with open(path, "rb") as fh:
-                return snapshots.load(fh, "ann-index")
+                return snapshots.load(fh, "artifact")
         except FileNotFoundError:
             return None
         except (StorageError, OSError):

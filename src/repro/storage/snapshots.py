@@ -20,9 +20,7 @@ Structure codecs:
   the pickle recursion limit) and re-validates key order on load.
 
 The candidate sources of :mod:`repro.core.sources` carry their own
-``state()``/``from_state()`` codecs; the ``.ann`` sidecar filename the
-embedding matrix is stored under is the storage layer's own business
-(see :data:`repro.storage.layout.ANN_INDEX_SUFFIX`).
+``state()``/``from_state()`` codecs.
 """
 
 from __future__ import annotations

@@ -305,28 +305,6 @@ class TestSeededAstViolations:
         assert "unknown domain 'warpdrive'" in messages
         assert "'Bad-Segment'" in messages
 
-    def test_metric_domain_ann_is_known_a003(self, tmp_path):
-        # The embedding prefilter's counters live under "ann.*"; the
-        # domain is registered, but near-misses still need declaring.
-        write_module(
-            tmp_path,
-            "pkg/mod.py",
-            '''
-            from repro import obs
-
-            def work():
-                obs.incr("ann.prefilter.queries")
-                obs.incr("ann.prefilter.candidates")
-                obs.incr("annex.queries")
-            ''',
-        )
-        rule = MetricNames(subdir="pkg")
-        findings = list(rule.run(AnalysisContext(tmp_path)))
-        assert rule_ids(findings) == {"LEX-A003"}
-        messages = "\n".join(f.message for f in findings)
-        assert "unknown domain 'ann'" not in messages
-        assert "unknown domain 'annex'" in messages
-
     def test_unlocked_mutation_fires_a004(self, tmp_path):
         mod = write_module(
             tmp_path,
@@ -449,35 +427,6 @@ class TestSeededAstViolations:
         assert len(findings) == 5
         assert all(f.file == "pkg/rogue.py" for f in findings)
         assert all("StorageManager" in f.message for f in findings)
-
-    def test_storage_boundary_covers_ann_sidecar_a006(self, tmp_path):
-        # The embedding-index sidecar suffix (.ann) is part of the
-        # on-disk contract: its file names belong to repro.storage
-        # alone, exactly like .idx artifacts.
-        from repro.analysis.astrules import StorageBoundary
-
-        write_module(
-            tmp_path,
-            "pkg/rogue.py",
-            '''
-            def sneak(data_dir):
-                return data_dir + "/accel_books_author.ann"
-            ''',
-        )
-        write_module(
-            tmp_path,
-            "pkg/storage/layout.py",
-            """
-            ANN_INDEX_SUFFIX = ".ann"
-            NAME = "accel_books_author.ann"
-            """,
-        )
-        rule = StorageBoundary(subdir="pkg", allowed=("pkg/storage",))
-        findings = list(rule.run(AnalysisContext(tmp_path)))
-        assert rule_ids(findings) == {"LEX-A006"}
-        assert len(findings) == 1
-        assert "'/accel_books_author.ann'" in findings[0].message
-        assert findings[0].file == "pkg/rogue.py"
 
 
 # ------------------------------------------------- metric validation API

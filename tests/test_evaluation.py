@@ -134,14 +134,10 @@ class TestGoldenStrategyQuality:
 
     These numbers are golden: ``build_lexicon(limit_per_domain=25)``
     under the default :class:`MatchConfig` is fully deterministic, so a
-    change here means the lexicon build, the matching semantics, the
-    grouped key, or the embedding prefilter changed — and that change
-    must be deliberate, reviewed against the floors in
-    :mod:`repro.perf.gates`, never silent.  The exact strategies are
-    pinned *without* tolerance (they share the full-scan result set by
-    construction); the lossy ``ann`` numbers get a hair of tolerance so
-    a deliberate embedding retune can move candidate fractions within
-    the recall floor without re-pinning to 16 digits.
+    change here means the lexicon build, the matching semantics or the
+    grouped key changed — and that change must be deliberate, never
+    silent.  The exact strategies are pinned *without* tolerance (they
+    share the full-scan result set by construction).
     """
 
     @pytest.fixture(scope="class")
@@ -165,24 +161,6 @@ class TestGoldenStrategyQuality:
         )
         assert q.recall == pytest.approx(0.8395061728395061)
         assert q.precision == 1.0
-
-    def test_ann_prefilter_golden(self, by_name):
-        q = by_name["ann"]
-        # On this lexicon the "cost <= 2" radius loses nothing at all;
-        # tolerance covers deliberate retunes, the gate floor (0.98)
-        # still catches real regressions on the full harness.
-        assert q.recall_vs_exact == pytest.approx(1.0, abs=0.02)
-        assert q.recall_vs_exact >= by_name["index"].recall_vs_exact
-        assert q.candidate_fraction == pytest.approx(
-            0.06333870101986044, rel=0.05
-        )
-        assert q.recall == pytest.approx(0.8888888888888888, abs=0.02)
-        assert q.precision == 1.0
-
-    def test_ann_prefilter_narrows_candidates(self, by_name):
-        # The whole point of the tier: far fewer verifications than a
-        # scan, far better recall than grouped-key equality.
-        assert by_name["ann"].candidate_fraction < 0.2
 
 
 class TestTiming:

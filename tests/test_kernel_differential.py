@@ -230,79 +230,6 @@ class TestBatchDifferential:
         assert got[2] == np.inf  # three insertions exceed budget 1.0
 
 
-class TestAnnPrefilterDifferential:
-    """The embedding prefilter against the naive scan, end to end.
-
-    5k+ seeded (query, row) comparisons through the real strategy
-    objects: the lossy default ("cost ≤ 2" admission radius) must
-    return a *subset* of the naive scan's matches with measured recall
-    ≥ 0.98, and with the admission radius set from the proven
-    lower-bound constant (``lossless=True``) the result sets must be
-    exactly equal.
-    """
-
-    ROWS = 640
-    QUERY_COUNT = 8
-
-    @pytest.fixture(scope="class")
-    def catalog(self):
-        from repro.core import LexEqualMatcher, NameCatalog
-        from repro.data.generator import generate_performance_dataset
-        from repro.data.lexicon import build_lexicon
-
-        catalog = NameCatalog(LexEqualMatcher())
-        items = generate_performance_dataset(build_lexicon(), self.ROWS)
-        for item in items:
-            catalog.add(item.name, item.language, ipa=item.ipa)
-        return catalog
-
-    @pytest.fixture(scope="class")
-    def queries(self, catalog):
-        rng = random.Random(SEED + 3)
-        stored = [(r.name, r.language) for r in catalog.records()]
-        picks = rng.sample(stored, self.QUERY_COUNT - 1)
-        return picks + [("Zzyzx", "english")]  # a guaranteed miss
-
-    @pytest.fixture(scope="class")
-    def naive_results(self, catalog, queries):
-        from repro.core import NaiveUdfStrategy
-
-        naive = NaiveUdfStrategy(catalog)
-        return {
-            query: {r.id for r in naive.select(query, language)}
-            for query, language in queries
-        }
-
-    def test_battery_covers_five_thousand_pairs(self, catalog, queries):
-        assert len(catalog) * len(queries) >= 5000
-
-    def test_lossy_subset_with_high_recall(self, catalog, queries,
-                                           naive_results):
-        from repro.core import AnnPrefilterStrategy
-
-        ann = AnnPrefilterStrategy(catalog)
-        matched = hits = 0
-        for query, language in queries:
-            expected = naive_results[query]
-            got = {r.id for r in ann.select(query, language)}
-            # Survivors are exactly verified, so anything reported must
-            # be a true match: the prefilter can only *lose* matches.
-            assert got <= expected, (query, sorted(got - expected))
-            matched += len(expected)
-            hits += len(got)
-        assert matched > 0
-        recall = hits / matched
-        assert recall >= 0.98, f"ann recall {recall:.4f} on {matched}"
-
-    def test_lossless_equals_naive(self, catalog, queries, naive_results):
-        from repro.core import AnnPrefilterStrategy
-
-        ann = AnnPrefilterStrategy(catalog, lossless=True)
-        for query, language in queries:
-            got = {r.id for r in ann.select(query, language)}
-            assert got == naive_results[query], query
-
-
 class TestDeadlineCancellation:
     """Both kernels honour an armed (and already expired) deadline."""
 
@@ -382,55 +309,31 @@ def pipeline(request):
 class TestSourcePipelineDifferential:
     """Every source × {select, join} × {classical, clustered} vs naive.
 
-    Lossless pipelines (q-grams, the embedding at its proven constant)
-    must return exactly the naive scan's rows and pairs, in order; the
-    lossy ones (grouped key, embedding at the default radius) a subset,
-    the embedding at the pinned recall floor.
+    The lossless q-gram pipeline must return exactly the naive scan's
+    rows and pairs, in order; the lossy grouped-key one a subset.
     """
 
-    @staticmethod
-    def _strategy(name, catalog):
-        from repro.core import (
-            AnnPrefilterStrategy,
-            PhoneticIndexStrategy,
-            QGramStrategy,
-        )
-
-        if name == "ann-lossless":
-            return AnnPrefilterStrategy(catalog, lossless=True)
-        return {
-            "qgram": QGramStrategy,
-            "index": PhoneticIndexStrategy,
-            "ann": AnnPrefilterStrategy,
-        }[name](catalog)
-
-    @pytest.mark.parametrize(
-        "name", ["qgram", "index", "ann", "ann-lossless"]
-    )
+    @pytest.mark.parametrize("name", ["qgram", "index"])
     def test_select_and_join_against_naive(self, pipeline, name):
-        from repro.perf.gates import ANN_RECALL_FLOOR
+        from repro.core import PhoneticIndexStrategy, QGramStrategy
 
         catalog, queries, selects, join = pipeline
-        strategy = self._strategy(name, catalog)
+        lossless = name == "qgram"
+        strategy = (QGramStrategy if lossless else PhoneticIndexStrategy)(
+            catalog
+        )
         got_selects = {
             query: [r.id for r in strategy.select(*query)]
             for query in queries
         }
         got_join = [(a.id, b.id) for a, b in strategy.join()]
-        if name in ("qgram", "ann-lossless"):
+        if lossless:
             assert got_selects == selects
             assert got_join == join
             return
-        expected = found = 0
         for query in queries:
             assert set(got_selects[query]) <= set(selects[query]), query
-            expected += len(selects[query])
-            found += len(got_selects[query])
         assert set(got_join) <= set(join)
-        expected += len(join)
-        found += len(got_join)
-        if name == "ann":
-            assert found / expected >= ANN_RECALL_FLOOR
 
 
 # ------------------------------------------ q-gram source vs Figure 14
@@ -561,7 +464,6 @@ ACCEL_SQL = "SELECT id FROM names WHERE name LEXEQUAL :q THRESHOLD 0.25"
 ACCELERATORS = [
     ("qgram", {}, True),
     ("index", {}, False),
-    ("ann", {}, False),
     ("parallel", {"workers": 1}, True),
     ("auto", {}, True),
     ("auto", {"allow_lossy": True, "workers": 1}, False),
@@ -861,6 +763,105 @@ class TestAcceleratorDifferential:
             assert "encoded" not in restored.snapshot_state()
         finally:
             restored.drop()
+
+    @pytest.mark.parametrize(
+        "persisted,options",
+        [("ann", {}), ("auto", {"allow_lossy": True})],
+        ids=["ann", "auto-allow_lossy"],
+    )
+    def test_retired_ann_state_reopens(
+        self, tmp_path, accel_names, persisted, options
+    ):
+        """A data dir written while the ``ann`` embedding prefilter
+        existed still opens.  Its manifest may name method ``"ann"``
+        (reattached as ``"qgram"``, rebuilt from the table), its
+        snapshot carries an ``"ann"`` matrix, its ``stats.json`` an
+        ``ann_sel``, and a ``.ann`` sidecar sits beside the ``.idx``.
+        The sidecar is never read, the stale entries are ignored, and the
+        answers equal the unaccelerated scan."""
+        import json
+        import os
+
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+        from repro.core.integration import install_lexequal
+        from repro.storage import layout, open_database, snapshots
+
+        data_dir = str(tmp_path)
+        artifact = "accel_names_name"
+        built = "qgram" if persisted == "ann" else persisted
+        matcher = LexEqualMatcher()
+        db = open_database(data_dir, matcher=matcher, sync=False)
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names,
+            lambda: holder.append(
+                create_phonetic_accelerator(
+                    db, "names", "name", matcher, method=built, **options
+                )
+            ),
+        )
+        db.analyze()
+        db.checkpoint()
+        queries = _accel_queries(accel_names)
+        holder[0].drop()
+        plain = _answers(db, queries)
+        assert any(plain.values())
+        db.storage.close()
+
+        def rewrite_json(path, edit):
+            with open(path) as fh:
+                payload = json.load(fh)
+            edit(payload)
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+
+        def old_meta(manifest):
+            (entry,) = manifest["accelerators"]
+            entry["method"] = persisted
+
+        def old_stats(stats):
+            stats["tables"]["names"]["accelerated"]["name"]["ann_sel"] = 0.03
+
+        rewrite_json(layout.manifest_path(data_dir), old_meta)
+        rewrite_json(layout.stats_path(data_dir), old_stats)
+        idx = layout.index_path(data_dir, artifact)
+        with open(idx, "rb") as fh:
+            snapshot = snapshots.load(fh, "artifact")
+        snapshot["method"] = persisted
+        snapshot["ann"] = {"matrix": b"\x00" * 64, "rowids": [0, 1]}
+        with open(idx, "wb") as fh:
+            snapshots.dump(fh, "artifact", snapshot)
+        sidecar = os.path.join(layout.index_dir(data_dir), artifact + ".ann")
+        junk = b"not a LEXSNAP container"
+        with open(sidecar, "wb") as fh:
+            fh.write(junk)
+
+        reopened = open_database(data_dir, matcher=matcher)
+        try:
+            accelerator = reopened.accelerator_for("names", "name")
+            assert accelerator.method == built
+            assert "ann" not in accelerator._sources
+            stats = reopened.stats.accelerator("names", "name")
+            assert stats is not None and stats.qgram_sel is not None
+            accelerated = _answers(reopened, queries)
+            for key, rows in plain.items():
+                if built == "qgram":
+                    assert accelerated[key] == rows, key
+                else:
+                    assert set(accelerated[key]) <= set(rows), key
+            reopened.checkpoint()
+            with open(idx, "rb") as fh:
+                rewritten = snapshots.load(fh, "artifact")
+            assert rewritten["method"] == built and "ann" not in rewritten
+            with open(sidecar, "rb") as fh:
+                assert fh.read() == junk
+        finally:
+            accelerator = reopened.accelerator_for("names", "name")
+            if accelerator is not None:
+                accelerator.drop()
+            reopened.storage.close()
 
     @pytest.mark.parametrize("threshold", [0.5, 0.75, 1.0])
     def test_high_threshold_matches_unaccelerated_scan(

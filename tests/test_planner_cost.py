@@ -66,12 +66,7 @@ class TestEstimates:
         ests = self._by_name(rows=10_000, query_len=6, avg_plen=6)
         assert ests["index"].est_cost < ests["qgram"].est_cost
         assert not ests["index"].lossless
-        assert not ests["ann"].lossless
-        assert all(
-            e.lossless
-            for name, e in ests.items()
-            if name not in ("index", "ann")
-        )
+        assert all(e.lossless for name, e in ests.items() if name != "index")
 
     def test_parallel_amortizes_only_at_scale(self):
         small = self._by_name(
@@ -167,8 +162,8 @@ class TestChooseStrategy:
         timings = {
             name: _mean_latency(klass(catalog), queries)
             for name, klass in STRATEGY_CLASSES.items()
-            # lossy (index, ann): not eligible for this choice
-            if name not in ("index", "ann")
+            # lossy index: not eligible for this choice
+            if name != "index"
         }
         fastest = min(timings.values())
         assert timings[choice.name] <= max(5.0 * fastest, 1e-3)

@@ -307,93 +307,6 @@ class TestGroupedKeyInvariance:
         assert grouped_key(folded) == grouped_key(fold_phonemes(folded))
 
 
-class TestEmbeddingPrefilterContract:
-    """The articulatory-embedding prefilter's admission guarantees.
-
-    DESIGN.md §12: the embedding distance lower-bounds the clustered
-    edit distance (``|phi(s) - phi(t)|_1 <= c * d``) for the model's
-    enumerated constant ``c``; quantization only ever *widens* the
-    admitted set at the scaled radius (so the int8 fast path cannot
-    lose a match the float path keeps); and index maintenance is
-    reversible — insert followed by delete leaves search results
-    exactly as they were.
-    """
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=phoneme_strings, b=phoneme_strings, costs=cost_models)
-    def test_embedding_lower_bounds_edit_distance(self, a, b, costs):
-        import numpy as np
-
-        from repro.matching.batch import EncodedCosts
-        from repro.matching.embed import EmbeddingModel
-
-        model = EmbeddingModel(EncodedCosts(costs, SYMBOLS))
-        emb = float(np.abs(model.encode(a) - model.encode(b)).sum())
-        full = edit_distance(a, b, costs)
-        c = model.lower_bound_constant()
-        assert emb <= c * full + 1e-9, (a, b, emb, full, c)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        a=phoneme_strings,
-        b=phoneme_strings,
-        costs=cost_models,
-        radius=st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
-    )
-    def test_quantization_only_widens_admission(
-        self, a, b, costs, radius
-    ):
-        """Admitted in float space => admitted in quantized space.
-
-        Rounding moves each int8 component by at most 1 and saturation
-        only shrinks differences, so the quantized distance stays
-        within ``scale * float_distance + dim`` — exactly the slack
-        ``quantized_radius`` grants the admission limit.
-        """
-        import numpy as np
-
-        from repro.matching.batch import EncodedCosts
-        from repro.matching.embed import (
-            EmbeddingModel,
-            quantize,
-            quantized_radius,
-        )
-
-        model = EmbeddingModel(EncodedCosts(costs, SYMBOLS))
-        x, y = model.encode(a), model.encode(b)
-        if float(np.abs(x - y).sum()) > radius:
-            return  # not admitted in float space; no promise made
-        qx = quantize(x[None, :]).astype(np.int32)[0]
-        qy = quantize(y[None, :]).astype(np.int32)[0]
-        qdist = int(np.abs(qx - qy).sum())
-        assert qdist <= quantized_radius(radius, model.dim)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        strings=st.lists(phoneme_strings, min_size=1, max_size=12),
-        extra=phoneme_strings,
-        query=phoneme_strings,
-        radius=st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
-    )
-    def test_insert_then_delete_restores_search(
-        self, strings, extra, query, radius
-    ):
-        import numpy as np
-
-        from repro.matching.batch import EncodedCosts
-        from repro.matching.embed import EmbeddingModel, QuantizedMatrixIndex
-
-        model = EmbeddingModel(EncodedCosts(ClusteredCost(0.25), SYMBOLS))
-        vectors = np.stack([model.encode(s) for s in strings])
-        qvec = model.encode(query)
-        index = QuantizedMatrixIndex.from_vectors(vectors)
-        before = sorted(index.search(qvec, radius).tolist())
-        position = index.append(model.encode(extra))
-        index.delete(position)
-        after = sorted(index.search(qvec, radius).tolist())
-        assert after == before, (before, after)
-
-
 class TestConverterTotality:
     @settings(max_examples=80, deadline=None)
     @given(
