@@ -9,7 +9,7 @@ Run:  python examples/phonetic_pipeline.py
 """
 
 from repro.core import MatchConfig
-from repro.matching.editdist import distance_matrix, edit_distance
+from repro.matching.editdist import edit_distance, edit_distance_within
 from repro.matching.qgrams import positional_qgrams
 from repro.phonetics.clusters import auto_clustering, default_clustering
 from repro.phonetics.keys import grouped_key, grouped_key_string, soundex
@@ -56,8 +56,10 @@ nehru_hi = transform("नेहरु", "hindi")
 print(f"  /{''.join(nehru_en)}/ vs /{''.join(nehru_hi)}/")
 print(f"  distance = {edit_distance(nehru_en, nehru_hi, costs)}")
 print(f"  budget   = {config.budget(len(nehru_en), len(nehru_hi))}")
-matrix = distance_matrix(nehru_en, nehru_hi, costs)
-print("  DP matrix last row:", [f"{v:.2f}" for v in matrix[-1]])
+within = edit_distance_within(
+    nehru_en, nehru_hi, config.budget(len(nehru_en), len(nehru_hi)), costs
+)
+print(f"  banded DP within the budget: {within}")
 
 # --- 4. Positional q-grams (the Table 2 filters) ------------------------
 print("\n4. Positional q-grams of the query (paper footnote 4):")

@@ -15,7 +15,9 @@ the build when either regression appears:
   code columns) stops beating per-key scalar rechecks;
 * **lost pruning** — the batch kernel's class-count bound stops keeping
   the cross-language join's DP off most length-filter survivors at the
-  paper's clustered costs (a pair count, not a timing).
+  paper's clustered costs, or the class counts stored at insert send a
+  different number of join pairs to the DP than a recount from the
+  codes does (pair counts, not timings).
 
 The floors come from :mod:`repro.perf` — the single source shared with
 ``scripts/perf_compare.py`` and the acceptance benchmark — and are
@@ -39,6 +41,7 @@ Environment knobs: ``REPRO_PERF_SMOKE_ROWS`` (default 1500),
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import random
@@ -65,6 +68,8 @@ from repro.data.lexicon import build_lexicon
 from repro.matching.batch import EncodedCosts, batch_edit_distances_within
 from repro.matching.editdist import edit_distance, edit_distance_within
 from repro.parallel import ParallelStrategy
+from repro.parallel.executor import _join_shard_on
+from repro.parallel.table import EncodedNameTable
 
 ROWS = int(os.environ.get("REPRO_PERF_SMOKE_ROWS", "1500"))
 SEED = int(os.environ.get("REPRO_PERF_SMOKE_SEED", "20040314"))
@@ -303,10 +308,13 @@ def check_join_pruning(catalog: NameCatalog) -> float:
     """The class-count bound on the cross-language join, clustered costs.
 
     Runs the inline parallel join and checks every pair it returns
-    against the scalar operator.  Returns ``join_dp_reduction``: the
+    against the scalar operator, then runs the same join over the same
+    table with its stored class counts dropped, so the kernel recounts
+    them from the codes: both must send exactly the same pairs to the
+    DP and return the same pairs.  Returns ``join_dp_reduction``: the
     pairs the length filter keeps (the DP's pairs plus the bound's
-    ``matching.batch.bound_pruned``) over the pairs the DP runs on.  A
-    count, not a timing: it cannot flake.
+    ``matching.batch.bound_pruned``) over the pairs the DP runs on.
+    Counts, not timings: they cannot flake.
     """
     costs = catalog.matcher.costs
     threshold = catalog.config.threshold
@@ -328,6 +336,24 @@ def check_join_pruning(catalog: NameCatalog) -> float:
             raise AssertionError(
                 f"parallel join returned a non-matching pair ({a.id}, {b.id})"
             )
+    table = EncodedNameTable.from_catalog(catalog)
+    recount = copy.copy(table)
+    recount.class_counts = recount.class_totals = None
+    stored_run, recount_run = (
+        _join_shard_on(t, 0, len(t), threshold, True)
+        for t in (table, recount)
+    )
+    if stored_run[4] != dp or recount_run[4] != dp:
+        raise AssertionError(
+            f"stored class counts sent {stored_run[4]} join pairs to the "
+            f"DP, a recount {recount_run[4]}, the strategy {dp}"
+        )
+    if not all(
+        np.array_equal(a, b) for a, b in zip(stored_run[:3], recount_run[:3])
+    ):
+        raise AssertionError(
+            "the join over stored class counts diverged from a recount"
+        )
     reduction = (dp + pruned) / max(dp, 1)
     print(
         f"join pruning: {len(pairs)} pairs, {dp + pruned:.0f} after the "

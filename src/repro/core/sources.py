@@ -28,7 +28,7 @@ from collections.abc import Iterable
 
 from repro import obs
 from repro.core.config import MatchConfig
-from repro.matching.costs import CostModel
+from repro.matching.costs import CostModel, count_classes
 from repro.matching.editdist import edit_distance_within
 from repro.matching.qgrams import positional_qgrams, publish_filter_counts
 from repro.phonetics.inventory import SYMBOL_CODES
@@ -39,6 +39,15 @@ from repro.phonetics.parse import PhonemeString
 #: symbol outside :data:`SYMBOL_CODES` (kept for the scalar kernel).
 ABSENT = -1
 UNENCODABLE = -2
+
+#: The code space's symbols, in code order.
+SYMBOLS = tuple(SYMBOL_CODES)
+
+#: Class-count column typecodes, narrowest first, each with the largest
+#: count it holds; the column widens rather than let a count wrap.
+_COUNT_LIMITS = {
+    code: 2 ** (8 * array(code).itemsize) - 1 for code in "BHI"
+}
 
 
 def _grown(column: array, n: int, minimum: int = 4) -> array:
@@ -58,12 +67,19 @@ def _covering(lengths: array, key: int) -> array:
     return grown
 
 
+def _widened(counts: array, top: int) -> array:
+    """A copy of ``counts`` in the narrowest count type holding
+    ``top``."""
+    code = next(c for c, limit in _COUNT_LIMITS.items() if top <= limit)
+    return array(code, counts)
+
+
 @functools.lru_cache(maxsize=8)
 def _encoded_costs(costs: CostModel):
     """The batch kernel's cost tables, indexed by :data:`SYMBOL_CODES`."""
     from repro.matching.batch import EncodedCosts
 
-    return EncodedCosts(costs, list(SYMBOL_CODES))
+    return EncodedCosts(costs, SYMBOLS)
 
 
 def _encode(phonemes: PhonemeString) -> bytes | None:
@@ -93,28 +109,38 @@ class PhonemeStore:
     A small mapping (``[k] = v``, ``pop``, ``update``, ``get``, ``items``
     ...) whose every write goes through :meth:`_write`, which also
     encodes the string into columns: an append-only ``uint8`` code
-    column and dense key-indexed start and length columns, where a
-    length of :data:`ABSENT` or :data:`UNENCODABLE` marks the key.
-    :meth:`verify` gathers candidates from those columns with numpy,
-    and :meth:`export` gathers every live string for the parallel
-    executor's table; nothing is re-encoded.  Every write bumps
-    :attr:`writes`.  Building, writing and restoring a store never
-    import numpy.
+    column, dense key-indexed start and length columns, where a length
+    of :data:`ABSENT` or :data:`UNENCODABLE` marks the key, and a dense
+    key-indexed class-count column holding, per key, the string's number
+    of symbols in each class of the batch kernel's count bound
+    (:func:`~repro.matching.costs.count_classes`, :attr:`width` classes
+    per key).  The count column is ``uint8`` and widens to a wider
+    unsigned type the first time a count would not fit.  :meth:`verify`
+    bounds candidates by their stored counts and gathers codes only for
+    the survivors, and :meth:`export` gathers every live string for the
+    parallel executor's table; nothing is re-encoded or recounted.
+    Every write bumps :attr:`writes`.  Building, writing and restoring a
+    store never import numpy.
 
     Readers take no lock.  The one writer fills spare capacity beyond
-    the published ``used``, writes the key's start, and writes its
-    length last; a re-set key is first marked absent.  Growth and
-    compaction publish a fresh ``(codes, starts, lens, used)`` tuple in
-    one assignment and never resize an array in place (a reader may hold
-    a view of it).  A re-set or popped string's bytes are dead; once
-    they outnumber the live ones the columns are compacted.
+    the published ``used``, writes the key's counts, then its start, and
+    writes its length last; a re-set key is first marked absent.
+    Growth, widening and compaction publish a fresh ``(codes, starts,
+    lens, counts, used)`` tuple in one assignment and never resize an
+    array in place (a reader may hold a view of it).  A re-set or popped
+    string's bytes are dead; once they outnumber the live ones the
+    columns are compacted.
     """
 
     def __init__(self, costs: CostModel):
         self.costs = costs
         self._strings: dict[int, PhonemeString] = {}
-        #: (codes, starts, lens, used): code bytes past ``used`` are spare.
-        self._columns = (array("B"), array("q"), array("i"), 0)
+        self._classes = count_classes(costs, SYMBOLS)
+        #: Classes per key in the count column.
+        self.width = max(self._classes) + 1
+        #: (codes, starts, lens, counts, used): code bytes past ``used``
+        #: are spare.
+        self._columns = (array("B"), array("q"), array("i"), array("B"), 0)
         self._dead = 0
         #: Bumped by every write: what a gathered copy is current as of.
         self.writes = 0
@@ -165,9 +191,10 @@ class PhonemeStore:
     # -------------------------------------------------------- writer
 
     def _write(self, key: int, phonemes: PhonemeString | None) -> None:
-        """Store (or, for None, remove) one key's string and its codes."""
+        """Store (or, for None, remove) one key's string, codes and
+        class counts."""
         self.writes += 1
-        codes, starts, lens, used = self._columns
+        codes, starts, lens, counts, used = self._columns
         if key < len(lens) and lens[key] != ABSENT:
             self._dead += max(lens[key], 0)
             lens[key] = ABSENT  # readers skip the key until rewritten
@@ -175,10 +202,12 @@ class PhonemeStore:
             self._strings.pop(key, None)
         else:
             self._strings[key] = phonemes
+            width = self.width
             if key >= len(lens):
                 lens = _covering(lens, key)
                 starts = _grown(starts, len(starts), len(lens))
-                self._columns = (codes, starts, lens, used)
+                counts = _grown(counts, len(counts), len(lens) * width)
+                self._columns = (codes, starts, lens, counts, used)
             encoded = _encode(phonemes)
             if encoded is None:
                 lens[key] = UNENCODABLE
@@ -186,16 +215,29 @@ class PhonemeStore:
                 end = used + len(encoded)
                 if end > len(codes):
                     codes = _grown(codes, used, max(end, 64))
+                row = [0] * width
+                classes = self._classes
+                for code in encoded:
+                    row[classes[code]] += 1
+                limit = _COUNT_LIMITS[counts.typecode]
+                if len(encoded) > limit and max(row) > limit:
+                    # Widen all of a fresh tuple: a reader of the old
+                    # one sees none of this write.
+                    counts = _widened(counts, max(row))
+                    starts, lens = starts[:], lens[:]
+                counts[key * width : (key + 1) * width] = array(
+                    counts.typecode, row
+                )
                 codes[used:end] = array("B", encoded)
                 starts[key] = used
                 lens[key] = len(encoded)
-                self._columns = (codes, starts, lens, end)
-        if 2 * self._dead > self._columns[3]:
+                self._columns = (codes, starts, lens, counts, end)
+        if 2 * self._dead > self._columns[4]:
             self._compact()
 
     def _compact(self) -> None:
         """Publish fresh columns holding only the live strings' bytes."""
-        codes, starts, lens, _used = self._columns
+        codes, starts, lens, counts, _used = self._columns
         fresh = array("B")
         fresh_starts = array("q", bytes(len(starts) * starts.itemsize))
         for key, length in enumerate(lens):
@@ -203,41 +245,62 @@ class PhonemeStore:
                 start = starts[key]
                 fresh_starts[key] = len(fresh)
                 fresh.extend(codes[start : start + length])
-        self._columns = (fresh, fresh_starts, array("i", lens), len(fresh))
+        self._columns = (
+            fresh,
+            fresh_starts,
+            array("i", lens),
+            counts[:],
+            len(fresh),
+        )
         self._dead = 0
 
     # -------------------------------------------------------- reader
 
     def _read(self, keys=None):
-        """``(codes, keys, lengths, starts)`` from one columns tuple, for
-        ``keys`` (default: every key slot), dropping keys past the
-        columns.  A key written since the tuple was published, or being
-        rewritten, reads as :data:`ABSENT`."""
+        """``(codes, keys, lengths, starts, counts)`` from one columns
+        tuple, for ``keys`` (default: every key slot), dropping keys past
+        the columns; ``counts`` holds one class-count row per key.  A key
+        written since the tuple was published, or being rewritten, reads
+        as :data:`ABSENT`."""
         import numpy as np
 
-        codes, starts, lens, used = self._columns
+        codes, starts, lens, counts, used = self._columns
         lens = np.frombuffer(lens, np.intc)
+        starts = np.frombuffer(starts, np.int64)
         if keys is None:
             keys = np.arange(len(lens))
         keys = keys[keys < len(lens)]
         clens = lens[keys]
-        begin = np.frombuffer(starts, np.int64)[keys]
-        # Lengths are written last, so a length read before and after
-        # the start agrees only if that start belongs to it.
+        begin = starts[keys]
+        rows = np.frombuffer(counts, counts.typecode).reshape(
+            len(lens), self.width
+        )[keys]
+        # The writer writes counts, then the start, then the length, and
+        # a rewrite of a non-empty string moves its start: a length and
+        # a start read both before and after the counts agree only if
+        # all three belong to one write.
         stale = clens != lens[keys]
+        stale |= begin != starts[keys]
         stale |= (clens >= 0) & (begin + clens > used)
         clens[stale] = ABSENT
-        return codes, keys, clens, begin
+        return codes, keys, clens, begin, rows
 
     def export(self):
         """Every live string in the code space, gathered once, in key
-        order: ``(keys, codes, offsets, outside)``, with ``codes`` one
-        ``uint8`` CSR over ``offsets`` and ``outside`` the keys whose
-        strings hold a symbol outside it."""
-        codes, keys, clens, begin = self._read()
+        order: ``(keys, codes, offsets, counts, outside)``, with
+        ``codes`` one ``uint8`` CSR over ``offsets``, ``counts`` the
+        strings' class-count rows, and ``outside`` the keys whose
+        strings hold a symbol outside the code space."""
+        codes, keys, clens, begin, rows = self._read()
         live = clens >= 0
         flat, offsets = _gather(codes, begin[live], clens[live])
-        return keys[live], flat, offsets, keys[clens == UNENCODABLE]
+        return (
+            keys[live],
+            flat,
+            offsets,
+            rows[live],
+            keys[clens == UNENCODABLE],
+        )
 
     def verify(
         self,
@@ -248,8 +311,10 @@ class PhonemeStore:
         """The ``keys`` whose phonemes match the query, in input order.
 
         A key matches when its clustered edit distance to the query is
-        within ``threshold * min(|q|, |c|)``.  The stored code columns
-        feed the batch kernel as one CSR; a key whose string lies
+        within ``threshold * min(|q|, |c|)``.  The batch kernel reads
+        the stored columns in place: it applies the length filter and
+        the class-count bound over the stored counts first, and gathers
+        codes only for the keys that survive.  A key whose string lies
         outside the code space (or every key, when the query does) takes
         the scalar kernel instead, with identical decisions.  A key
         deleted or being rewritten since its source listed it (readers
@@ -259,9 +324,11 @@ class PhonemeStore:
             return []
         import numpy as np
 
-        from repro.matching.batch import batch_edit_distances_within_encoded
+        from repro.matching.batch import batch_edit_distances_within_runs
 
-        codes, keys, clens, begin = self._read(np.asarray(keys, np.int64))
+        codes, keys, clens, begin, rows = self._read(
+            np.asarray(keys, np.int64)
+        )
         batch = clens >= 0
         scalar = clens == UNENCODABLE
         query = _encode(query_phonemes)
@@ -271,13 +338,14 @@ class PhonemeStore:
         accept = np.zeros(len(keys), dtype=bool)
         if batch.any():
             clens = clens[batch]
-            flat, offsets = _gather(codes, begin[batch], clens)
-            distances = batch_edit_distances_within_encoded(
+            distances = batch_edit_distances_within_runs(
                 np.frombuffer(query, np.uint8),
-                flat,
-                offsets,
+                np.frombuffer(codes, np.uint8),
+                begin[batch],
+                clens,
                 _encoded_costs(self.costs),
                 threshold * np.minimum(len(query), clens),
+                class_counts=rows[batch],
             )
             accept[batch] = distances != math.inf
         if scalar.any():

@@ -110,7 +110,6 @@ FAILPOINTS = frozenset(
         "cluster.health.blackhole",
         "cluster.shard.kill",
         "cluster.shard.slow",
-        "matching.qgrams.filter",
         "pool.admit",
         "pool.execute",
         "server.conn.drop_read",

@@ -21,7 +21,6 @@ from repro.matching.costs import (
 from repro.matching.editdist import (
     edit_distance,
     edit_distance_within,
-    distance_matrix,
 )
 from repro.matching.metric import (
     MetricViolation,
@@ -30,12 +29,7 @@ from repro.matching.metric import (
 from repro.matching.qgrams import (
     PositionalQGram,
     positional_qgrams,
-    qgram_profile,
-    length_filter,
-    count_filter,
-    position_filter,
     count_filter_threshold,
-    passes_filters,
 )
 
 __all__ = [
@@ -45,15 +39,9 @@ __all__ = [
     "UNIT_COST",
     "edit_distance",
     "edit_distance_within",
-    "distance_matrix",
     "MetricViolation",
     "check_metric_axioms",
     "PositionalQGram",
     "positional_qgrams",
-    "qgram_profile",
-    "length_filter",
-    "count_filter",
-    "position_filter",
     "count_filter_threshold",
-    "passes_filters",
 ]

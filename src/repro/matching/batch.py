@@ -20,24 +20,18 @@ operations over a (batch, length) matrix.  Results are bit-identical to
 :func:`batch_edit_distances_within` is the vectorized counterpart of
 :func:`repro.matching.editdist.edit_distance_within`: one padded DP
 per cache-sized block of candidates (every surviving candidate in the
-block advances one DP row per numpy step, whatever its length), with a
-value-clipping band (cells over budget become ``inf`` — no over-budget
-cell can lie on the optimal path of a within-budget result, so
-clipping is exact and subsumes the Ukkonen band, whose off-diagonal
-cells always exceed the budget), dead-candidate compression that drops
-candidates whose whole DP row went over budget, and matrix narrowing
-when the longest survivor shortens.  Before any DP row, a class-count
-lower bound (:func:`_count_bounds`, derived from the cost tables by
-:func:`count_bound_tables`) drops candidates whose symbol counts per
-class of cheap substitutions already cost more than their budget —
-lossless, and at the paper's clustered costs it keeps most pairs out
-of the DP (DESIGN.md §9).  The parallel executor
-(:mod:`repro.parallel`) attaches to pre-encoded int arrays in shared
-memory and calls the ``_encoded`` variant directly.
-
-numpy is an optional dependency of the library proper: only this module
-and its callers (the verifier, the parallel executor and the
-evaluation harness) import it.
+block advances one DP row per numpy step, whatever its length).  A DP
+row is a ``take`` and six ufunc calls; every few rows, candidates whose
+smallest real cell already exceeds their budget are compressed out
+(exact, because costs are non-negative), and the matrix narrows when
+the longest survivor shortens.  Before any DP row, a class-count lower
+bound (:func:`count_bounds`, over the partition of
+:func:`repro.matching.costs.count_classes`) drops candidates whose
+symbol counts per class of cheap substitutions already cost more than
+their budget — lossless, and at the paper's clustered costs it keeps
+most pairs out of the DP (DESIGN.md §9).  Callers that store per-class
+counts (the phoneme store, the parallel executor's shared table) pass
+them in; codes are gathered only for the candidates that survive.
 """
 
 from __future__ import annotations
@@ -49,30 +43,30 @@ import numpy as np
 
 from repro import deadline, obs
 from repro.errors import DeadlineExceededError
-from repro.matching.costs import CostModel
+from repro.matching.costs import CostModel, count_classes
 
 
 class CostTables:
-    """Kernel-facing cost tables, plus the class-count bound derived
-    from them.
+    """Kernel-facing cost tables, plus the class-count bound's tables.
 
     ``sub[a, b]`` substitutes query symbol ``a`` with candidate symbol
     ``b``; ``ins``/``dele`` insert a candidate symbol and delete a query
-    symbol; ``min_indel`` is the cheapest insert or delete.  The bound's
-    tables (:func:`count_bound_tables`) are derived here, once per cost
-    table, so every holder of the tables — a cost model compiled in this
-    process or a worker's zero-copy views over a shared segment — prunes
-    identically.
+    symbol; ``min_indel`` is the cheapest insert or delete.  ``classes``
+    is the bound's partition of the symbols
+    (:func:`repro.matching.costs.count_classes`), and ``wq``/``wc`` its
+    weights (:func:`class_weights`), derived here from the partition and
+    the cost tables, so every holder of them — a cost model compiled in
+    this process or a worker's zero-copy views over a shared segment —
+    prunes identically.
     """
 
-    def __init__(self, sub, ins, dele, min_indel: float):
+    def __init__(self, sub, ins, dele, min_indel: float, classes):
         self.sub = sub
         self.ins = ins
         self.dele = dele
         self.min_indel = min_indel
-        self.classes, self.wq, self.wc = count_bound_tables(
-            sub, ins, dele, min_indel
-        )
+        self.classes = classes
+        self.wq, self.wc = class_weights(classes, sub, ins, dele)
 
 
 class EncodedCosts(CostTables):
@@ -93,7 +87,12 @@ class EncodedCosts(CostTables):
             dele[ia] = costs.delete(a)
             for b, ib in self.index.items():
                 sub[ia, ib] = costs.substitute(a, b)
-        super().__init__(sub, ins, dele, float(costs.min_indel_cost()))
+        classes = np.array(
+            count_classes(costs, tuple(self.index)), dtype=np.intp
+        )
+        super().__init__(
+            sub, ins, dele, float(costs.min_indel_cost()), classes
+        )
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Token sequence -> int vector (tokens must be known symbols)."""
@@ -102,37 +101,16 @@ class EncodedCosts(CostTables):
         )
 
 
-def count_bound_tables(sub, ins, dele, min_indel: float):
-    """The class-count lower bound's tables: ``(classes, wq, wc)``.
-
-    ``classes[s]`` is symbol ``s``'s class: the connected components of
-    "``sub(a, b) < min_indel`` either way", so symbols one cheap
-    substitution apart share a class and classical unit costs give
-    singletons.  ``wq[K]`` is the cheapest way to move a query symbol of
-    class ``K`` out of it — delete it, or substitute it with a symbol of
-    another class; ``wc[K]`` is the same for a candidate symbol, with
-    insertions and ``sub[a, s]``.  Any partition gives a sound bound
-    (see :func:`_count_bounds`); this one only makes it tight.
-    """
-    size = len(ins)
-    near = (sub < min_indel) | (sub.T < min_indel)
-    labels = np.arange(size)
-    # Label propagation: each pass lowers every label to its smallest
-    # neighbour's; a component of ``size`` symbols settles within
-    # ``size`` passes.
-    for _ in range(size):
-        lowered = np.where(near, labels, size).min(axis=1, initial=size)
-        if np.array_equal(lowered, labels):
-            break
-        labels = lowered
-    _, classes = np.unique(labels, return_inverse=True)
-    return (classes, *class_weights(classes, sub, ins, dele))
-
-
 def class_weights(classes, sub, ins, dele):
-    """``(wq, wc)`` for a partition ``classes`` of the symbols: the
-    cheapest single operation that takes a query (candidate) symbol out
-    of its class."""
+    """``(wq, wc)`` for a partition ``classes`` of the symbols.
+
+    ``wq[K]`` is the cheapest way to move a query symbol of class ``K``
+    out of it — delete it, or substitute it with a symbol of another
+    class; ``wc[K]`` is the same for a candidate symbol, with insertions
+    and ``sub[a, s]``.  Any partition gives a sound bound (see
+    :func:`count_bounds`); :func:`~repro.matching.costs.count_classes`
+    only makes it tight.
+    """
     count = int(classes.max()) + 1 if len(classes) else 0
     out_sub = np.where(classes[:, None] != classes, sub, np.inf)
     wq = np.full(count, np.inf)
@@ -143,53 +121,72 @@ def class_weights(classes, sub, ins, dele):
     np.minimum.at(
         wc, classes, np.minimum(ins, out_sub.min(axis=0, initial=np.inf))
     )
+    # An infinite weight (a class no symbol occupies) drops to 0: a lower
+    # weight keeps the bound sound, and ``0 * inf`` cannot poison a sum.
+    wq[np.isinf(wq)] = 0.0
+    wc[np.isinf(wc)] = 0.0
     return wq, wc
 
 
-def _count_bounds(
+def count_bounds(
     q: np.ndarray,
-    codes: np.ndarray,
-    starts: np.ndarray,
-    lens: np.ndarray,
-    encoded: CostTables,
+    counts: np.ndarray,
+    encoded,
+    rows: np.ndarray | None = None,
+    totals: np.ndarray | None = None,
 ) -> np.ndarray:
     """A lower bound on each candidate's edit distance from ``q``.
 
-    With ``hq``/``hc`` the per-class symbol counts of the query and a
-    candidate, the bound is ``max(Σ wq·(hq − hc)⁺, Σ wc·(hc − hq)⁺)``.
-    It is sound for any partition and any costs (no triangle inequality
-    needed): an edit script touches each symbol once, and at most
-    ``hc[K]`` query symbols of class ``K`` can be substituted within
-    ``K``, so every other one is deleted or substituted out of ``K`` —
-    at least ``wq[K]`` each, one query symbol per operation; likewise
-    for the candidate side.  Only the query's classes can have
-    ``hq > 0``, so counts are taken over those columns plus the
-    weighted sum of each candidate's symbols outside them — all terms
-    non-negative, so a zero bound is computed as exactly zero.
+    ``counts[r, K]`` is table row ``r``'s number of class-``K`` symbols
+    (any int dtype) and ``totals[r]`` its weighted total ``Σ_K wc[K] ·
+    counts[r, K]`` (computed from ``counts`` when None); the candidates
+    are the table rows ``rows`` (None: every row).  With ``hq``/``hc``
+    the query's and a candidate's per-class counts, the bound is
+    ``max(Σ wq·(hq − hc)⁺, Σ wc·(hc − hq)⁺)``.  It is sound for any
+    partition and any costs (no triangle inequality needed): an edit
+    script touches each symbol once, and at most ``hc[K]`` query
+    symbols of class ``K`` can be substituted within ``K``, so every
+    other one is deleted or substituted out of ``K`` — at least
+    ``wq[K]`` each, one query symbol per operation; likewise for the
+    candidate side.
+
+    Only the query's classes can have ``hq > 0``, so only those columns
+    are read; a candidate's classes outside them weigh ``totals − Σ_{K
+    in query} wc[K]·hc[K]``.  That difference is snapped to zero below
+    ``1e-9 · totals``, so rounding can only lower the bound and a true
+    zero is computed as exactly zero.
     """
-    classes = encoded.classes
-    q_classes, hq = np.unique(classes[q], return_counts=True)
-    width = len(q_classes)
-    # Column of each class: its slot among the query's, or ``width``.
-    column = np.full(len(encoded.wq), width)
-    column[q_classes] = np.arange(width)
+    if rows is None:
+        rows = np.arange(len(counts))
+    if totals is None:
+        totals = counts @ encoded.wc
+    hq = np.bincount(encoded.classes[q], minlength=len(encoded.wq))
+    q_classes = np.flatnonzero(hq)
+    hc = counts[rows[:, None], q_classes]
+    excess = hc - hq[q_classes]  # an int64 array: never wraps
+    wq, wc = encoded.wq[q_classes], encoded.wc[q_classes]
+    total = totals[rows]
+    outside = total - hc @ wc
+    outside[outside <= 1e-9 * total] = 0.0
+    return np.maximum(
+        np.maximum(-excess, 0) @ wq,
+        np.maximum(excess, 0) @ wc + outside,
+    )
+
+
+def _recount(codes, starts, lens, encoded) -> np.ndarray:
+    """Per-class symbol counts of the runs
+    ``codes[starts[i] : starts[i] + lens[i]]``: the :func:`count_bounds`
+    input for callers that store none."""
     batch = len(lens)
+    width = len(encoded.wq)
     row = np.repeat(np.arange(batch), lens)
     index = np.repeat(starts - (np.cumsum(lens) - lens), lens)
     index += np.arange(len(index))
-    symbol_classes = classes[codes[index]]
-    cols = column[symbol_classes]
-    hc = np.bincount(
-        row * (width + 1) + cols, minlength=batch * (width + 1)
-    ).reshape(batch, width + 1)[:, :width]
-    outside = cols == width
-    lb_c = np.maximum(hc - hq, 0) @ encoded.wc[q_classes] + np.bincount(
-        row[outside],
-        weights=encoded.wc[symbol_classes[outside]],
-        minlength=batch,
-    )
-    lb_q = np.maximum(hq - hc, 0) @ encoded.wq[q_classes]
-    return np.maximum(lb_q, lb_c)
+    return np.bincount(
+        row * width + encoded.classes[codes[index]],
+        minlength=batch * width,
+    ).reshape(batch, width)
 
 
 #: Candidate-axis block size for the padded all-candidates DP.  Each DP
@@ -264,24 +261,48 @@ def batch_edit_distances_within_encoded(
     """`batch_edit_distances_within` over pre-encoded flat int arrays.
 
     ``codes``/``offsets`` describe the candidate table in CSR layout:
-    candidate ``i`` is ``codes[offsets[i]:offsets[i+1]]``.  ``rows``
-    optionally selects a subset of candidates (indices into the CSR
-    table); ``budgets`` and the result align with ``rows`` when given,
-    with the whole table otherwise.  This is the fork-friendly entry
-    point: worker processes hold the arrays (shipped once) and evaluate
-    shards without rebuilding Python objects.
-
-    A candidate reaches the banded DP only if it passes the length
-    filter and the class-count lower bound (:func:`_count_bounds`);
-    ``counts["dp"]``, when given, grows by the number that do.
+    candidate ``i`` is ``codes[offsets[i]:offsets[i+1]]``.  The bound
+    recounts each candidate's classes from its codes; see
+    :func:`batch_edit_distances_within_runs` for the rest.
     """
-    all_starts = offsets[:-1]
-    all_lens = np.diff(offsets)
+    return batch_edit_distances_within_runs(
+        q, codes, offsets[:-1], np.diff(offsets), encoded, budgets, rows, counts
+    )
+
+
+def batch_edit_distances_within_runs(
+    q: np.ndarray,
+    codes: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    encoded: CostTables,
+    budgets,
+    rows: np.ndarray | None = None,
+    counts: dict | None = None,
+    class_counts: np.ndarray | None = None,
+    class_totals: np.ndarray | None = None,
+) -> np.ndarray:
+    """The thresholded kernel over a table of runs of one flat code
+    array: row ``r`` is ``codes[starts[r]:starts[r] + lens[r]]``, with
+    per-class symbol counts ``class_counts[r]`` and their weighted total
+    ``class_totals[r]`` (see :func:`count_bounds`).  The entry point for
+    callers that hold codes already — a phoneme store's code column, or
+    a shared-memory table that worker processes attach to.
+
+    ``rows`` optionally selects a subset of the table; ``budgets``
+    (scalar or per candidate) and the result align with ``rows`` when
+    given, with the whole table otherwise.  A candidate reaches the
+    banded DP only if it passes the length filter and the class-count
+    lower bound over its stored counts (a :func:`_recount` from its
+    codes when ``class_counts`` is None), and only those candidates'
+    codes are gathered.  ``counts["dp"]``, when given, grows by the
+    number that reach the DP.
+    """
     if rows is None:
-        starts, lens = all_starts, all_lens
+        rows = np.arange(len(starts))
     else:
-        starts, lens = all_starts[rows], all_lens[rows]
-    count = len(starts)
+        starts, lens = starts[rows], lens[rows]
+    count = len(rows)
     result = np.full(count, np.inf, dtype=np.float64)
     budgets = np.broadcast_to(
         np.asarray(budgets, dtype=np.float64), (count,)
@@ -297,14 +318,20 @@ def batch_edit_distances_within_encoded(
     bounded = not np.isinf(budgets).all()
     deadline_at = deadline.current()
     stats = {"cells": 0, "pruned": 0, "bound_pruned": 0}
-    idx = np.nonzero(feasible)[0]
+    idx = np.flatnonzero(feasible)
     for lo in range(0, len(idx), PADDED_BLOCK):
         blk = idx[lo : lo + PADDED_BLOCK]
         if bounded:
+            if class_counts is None:
+                bounds = count_bounds(
+                    q, _recount(codes, starts[blk], lens[blk], encoded), encoded
+                )
+            else:
+                bounds = count_bounds(
+                    q, class_counts, encoded, rows[blk], class_totals
+                )
             # The slack lets rounding only ever keep a pair.
-            keep = _count_bounds(
-                q, codes, starts[blk], lens[blk], encoded
-            ) <= budgets[blk] * (1 + 1e-9)
+            keep = bounds <= budgets[blk] * (1 + 1e-9)
             stats["bound_pruned"] += len(blk) - int(keep.sum())
             blk = blk[keep]
             if not blk.size:
@@ -318,6 +345,7 @@ def batch_edit_distances_within_encoded(
             lens[blk],
             encoded,
             budgets[blk],
+            bounded,
             deadline_at,
             stats,
         )
@@ -329,6 +357,12 @@ def batch_edit_distances_within_encoded(
     return result
 
 
+#: DP rows between two dead-candidate checks in :func:`_padded_within`.
+#: A check costs about as much as a DP row; between checks a dead
+#: candidate only wastes cells, never changes an answer.
+_PRUNE_EVERY = 4
+
+
 def _padded_within(
     q: np.ndarray,
     codes: np.ndarray,
@@ -336,100 +370,91 @@ def _padded_within(
     lens: np.ndarray,
     encoded: CostTables,
     budgets: np.ndarray,
+    checked: bool,
     deadline_at: float | None,
     stats: dict,
 ) -> np.ndarray:
     """Banded DP over *all* candidates at once, padded to the longest.
 
     Candidates of every length share one (B, m_max) matrix: column
-    ``j`` of candidate ``b`` is real only while ``j < lens[b]``
-    (``colvalid``).  Padding is inert by construction — DP column ``j``
-    depends only on columns ``<= j``, and the prefix-min insertion
-    trick accumulates left to right, so garbage in padded columns can
-    never flow into a real cell; each candidate's answer is read from
-    its own final column.  Cells over their candidate's budget are
-    clipped to ``inf`` after every row (exact — see module docstring),
-    dead candidates (every *real* cell over budget) are compressed out
-    of the batch mid-flight, and the matrix narrows whenever the
-    longest surviving candidate shortens.  One DP row is ~10 numpy ops
-    for the whole candidate set, versus one scalar DP per pair in the
-    reference.
+    ``j`` of candidate ``b`` is real only while ``j < lens[b]``.
+    Padding is inert by construction — DP column ``j`` depends only on
+    columns ``<= j``, and the prefix-min insertion trick accumulates
+    left to right, so garbage in padded columns can never flow into a
+    real cell; each candidate's answer is read from its own final
+    column.
+
+    A DP row is a ``take`` and six ufunc calls, with no clipping: the
+    cells hold the exact DP values.  Every :data:`_PRUNE_EVERY` rows
+    (when ``checked``: some budget is finite), a
+    candidate whose smallest *real* cell exceeds its budget is
+    compressed out of the batch, and the matrix narrows whenever the
+    longest surviving candidate shortens.  That check is exact: costs
+    are non-negative, so no cell of a later row (the final cell
+    included) is smaller than the current row's minimum.  The final
+    cells are compared with the budgets once, at the end.
     """
     batch = len(starts)
     n = len(q)
-    m_max = int(lens.max()) if batch else 0
+    m_max = int(lens.max())
     out = np.full(batch, np.inf, dtype=np.float64)
     active = np.arange(batch)
     alive_lens = lens.astype(np.int64)
-    bud = budgets.astype(np.float64).reshape(batch, 1)
-    if m_max:
-        cols = np.arange(m_max)
-        valid = cols < alive_lens[:, None]  # (B, m_max)
-        group = codes[np.where(valid, starts[:, None] + cols, 0)]
-        ins_costs = np.where(valid, encoded.ins[group], 0.0)
-    else:
-        valid = np.zeros((batch, 0), dtype=bool)
-        group = np.zeros((batch, 0), dtype=np.int64)
-        ins_costs = np.zeros((batch, 0), dtype=np.float64)
+    bud = budgets.astype(np.float64)
+    # Padded cells gather any in-range code: they are inert.
+    group = codes[
+        np.minimum(starts[:, None] + np.arange(m_max), len(codes) - 1)
+    ].astype(np.intp, copy=False)
     c = np.zeros((batch, m_max + 1), dtype=np.float64)
-    np.cumsum(ins_costs, axis=1, out=c[:, 1:])
-    # Column 0 (empty prefix) is real for everyone; column j covers
-    # candidate prefix j, real while j - 1 < len.
-    colvalid = np.concatenate(
-        [np.ones((batch, 1), dtype=bool), valid], axis=1
-    )
-    prev = np.where(c > bud, np.inf, c)
+    np.cumsum(encoded.ins[group], axis=1, out=c[:, 1:])
+    # DP column j covers candidate prefix j: real while j <= len.
+    invalid = np.arange(m_max + 1) > alive_lens[:, None]
+    prev = c.copy()
     # Work buffers reused by every DP row (swapped with prev), so a row
     # allocates nothing: steady memory in long-lived threads.
     nxt = np.empty_like(prev)
     sub = np.empty_like(c[:, 1:])
-    over = np.empty(c.shape, dtype=bool)
-    invalid = ~colvalid
-    cells = int(colvalid.sum())
+    cells = int(alive_lens.sum()) + batch
+    sub_rows = encoded.sub[q]
+    del_costs = encoded.dele[q].tolist()
     for i in range(n):
         # Cooperative cancellation: one clock read per DP row, as in the
         # scalar kernels.
         if deadline_at is not None and time.monotonic() > deadline_at:
             raise _batch_deadline_cancel(stats["cells"])
-        del_cost = encoded.dele[q[i]]
-        np.take(encoded.sub[q[i]], group, out=sub)
+        sub_rows[i].take(group, out=sub)
         np.add(prev[:, :-1], sub, out=sub)
         # nxt = [t0, t] - c, t0 = prev[0] + del,
         # t = min(prev[1:] + del, prev[:-1] + sub)
-        np.add(prev, del_cost, out=nxt)
+        np.add(prev, del_costs[i], out=nxt)
         np.minimum(nxt[:, 1:], sub, out=nxt[:, 1:])
         np.subtract(nxt, c, out=nxt)
         np.minimum.accumulate(nxt, axis=1, out=nxt)
         np.add(nxt, c, out=nxt)
-        np.greater(nxt, bud, out=over)
-        nxt[over] = np.inf
+        prev, nxt = nxt, prev
         stats["cells"] += cells
-        np.logical_or(over, invalid, out=over)
-        dead = over.all(axis=1)
+        if not checked or (i + 1) % _PRUNE_EVERY or i + 1 == n:
+            continue
+        dead = np.where(invalid, np.inf, prev).min(axis=1) > bud
         if dead.any():
             stats["pruned"] += int(dead.sum())
             keep = ~dead
             if not keep.any():
                 return out
-            group = group[keep]
-            c = c[keep]
-            bud = bud[keep]
             active = active[keep]
             alive_lens = alive_lens[keep]
-            invalid = invalid[keep]
-            nxt = nxt[keep]
-            narrowed = int(alive_lens.max())
-            if narrowed < group.shape[1]:
-                group = group[:, :narrowed]
-                c = c[:, : narrowed + 1]
-                invalid = invalid[:, : narrowed + 1]
-                nxt = nxt[:, : narrowed + 1]
-            prev = np.empty_like(nxt)
+            width = int(alive_lens.max()) + 1
+            group = group[keep, : width - 1]
+            c = c[keep, :width]
+            bud = bud[keep]
+            invalid = invalid[keep, :width]
+            prev = prev[keep, :width]
+            nxt = np.empty_like(prev)
             sub = np.empty_like(c[:, 1:])
-            over = np.empty(c.shape, dtype=bool)
-            cells = int(invalid.size - invalid.sum())
-        prev, nxt = nxt, prev
-    out[active] = prev[np.arange(len(active)), alive_lens]
+            cells = int(alive_lens.sum()) + len(active)
+    final = prev[np.arange(len(active)), alive_lens]
+    final[final > bud] = np.inf
+    out[active] = final
     return out
 
 

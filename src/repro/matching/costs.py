@@ -17,6 +17,7 @@ bound on the *number* of edit operations (see ``repro.core.strategies``).
 from __future__ import annotations
 
 import abc
+import functools
 
 from repro.errors import MatchConfigError
 from repro.phonetics.clusters import PhonemeClustering, default_clustering
@@ -229,3 +230,40 @@ class ClusteredCost(CostModel):
                 self.weak_phonemes,
             )
         )
+
+
+@functools.lru_cache(maxsize=16)
+def count_classes(costs: CostModel, symbols: tuple) -> tuple[int, ...]:
+    """The class-count bound's partition of ``symbols`` (DESIGN.md §9).
+
+    ``count_classes(costs, symbols)[i]`` is the class of ``symbols[i]``:
+    the connected components of "``substitute(a, b) < min_indel_cost()``
+    either way", so symbols one cheap substitution apart share a class
+    and classical unit costs give singletons.  Classes are numbered in
+    order of their first symbol.  Pure Python and cached per cost model:
+    a phoneme store counts classes at insert without importing numpy,
+    and the batch kernel's tables use the same partition.
+    """
+    min_indel = costs.min_indel_cost()
+    parent = list(range(len(symbols)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(symbols):
+        for j in range(i + 1, len(symbols)):
+            b = symbols[j]
+            if (
+                costs.substitute(a, b) < min_indel
+                or costs.substitute(b, a) < min_indel
+            ):
+                ri, rj = root(i), root(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    number: dict[int, int] = {}
+    return tuple(
+        number.setdefault(root(i), len(number)) for i in range(len(symbols))
+    )

@@ -212,31 +212,3 @@ def edit_distance_within(
     result = prev[len_r]
     return result if result <= budget else None
 
-
-def distance_matrix(
-    left: Sequence[str],
-    right: Sequence[str],
-    costs: CostModel = UNIT_COST,
-) -> list[list[float]]:
-    """The full DP matrix of Figure 8, for inspection and testing.
-
-    ``matrix[i][j]`` is the cost of editing ``left[:i]`` into
-    ``right[:j]``; ``matrix[len(left)][len(right)]`` equals
-    :func:`edit_distance`.
-    """
-    len_l, len_r = len(left), len(right)
-    matrix = [[0.0] * (len_r + 1) for _ in range(len_l + 1)]
-    for i in range(1, len_l + 1):
-        matrix[i][0] = matrix[i - 1][0] + costs.delete(left[i - 1])
-    for j in range(1, len_r + 1):
-        matrix[0][j] = matrix[0][j - 1] + costs.insert(right[j - 1])
-    for i in range(1, len_l + 1):
-        tok_l = left[i - 1]
-        for j in range(1, len_r + 1):
-            tok_r = right[j - 1]
-            matrix[i][j] = min(
-                matrix[i - 1][j] + costs.delete(tok_l),
-                matrix[i - 1][j - 1] + costs.substitute(tok_l, tok_r),
-                matrix[i][j - 1] + costs.insert(tok_r),
-            )
-    return matrix

@@ -24,9 +24,8 @@ exhaustively over the phoneme inventory (or any symbol set) and returns
 the violations; the static-analysis pass (``repro.analysis``, rule
 LEX-D003) runs it over the shipped cost models on every CI run.
 
-With numpy available the checks are vectorized (the triangle scan is
-``O(n^3)`` over ~150 symbols); a pure-Python fallback keeps the checker
-working when numpy is absent.
+The checks are vectorized with numpy (the triangle scan is ``O(n^3)``
+over ~150 symbols), imported on first use.
 """
 
 from __future__ import annotations
@@ -158,87 +157,3 @@ def _check_numpy(
             return out
     return out
 
-
-# ------------------------------------------------------ pure-python path
-
-
-def _check_pure(
-    costs: CostModel, syms: tuple[str, ...], cap: int
-) -> list[MetricViolation]:
-    out: list[MetricViolation] = []
-    sub = {
-        (a, b): costs.substitute(a, b) for a in syms for b in syms
-    }
-    ins = {a: costs.insert(a) for a in syms}
-    dele = {a: costs.delete(a) for a in syms}
-
-    def add(axiom: str, involved: tuple[str, ...], detail: str) -> bool:
-        out.append(MetricViolation(axiom, involved, detail))
-        return len(out) >= cap
-
-    for a in syms:
-        if ins[a] <= 0 or dele[a] <= 0:
-            if add(
-                "positivity",
-                (a,),
-                f"insert={ins[a]:g} delete={dele[a]:g} (must be > 0)",
-            ):
-                return out
-        if abs(sub[a, a]) > _EPS:
-            if add("identity", (a,), f"substitute(a, a)={sub[a, a]:g}"):
-                return out
-        if abs(ins[a] - dele[a]) > _EPS:
-            if add(
-                "symmetry",
-                (a,),
-                f"insert={ins[a]:g} != delete={dele[a]:g}",
-            ):
-                return out
-    for a in syms:
-        for b in syms:
-            if sub[a, b] < 0:
-                if add(
-                    "positivity",
-                    (a, b),
-                    f"substitute={sub[a, b]:g} (must be >= 0)",
-                ):
-                    return out
-            if a < b and abs(sub[a, b] - sub[b, a]) > _EPS:
-                if add(
-                    "symmetry",
-                    (a, b),
-                    f"substitute(a, b)={sub[a, b]:g} != "
-                    f"substitute(b, a)={sub[b, a]:g}",
-                ):
-                    return out
-            if sub[a, b] > dele[a] + ins[b] + _EPS:
-                if add(
-                    "triangle",
-                    (a, b),
-                    f"substitute(a, b)={sub[a, b]:g} > delete(a) + "
-                    f"insert(b)={dele[a] + ins[b]:g}",
-                ):
-                    return out
-            if dele[a] > sub[a, b] + dele[b] + _EPS:
-                if add(
-                    "triangle",
-                    (a, b),
-                    f"delete(a)={dele[a]:g} > substitute(a, b) + "
-                    f"delete(b)={sub[a, b] + dele[b]:g}",
-                ):
-                    return out
-    for a in syms:
-        for b in syms:
-            bound = sub[a, b] + _EPS
-            for k in syms:
-                if sub[a, k] + sub[k, b] < bound - _EPS * 2:
-                    if add(
-                        "triangle",
-                        (a, b, k),
-                        f"substitute(a, b)={sub[a, b]:g} > "
-                        f"substitute(a, k) + substitute(k, b)="
-                        f"{sub[a, k] + sub[k, b]:g}",
-                    ):
-                        return out
-                    break
-    return out

@@ -22,15 +22,17 @@ the number of *joined pairs* ``(g1, g2)`` with equal grams and close
 positions; this over-counts duplicated grams relative to a perfect bag
 intersection, which keeps the filter conservative (it can only let extra
 candidates through, never drop a true match).
+
+:class:`repro.core.sources.QGramSource` applies the filters to every
+stored key at once; this module holds the shared definitions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from repro import faults, obs
+from repro import obs
 from repro.errors import MatchConfigError
 
 #: Start sentinel prepended to the extended string (outside any alphabet).
@@ -65,18 +67,6 @@ def positional_qgrams(
     )
 
 
-def qgram_profile(tokens: Sequence[str], q: int = 2) -> Counter:
-    """Bag of (non-positional) q-grams of a token sequence."""
-    return Counter(g.gram for g in positional_qgrams(tokens, q))
-
-
-def length_filter(len_a: int, len_b: int, k: float) -> bool:
-    """True if two strings of these lengths *can* be within distance ``k``."""
-    passed = abs(len_a - len_b) <= k
-    obs.incr("filters.length.pass" if passed else "filters.length.reject")
-    return passed
-
-
 def count_filter_threshold(len_a: int, len_b: int, k: float, q: int) -> float:
     """Minimum number of shared q-grams required by the count filter.
 
@@ -105,48 +95,6 @@ def matching_qgram_pairs(
         if positions:
             pairs += sum(1 for p in positions if abs(g.pos - p) <= k)
     return pairs
-
-
-def count_filter(
-    tokens_a: Sequence[str],
-    tokens_b: Sequence[str],
-    k: float,
-    q: int = 2,
-) -> bool:
-    """Count filter alone (no position constraint)."""
-    needed = count_filter_threshold(len(tokens_a), len(tokens_b), k, q)
-    if needed <= 0:
-        obs.incr("filters.count.pass")
-        return True
-    shared = 0
-    profile_b = qgram_profile(tokens_b, q)
-    for gram, n in qgram_profile(tokens_a, q).items():
-        shared += min(n, profile_b.get(gram, 0))
-        if shared >= needed:
-            obs.incr("filters.count.pass")
-            return True
-    passed = shared >= needed
-    obs.incr("filters.count.pass" if passed else "filters.count.reject")
-    return passed
-
-
-def position_filter(
-    tokens_a: Sequence[str],
-    tokens_b: Sequence[str],
-    k: float,
-    q: int = 2,
-) -> bool:
-    """Count filter with the position constraint applied (Figure 14 form)."""
-    needed = count_filter_threshold(len(tokens_a), len(tokens_b), k, q)
-    if needed <= 0:
-        obs.incr("filters.position.pass")
-        return True
-    pairs = matching_qgram_pairs(
-        positional_qgrams(tokens_a, q), positional_qgrams(tokens_b, q), k
-    )
-    passed = pairs >= needed
-    obs.incr("filters.position.pass" if passed else "filters.position.reject")
-    return passed
 
 
 def publish_filter_counts(
@@ -178,19 +126,3 @@ def publish_filter_counts(
     if cnt_reject:
         obs.incr("filters.count.reject", cnt_reject)
 
-
-def passes_filters(
-    tokens_a: Sequence[str],
-    tokens_b: Sequence[str],
-    k: float,
-    q: int = 2,
-) -> bool:
-    """All three filters combined: the cheap pre-check before the UDF.
-
-    Guaranteed conservative with respect to unit-cost edit distance: if
-    ``edit_distance(a, b) <= k`` then this returns True.
-    """
-    faults.fire("matching.qgrams.filter")
-    if not length_filter(len(tokens_a), len(tokens_b), k):
-        return False
-    return position_filter(tokens_a, tokens_b, k, q)

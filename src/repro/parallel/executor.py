@@ -53,7 +53,7 @@ from multiprocessing import connection
 from repro import deadline, obs
 from repro.core.sources import _encode
 from repro.errors import DeadlineExceededError, ReproError
-from repro.matching.batch import batch_edit_distances_within_encoded
+from repro.matching.batch import batch_edit_distances_within_runs
 from repro.parallel import shm as shm_mod
 from repro.parallel.table import EncodedNameTable
 
@@ -69,6 +69,24 @@ class ParallelExecutionError(ReproError):
     """A shard task failed or the executor was used after close()."""
 
 
+def _within(table, q, rows, threshold, counts) -> np.ndarray:
+    """Distances from ``q`` to table ``rows`` within the per-pair budget
+    ``threshold * min(|q|, |row|)``, bounded by the rows' stored class
+    counts; codes are gathered only for the rows that survive."""
+    return batch_edit_distances_within_runs(
+        q,
+        table.codes,
+        table.offsets[:-1],
+        table.lens,
+        table.encoded,
+        threshold * np.minimum(len(q), table.lens[rows]),
+        rows,
+        counts,
+        table.class_counts,
+        table.class_totals,
+    )
+
+
 def _match_shard_on(
     table,
     start: int,
@@ -81,12 +99,8 @@ def _match_shard_on(
     rows = np.arange(start, stop)
     if allowed is not None:
         rows = rows[np.isin(table.lang_codes[start:stop], allowed)]
-    budgets = threshold * np.minimum(len(q), table.lens[rows])
     counts = {"dp": 0}
-    dists = batch_edit_distances_within_encoded(
-        q, table.codes, table.offsets, table.encoded, budgets, rows=rows,
-        counts=counts,
-    )
+    dists = _within(table, q, rows, threshold, counts)
     hit = np.isfinite(dists)
     return table.ids[rows[hit]], dists[hit], stop - start, counts["dp"]
 
@@ -113,11 +127,7 @@ def _join_shard_on(
         if rows.size == 0:
             continue
         q = table.codes[table.offsets[i] : table.offsets[i + 1]]
-        budgets = threshold * np.minimum(len(q), table.lens[rows])
-        dists = batch_edit_distances_within_encoded(
-            q, table.codes, table.offsets, table.encoded, budgets,
-            rows=rows, counts=counts,
-        )
+        dists = _within(table, q, rows, threshold, counts)
         hit = np.isfinite(dists)
         if hit.any():
             matched = rows[hit]

@@ -1,9 +1,10 @@
 """The shared-memory-shippable encoded phoneme table.
 
 :class:`EncodedNameTable` is the flat-array snapshot the parallel
-executor shards: phoneme strings as one CSR int-code array pair, record
-ids, and language codes, gathered from the code columns a
-:class:`~repro.core.sources.PhonemeStore` encoded at insert.
+executor shards: phoneme strings as one CSR int-code array pair, their
+class-count rows (with each row's weighted total, the count bound's
+input), record ids, and language codes, gathered from the columns a
+:class:`~repro.core.sources.PhonemeStore` wrote at insert.
 Everything is numpy or plain tuples, and the
 table publishes itself into one ``multiprocessing.shared_memory``
 segment (:meth:`share`) that worker processes attach to by name
@@ -53,9 +54,10 @@ class EncodedNameTable:
     @classmethod
     def from_store(cls, store, language_of=None) -> EncodedNameTable:
         """Gather a :class:`~repro.core.sources.PhonemeStore`'s code
-        columns, widened to int64 once, with no re-encoding."""
+        columns, widened to int64 once, and its class-count rows, with
+        no re-encoding or recounting."""
         writes = store.writes
-        keys, codes, offsets, outside = store.export()
+        keys, codes, offsets, class_counts, outside = store.export()
         names = (
             [language_of[key] for key in keys.tolist()]
             if language_of is not None
@@ -67,6 +69,8 @@ class EncodedNameTable:
         table.encoded = _encoded_costs(store.costs)
         table.codes = codes.astype(np.int64)
         table.offsets = offsets
+        table.class_counts = class_counts
+        table.class_totals = class_counts @ table.encoded.wc
         table.ids = keys.astype(np.int64)
         table.lang_codes = np.fromiter(
             map(code_of.__getitem__, names), np.int16, len(names)
@@ -98,12 +102,15 @@ class EncodedNameTable:
             {
                 "codes": self.codes,
                 "offsets": self.offsets,
+                "class_counts": self.class_counts,
+                "class_totals": self.class_totals,
                 "ids": self.ids,
                 "lang_codes": self.lang_codes,
                 "lens": self.lens,
                 "sub": self.encoded.sub,
                 "ins": self.encoded.ins,
                 "dele": self.encoded.dele,
+                "classes": self.encoded.classes,
             }
         )
         descriptor = SharedTableDescriptor(
@@ -118,10 +125,11 @@ class EncodedNameTable:
         """Rebuild a zero-copy view of a shared table in this process.
 
         The returned table is read-only and kernel-complete (matching
-        and joins work); workers receive queries already encoded.  Its
-        :class:`~repro.matching.batch.CostTables` derive the kernel's
-        class-count bound from the shared cost matrices here, with the
-        same code as the parent's.  The caller owns the returned
+        and joins work); workers receive queries already encoded.  The
+        class counts and the partition are the parent's, read from the
+        segment; its :class:`~repro.matching.batch.CostTables` derive
+        the bound's weights from them with the same code as the
+        parent's.  The caller owns the returned
         :class:`~repro.parallel.shm.AttachedSegment` and must keep it
         alive as long as the table is used.
         """
@@ -133,9 +141,12 @@ class EncodedNameTable:
             arrays["ins"],
             arrays["dele"],
             descriptor.min_indel,
+            arrays["classes"],
         )
         table.codes = arrays["codes"]
         table.offsets = arrays["offsets"]
+        table.class_counts = arrays["class_counts"]
+        table.class_totals = arrays["class_totals"]
         table.ids = arrays["ids"]
         table.lang_codes = arrays["lang_codes"]
         table.lens = arrays["lens"]

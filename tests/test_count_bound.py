@@ -8,6 +8,10 @@ bound must never exceed the exact distance, for the derived partition
 and for any coarsening of it, under every cost-model shape; pruning
 with it must leave every distance and decision equal to the scalar
 ``edit_distance_within``; and rounding may only ever keep a pair.
+
+The counts a ``PhonemeStore`` writes at insert (and ships to pool
+workers) must equal a from-scratch recount after any write history, and
+must never wrap; the partition must equal a reference union-find.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from repro.core.config import MatchConfig
 from repro.core.sources import PhonemeStore, _encoded_costs
 from repro.matching.batch import (
     EncodedCosts,
-    _count_bounds,
     batch_edit_distances_within_encoded,
+    batch_edit_distances_within_runs,
     class_weights,
+    count_bounds,
 )
-from repro.matching.costs import CostModel, LevenshteinCost
+from repro.matching.costs import CostModel, LevenshteinCost, count_classes
 from repro.matching.editdist import edit_distance_within
 from repro.parallel.table import EncodedNameTable
 from repro.phonetics.inventory import SYMBOL_CODES
@@ -70,14 +75,23 @@ def _csr(strings):
     return codes, offsets
 
 
+def _codes(phonemes):
+    return [SYMBOL_CODES[symbol] for symbol in phonemes]
+
+
+def _recount(tables, strings):
+    """Per-class symbol counts of code strings, counted one by one."""
+    hist = np.zeros((len(strings), len(tables.wq)), dtype=np.int64)
+    for row, string in zip(hist, strings):
+        for symbol in string:
+            row[tables.classes[symbol]] += 1
+    return hist
+
+
 def _bounds(tables, q, candidates):
-    codes, offsets = _csr(candidates)
-    return _count_bounds(
-        np.asarray(q, dtype=np.int64),
-        codes,
-        offsets[:-1],
-        np.diff(offsets),
-        tables,
+    """The bound over a from-scratch recount: the stored counts' oracle."""
+    return count_bounds(
+        np.asarray(q, dtype=np.int64), _recount(tables, candidates), tables
     )
 
 
@@ -123,6 +137,57 @@ class TestDerivation:
                 assert np.array_equal(got.classes, encoded.classes)
                 assert np.array_equal(got.wq, encoded.wq)
                 assert np.array_equal(got.wc, encoded.wc)
+            finally:
+                del attached, got
+                mapping.close()
+        finally:
+            segment.unlink()
+
+
+def _reference_partition(costs):
+    """Classes of "``sub(a, b) < min_indel`` either way", by a plain
+    union-find over the compiled cost matrix, numbered in order of each
+    class's first symbol."""
+    sub = _encoded_costs(costs).sub
+    near = (sub < costs.min_indel_cost()) | (sub.T < costs.min_indel_cost())
+    parent = list(range(len(SYMBOLS)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in zip(*np.nonzero(near)):
+        parent[find(a)] = find(b)
+    number = {}
+    return [
+        number.setdefault(find(i), len(number)) for i in range(len(SYMBOLS))
+    ]
+
+
+class TestPartition:
+    @pytest.mark.parametrize("name", list(COST_MODELS))
+    def test_equals_reference_union_find(self, name):
+        costs = COST_MODELS[name]
+        want = _reference_partition(costs)
+        assert list(count_classes(costs, tuple(SYMBOLS))) == want
+        assert _encoded_costs(costs).classes.tolist() == want
+        assert PhonemeStore(costs).width == max(want) + 1
+
+    @pytest.mark.parametrize("name", list(COST_MODELS))
+    def test_attached_table_reads_the_parents_counts(self, name):
+        store = PhonemeStore(COST_MODELS[name])
+        store.update({0: ("a", "b", "a"), 2: ("s",), 3: ()})
+        table = EncodedNameTable.from_store(store)
+        segment, descriptor = table.share()
+        try:
+            attached, mapping = EncodedNameTable.attach(descriptor)
+            try:
+                got = attached.class_counts
+                assert np.array_equal(got, table.class_counts)
+                assert got.tolist() == _recount(
+                    table.encoded, [_codes(store[k]) for k in (0, 2, 3)]
+                ).tolist()
             finally:
                 del attached, got
                 mapping.close()
@@ -309,3 +374,129 @@ def test_rounding_only_ever_keeps_a_pair(indel, query, candidate):
         q, codes, offsets, encoded, distance
     )
     assert got[0] == distance
+
+
+# ----------------------------------------------- counts stored at insert
+
+
+def _stored_rows(store, keys):
+    """The class-count rows a store's reader sees for ``keys``."""
+    _, got_keys, clens, _, rows = store._read(np.asarray(keys, np.int64))
+    assert got_keys.tolist() == list(keys) and (clens >= 0).all()
+    return rows
+
+
+def _table_distances(table, q, budgets, counts=None):
+    """The kernel over a gathered table, bounded by its stored counts."""
+    return batch_edit_distances_within_runs(
+        q,
+        table.codes,
+        table.offsets[:-1],
+        table.lens,
+        table.encoded,
+        budgets,
+        counts=counts,
+        class_counts=table.class_counts,
+        class_totals=table.class_totals,
+    )
+
+
+symbol_strings = st.lists(st.sampled_from(SYMBOLS[:12]), max_size=9).map(
+    tuple
+)
+write_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), st.integers(0, 11), symbol_strings),
+        st.tuples(st.just("pop"), st.integers(0, 11), st.none()),
+        st.tuples(
+            st.just("update"),
+            st.dictionaries(st.integers(0, 11), symbol_strings, max_size=4),
+            st.none(),
+        ),
+        st.tuples(st.just("compact"), st.none(), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestStoredCounts:
+    """What ``PhonemeStore._write`` stores equals a from-scratch recount,
+    and so does every bound and kernel answer taken over it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        history=write_ops,
+        costs=cost_models,
+        queries=st.lists(symbol_strings, min_size=1, max_size=3),
+    )
+    def test_stored_bound_equals_recount(self, history, costs, queries):
+        store = PhonemeStore(costs)
+        stored = {}
+        for op, key, phonemes in history:
+            if op == "set":
+                store[key] = stored[key] = phonemes
+            elif op == "pop":
+                assert store.pop(key, None) == stored.pop(key, None)
+            elif op == "update":
+                # As a restore does it: one ``update`` of a whole dict.
+                store.update(key)
+                stored.update(key)
+            else:
+                store._compact()
+        encoded = _encoded_costs(costs)
+        keys = sorted(stored)
+        strings = [_codes(stored[k]) for k in keys]
+        rows = _stored_rows(store, keys)
+        assert rows.tolist() == _recount(encoded, strings).tolist()
+        table = EncodedNameTable.from_store(store)
+        assert table.ids.tolist() == keys
+        assert table.class_counts.tolist() == rows.tolist()
+        for query in queries:
+            q = np.asarray(_codes(query), dtype=np.int64)
+            assert count_bounds(q, rows, encoded).tolist() == _bounds(
+                encoded, q, strings
+            ).tolist()
+            lens = np.array([len(s) for s in strings], dtype=np.int64)
+            budgets = 0.25 * np.minimum(len(q), lens)
+            got, want = {"dp": 0}, {"dp": 0}
+            with_stored = _table_distances(table, q, budgets, got)
+            recounted = batch_edit_distances_within_encoded(
+                q, table.codes, table.offsets, encoded, budgets,
+                counts=want,
+            )
+            assert with_stored.tolist() == recounted.tolist()
+            assert got == want
+            assert store.verify(query, keys, 0.25) == [
+                k for k, d in zip(keys, recounted) if d != np.inf
+            ]
+
+    @pytest.mark.parametrize("name", list(COST_MODELS))
+    def test_counts_past_a_byte_never_wrap(self, name):
+        """A count above 255 widens the column instead of wrapping: a
+        wrapped count would over-state the bound and dismiss a match."""
+        costs = COST_MODELS[name]
+        store = PhonemeStore(costs)
+        store.update({0: ("a",) * 3, 1: ("s", "a")})
+        columns = store._columns
+        long = ("a",) * 300 + ("s",)
+        store[2] = long
+        assert store._columns[3].typecode != "B"
+        assert columns[3].typecode == "B"  # a reader's old tuple stands
+        encoded = _encoded_costs(costs)
+        rows = _stored_rows(store, [0, 1, 2])
+        assert rows.tolist() == _recount(
+            encoded, [_codes(store[k]) for k in (0, 1, 2)]
+        ).tolist()
+        assert rows[2].max() == 300
+        assert store.verify(long, [0, 1, 2], 0.25) == [2]
+        near = ("a",) * 299 + ("s",)
+        assert store.verify(near, [2], 0.25) == [2]
+        table = EncodedNameTable.from_store(store)
+        assert table.class_counts[2].max() == 300
+        q = np.asarray(_codes(near), dtype=np.int64)
+        assert np.isfinite(_table_distances(table, q, 0.25 * 300)[2])
+        # Later writes land in the widened column.
+        store[3] = ("a", "s")
+        assert _stored_rows(store, [3]).tolist() == _recount(
+            encoded, [_codes(("a", "s"))]
+        ).tolist()

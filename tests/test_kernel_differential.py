@@ -18,7 +18,7 @@ pipeline: every source's select and join against the naive scan, and
 every SQL accelerator method against the query with the accelerator
 dropped, across DML, checkpoint/reopen and an old snapshot layout.
 The q-gram source is also held to the pairwise Figure 14 filters of
-``repro.matching.qgrams``, and lock-free accelerated selects to the
+the tests' oracle, and lock-free accelerated selects to the
 answers they gave before a concurrent writer started.  The one
 verifier, ``PhonemeStore.verify`` over its stored code columns, is held
 to per-key scalar rechecks across random writes, a reader holding
@@ -352,10 +352,10 @@ def _fig14_keys(stored: dict, query, config) -> tuple[list[int], int]:
     from repro.core.sources import filter_tokens
     from repro.matching.qgrams import (
         count_filter_threshold,
-        length_filter,
         matching_qgram_pairs,
         positional_qgrams,
     )
+    from tests.oracle import length_filter
 
     q = config.q
     query_tokens = filter_tokens(query, config)
@@ -378,8 +378,8 @@ def _fig14_keys(stored: dict, query, config) -> tuple[list[int], int]:
 
 
 class TestQGramSourceOracle:
-    """``QGramSource.candidates`` equals the pairwise Figure 14 check of
-    :mod:`repro.matching.qgrams`, across interleaved add/remove and a
+    """``QGramSource.candidates`` equals the pairwise Figure 14 check
+    built from :mod:`repro.matching.qgrams`, across interleaved add/remove and a
     pickled ``state()`` → ``from_state()`` round trip."""
 
     ROWS = 180

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.matching.costs import ClusteredCost, LevenshteinCost
-from repro.matching.editdist import (
-    distance_matrix,
-    edit_distance,
-    edit_distance_within,
-)
+from repro.matching.editdist import edit_distance, edit_distance_within
+from tests.oracle import distance_matrix
 
 
 class TestClassicDistance:

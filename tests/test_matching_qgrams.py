@@ -7,13 +7,15 @@ from repro.matching.editdist import edit_distance
 from repro.matching.qgrams import (
     END_SYMBOL,
     START_SYMBOL,
-    count_filter,
     count_filter_threshold,
-    length_filter,
     matching_qgram_pairs,
+    positional_qgrams,
+)
+from tests.oracle import (
+    count_filter,
+    length_filter,
     passes_filters,
     position_filter,
-    positional_qgrams,
     qgram_profile,
 )
 

@@ -21,10 +21,10 @@ from repro.core.config import MatchConfig
 from repro.matching.costs import ClusteredCost, LevenshteinCost
 from repro.matching.editdist import edit_distance, edit_distance_within
 from repro.matching.metric import check_metric_axioms
-from repro.matching.qgrams import passes_filters
 from repro.phonetics.clusters import default_clustering
 from repro.phonetics.folding import fold_phonemes
 from repro.phonetics.keys import grouped_key
+from tests.oracle import passes_filters
 
 # A representative symbol pool: stops, nasals, liquids, laryngeals, vowels.
 SYMBOLS = [
