@@ -57,14 +57,6 @@ echo "== chaos smoke (seeded fault schedule, 500 requests) =="
 REPRO_CHAOS_SEED="${REPRO_CHAOS_SEED:-2004}" \
 python scripts/chaos_smoke.py
 
-echo "== cluster smoke (shard-kill chaos gate, 600 requests) =="
-REPRO_CLUSTER_SEED="${REPRO_CLUSTER_SEED:-20040314}" \
-python scripts/cluster_smoke.py
-
-echo "== cluster throughput benchmark (scaled down) =="
-REPRO_BENCH_CLUSTER_REQS="${REPRO_BENCH_CLUSTER_REQS:-200}" \
-python -m pytest benchmarks/bench_cluster_throughput.py -q
-
 echo "== server throughput benchmark (scaled down) =="
 REPRO_BENCH_SERVER_CONC="${REPRO_BENCH_SERVER_CONC:-1,8}" \
 REPRO_BENCH_SERVER_REQS="${REPRO_BENCH_SERVER_REQS:-10}" \

@@ -21,37 +21,28 @@ from repro.analysis.findings import Finding
 
 
 class OpDrift(Rule):
-    """Protocol ops, dispatchers, client retries and docs agree.
+    """Protocol ops, the dispatcher, client retries and docs agree.
 
-    Covers both dispatchers: the single-process server *and* the
-    cluster router (which reimplements dispatch for fan-out) must each
-    handle every declared op — a new op added to one but not the other
-    would work single-process and 404 behind ``--cluster``.  The
-    degradation field names (``protocol.DEGRADED_FIELDS``) are pinned
-    the same way: each must appear as a literal in a producer (service
-    or router) and in the protocol docs.
+    The degradation field names (``protocol.DEGRADED_FIELDS``) are
+    pinned the same way: each must appear as a literal in the service
+    that produces it and in the protocol docs.
     """
 
     rule_id = "LEX-A001"
     name = "op-drift"
     description = (
-        "protocol.OPS, the server and router dispatchers, the client "
-        "retry whitelist, protocol.DEGRADED_FIELDS producers and "
-        "DESIGN.md §7 must name the same operations and fields"
+        "protocol.OPS, the server dispatcher, the client retry "
+        "whitelist, protocol.DEGRADED_FIELDS producers and DESIGN.md "
+        "§7 must name the same operations and fields"
     )
 
     #: Names in protocol.py whose string values form DEGRADED_FIELDS.
-    DEGRADED_FIELD_CONSTANTS = (
-        "F_DEGRADED",
-        "F_FAILED_LANGUAGES",
-        "F_FAILED_SHARDS",
-    )
+    DEGRADED_FIELD_CONSTANTS = ("F_DEGRADED", "F_FAILED_LANGUAGES")
 
     def __init__(
         self,
         protocol_file: str = "src/repro/server/protocol.py",
         server_file: str = "src/repro/server/app.py",
-        router_file: str = "src/repro/cluster/router.py",
         client_file: str = "src/repro/server/client.py",
         service_file: str = "src/repro/server/service.py",
         design_file: str = "DESIGN.md",
@@ -59,7 +50,6 @@ class OpDrift(Rule):
     ):
         self.protocol_file = protocol_file
         self.server_file = server_file
-        self.router_file = router_file
         self.client_file = client_file
         self.service_file = service_file
         self.design_file = design_file
@@ -162,28 +152,6 @@ class OpDrift(Rule):
                 "dispatcher never handles",
             )
 
-        routed = self._dispatched(ctx, self.router_file)
-        if routed is None:
-            yield self.finding(
-                self.router_file, 1, "router _dispatch method not found"
-            )
-        else:
-            for op in sorted(set(routed) - set(declared)):
-                yield self.finding(
-                    self.router_file,
-                    routed[op],
-                    f"cluster router dispatches op {op!r} that is not "
-                    "declared in protocol.OPS",
-                )
-            for op in sorted(set(declared) - set(routed)):
-                yield self.finding(
-                    self.protocol_file,
-                    ops_line,
-                    f"protocol.OPS declares {op!r}, which the cluster "
-                    "router never handles (works single-process, fails "
-                    "behind --cluster)",
-                )
-
         yield from self._check_degraded_fields(ctx)
 
         section = self._design_section_text(ctx)
@@ -211,20 +179,17 @@ class OpDrift(Rule):
         """Degradation field names agree across protocol, producers, docs.
 
         Each ``F_*`` constant's value must be written as a quoted
-        literal by at least one producer (the service marks
-        ``degraded``/``failed_languages``; the router marks
-        ``failed_shards``) and documented in DESIGN.md §7 — renaming
+        literal by the service (which marks ``degraded`` and
+        ``failed_languages``) and documented in DESIGN.md §7 — renaming
         one side silently breaks clients keying on the old field.
         """
-        producers = (self.service_file, self.router_file)
-        sources: dict[str, str] = {}
-        for file in producers:
-            try:
-                sources[file] = ctx.source(file)
-            except OSError:
-                yield self.finding(
-                    file, 1, "degradation producer file missing"
-                )
+        try:
+            source = ctx.source(self.service_file)
+        except OSError:
+            yield self.finding(
+                self.service_file, 1, "degradation producer file missing"
+            )
+            source = ""
         section = self._design_section_text(ctx)
         for constant in self.DEGRADED_FIELD_CONSTANTS:
             value = ctx.literal(self.protocol_file, constant)
@@ -238,12 +203,12 @@ class OpDrift(Rule):
                 )
                 continue
             quoted = f'"{value}"'
-            if not any(quoted in src for src in sources.values()):
+            if quoted not in source:
                 yield self.finding(
                     self.protocol_file,
                     line,
                     f"degradation field {value!r} ({constant}) is never "
-                    "produced by the service or the cluster router",
+                    "produced by the service",
                 )
             if section is not None and f"`{value}`" not in section[0]:
                 yield self.finding(
@@ -339,7 +304,6 @@ METRIC_DOMAINS = frozenset(
         "accelerator",
         "btree",
         "client",
-        "cluster",
         "faults",
         "filters",
         "matching",

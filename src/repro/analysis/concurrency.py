@@ -10,7 +10,7 @@ the spec with a reason, never baselined:
   every discovered lock must be ranked.
 - **LEX-C002** ``async-blocking``: no blocking calls (``time.sleep``,
   ``os.fsync``, synchronous sockets/files, untimed ``.acquire()``)
-  inside ``async def`` bodies on the server/cluster event loops.
+  inside ``async def`` bodies on the server's event loop.
 - **LEX-C003** ``fork-signal-safety``: no lock acquisition or thread
   creation reachable from ``os.register_at_fork`` hooks or
   ``signal.signal`` handlers outside sanctioned sites.
@@ -199,7 +199,7 @@ class AsyncBlocking(Rule):
     rule_id = "LEX-C002"
     name = "async-blocking"
     description = (
-        "async def bodies in repro.server/repro.cluster must not call "
+        "async def bodies in repro.server must not call "
         "time.sleep, os.fsync, blocking socket/file I/O, or untimed "
         ".acquire()"
     )
@@ -289,8 +289,8 @@ class AsyncBlocking(Rule):
         """Walk the coroutine body, skipping nested function defs.
 
         A nested synchronous ``def`` is typically shipped to an
-        executor (repro.cluster.links does exactly this); nested async
-        defs are visited by the outer file walk on their own.
+        executor; nested async defs are visited by the outer file walk
+        on their own.
         """
         stack: list[ast.AST] = [
             node

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 # The sanctioned total order.  Lower rank = acquired first (outermost).
 # The load-bearing chain is the PR 7 invariant:
 #
-#   cluster.supervisor < minidb.catalog.write < {minidb.table.write,
-#   storage.backend} < registries/caches < faults < shm < obs
+#   minidb.catalog.write < {minidb.table.write, storage.backend}
+#   < registries/caches < faults < shm < obs
 #
 # i.e. the catalog write lock is always taken before the storage
 # backend lock (checkpoint does ``with db.write_lock, self._lock``),
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 # holder may take but that must never wrap a structural lock.
 
 LOCK_RANKS: dict[str, int] = {
-    "cluster.supervisor": 10,
     "minidb.catalog.write": 20,
     "minidb.table.write": 30,
     "storage.backend": 35,
@@ -63,7 +62,6 @@ SANCTIONED_EDGES: frozenset[tuple[str, str]] = frozenset()
 # must only contain attribute names that are unambiguous repo-wide.
 
 CLASS_ATTRS: dict[tuple[str, str], str] = {
-    ("ShardSupervisor", "_lock"): "cluster.supervisor",
     ("Database", "_write_lock"): "minidb.catalog.write",
     ("HeapTable", "_write_lock"): "minidb.table.write",
     ("FileBackend", "_lock"): "storage.backend",
@@ -145,10 +143,7 @@ SANCTIONED_UNPOLLED_LOOPS: dict[tuple[str, str], str] = {
 }
 
 #: Package prefixes whose ``async def`` bodies LEX-C002 scans.
-ASYNC_SCOPES: tuple[str, ...] = (
-    "src/repro/server",
-    "src/repro/cluster",
-)
+ASYNC_SCOPES: tuple[str, ...] = ("src/repro/server",)
 
 #: ``async def`` bodies allowed to make nominally-blocking calls.
 SANCTIONED_ASYNC_SITES: dict[tuple[str, str], str] = {}

@@ -65,6 +65,19 @@ def _parse_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _config_from_args(args: argparse.Namespace) -> MatchConfig:
     kwargs = {}
     if getattr(args, "threshold", None) is not None:
@@ -335,46 +348,24 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import os
+
+    from repro.core.integration import demo_books_db
     from repro.server.app import serve
     from repro.server.service import QueryService
 
-    if getattr(args, "cluster", 0):
-        return _serve_cluster(args)
-
     matcher = LexEqualMatcher(_config_from_args(args))
-
-    if getattr(args, "shard_index", None) is not None:
-        # Shard backend mode: spawned by the cluster supervisor, never
-        # by hand (the flags are hidden).  Serve one owned slice.
-        from repro.cluster.backend import sharded_service
-
-        service = sharded_service(
-            args.shard_index,
-            args.shard_count,
-            strategy=_resolve_strategy(args),
-            data_dir=getattr(args, "data_dir", None),
-            matcher=matcher,
-        )
+    if getattr(args, "data_dir", None):
+        service_db = _open_data_dir(args)
+        meta = getattr(service_db.storage, "accelerator_meta", lambda: [])()
+        strategy = ",".join(sorted({e["method"] for e in meta})) or "none"
     else:
-        from repro.core.integration import demo_books_db
-
-        if getattr(args, "data_dir", None):
-            service_db = _open_data_dir(args)
-            meta = getattr(
-                service_db.storage, "accelerator_meta", lambda: []
-            )()
-            strategy = (
-                ",".join(sorted({e["method"] for e in meta})) or "none"
-            )
-        else:
-            strategy = _resolve_strategy(args)
-            service_db = demo_books_db(strategy, matcher)
-        service = QueryService(service_db, matcher, strategy=strategy)
+        strategy = _resolve_strategy(args)
+        service_db = demo_books_db(strategy, matcher)
+    service = QueryService(service_db, matcher, strategy=strategy)
 
     def ready(host: str, port: int) -> None:
         print(f"listening on {host}:{port}", flush=True)
-
-    import os
 
     fault_injection = args.fault_injection or bool(
         os.environ.get("REPRO_FAULT_OPS")
@@ -398,55 +389,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         return 1
     print("server drained and stopped", flush=True)
-    return 0
-
-
-def _serve_cluster(args: argparse.Namespace) -> int:
-    """``serve --cluster N``: router + N supervised shard backends."""
-    import os
-
-    from repro.cluster.router import serve_cluster
-
-    shard_args: list[str] = []
-    if getattr(args, "data_dir", None):
-        shard_args += ["--data-dir", args.data_dir]
-    else:
-        shard_args += ["--strategy", _resolve_strategy(args)]
-    if args.threshold is not None:
-        shard_args += ["--threshold", str(args.threshold)]
-    if args.cost is not None:
-        shard_args += ["--cost", str(args.cost)]
-    shard_args += [
-        "--workers", str(args.workers),
-        "--max-inflight", str(args.max_inflight),
-        "--request-timeout", str(args.request_timeout),
-    ]
-    fault_injection = args.fault_injection or bool(
-        os.environ.get("REPRO_FAULT_OPS")
-    )
-
-    def ready(host: str, port: int) -> None:
-        print(f"listening on {host}:{port}", flush=True)
-
-    try:
-        serve_cluster(
-            args.cluster,
-            args.host,
-            args.port,
-            shard_args=tuple(shard_args),
-            ready=ready,
-            request_timeout=args.request_timeout,
-            drain_timeout=args.drain_timeout,
-            fault_injection=fault_injection,
-            cache_ttl=args.cache_ttl,
-        )
-    except OSError as exc:  # e.g. port already bound
-        print(
-            f"error: cannot listen on {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    print("cluster drained and stopped", flush=True)
     return 0
 
 
@@ -517,17 +459,13 @@ def cmd_client(args: argparse.Namespace) -> int:
 def _warn_degraded(result: dict) -> None:
     """Surface a degraded (partial) server answer on stderr."""
     if result.get("degraded"):
-        detail = []
         languages = ", ".join(result.get("failed_languages", ()))
-        if languages:
-            detail.append(f"language(s) unavailable: {languages}")
-        shards = ", ".join(result.get("failed_shards", ()))
-        if shards:
-            detail.append(f"shard(s) unavailable: {shards}")
-        print(
-            f"-- degraded result: {'; '.join(detail) or 'cause unknown'}",
-            file=sys.stderr,
+        cause = (
+            f"language(s) unavailable: {languages}"
+            if languages
+            else "cause unknown"
         )
+        print(f"-- degraded result: {cause}", file=sys.stderr)
 
 
 def _render_value(value) -> str:
@@ -715,11 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port; 0 picks an ephemeral port (default: 2004)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_positive_int, default=4,
         help="CPU worker threads (default: 4)",
     )
     p_serve.add_argument(
-        "--max-inflight", type=int, default=32,
+        "--max-inflight", type=_positive_int, default=32,
         help="backpressure: max admitted requests (default: 32)",
     )
     p_serve.add_argument(
@@ -749,24 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--threshold", type=float)
     p_serve.add_argument("--cost", type=float)
-    p_serve.add_argument(
-        "--cluster", type=int, default=0, metavar="N",
-        help="cluster mode: route over N supervised shard backend "
-        "processes with health-checked failover (DESIGN.md §11)",
-    )
-    p_serve.add_argument(
-        "--cache-ttl", type=float, default=5.0,
-        help="cluster mode: router result-cache TTL in seconds "
-        "(default: 5)",
-    )
-    # Internal flags the cluster supervisor passes to shard backends;
-    # hidden because a shard is only meaningful under its supervisor.
-    p_serve.add_argument(
-        "--shard-index", type=int, default=None, help=argparse.SUPPRESS
-    )
-    p_serve.add_argument(
-        "--shard-count", type=int, default=1, help=argparse.SUPPRESS
-    )
     p_serve.set_defaults(func=cmd_serve)
 
     p_client = sub.add_parser(

@@ -162,13 +162,11 @@ def install_lexequal(
     return matcher
 
 
-def populate_books_demo(db: Database, row_filter=None) -> None:
+def populate_books_demo(db: Database) -> None:
     """Create and fill the Books.com table of paper Figure 1 on ``db``.
 
     Shared between the in-memory demo catalog and ``lexequal init``
     (which seeds the same rows into a durable data directory).
-    ``row_filter(row) -> bool`` keeps a subset of the demo rows — the
-    cluster's shard backends load only the rows they own.
     """
     from repro.minidb.schema import Column
     from repro.minidb.values import SqlType
@@ -196,8 +194,6 @@ def populate_books_demo(db: Database, row_filter=None) -> None:
         (LangText("Σαρρη", "greek"), "Παιχνίδια στο Πιάνο", 15.5, "greek"),
     ]
     for row in rows:
-        if row_filter is not None and not row_filter(row):
-            continue
         db.insert("books", row)
 
 
@@ -205,7 +201,6 @@ def demo_books_db(
     accelerate: str = "qgram",
     matcher: LexEqualMatcher | None = None,
     workers: int | None = None,
-    row_filter=None,
 ) -> Database:
     """The Books.com catalog of paper Figure 1, LexEQUAL installed.
 
@@ -225,7 +220,7 @@ def demo_books_db(
         db = Database()
         matcher = matcher or LexEqualMatcher()
         install_lexequal(db, matcher)
-        populate_books_demo(db, row_filter)
+        populate_books_demo(db)
         if accelerate != "none":
             from repro.core.engine import create_phonetic_accelerator
 

@@ -107,9 +107,6 @@ ERROR_KINDS = {
 #: directions, so a renamed or added site cannot silently drift.
 FAILPOINTS = frozenset(
     {
-        "cluster.health.blackhole",
-        "cluster.shard.kill",
-        "cluster.shard.slow",
         "pool.admit",
         "pool.execute",
         "server.conn.drop_read",

@@ -163,16 +163,6 @@ def _eval_constant(expr: Expr, params: dict):
     return fn(())
 
 
-def eval_constant(expr: Expr, params: dict):
-    """Evaluate a row-free constant expression (INSERT values).
-
-    Public entry for callers that must see a statement's values before
-    execution — the cluster's sharded service uses it to decide row
-    ownership without running the insert.
-    """
-    return _eval_constant(expr, params)
-
-
 def _no_udf(name: str):
     raise PlanningError(f"function {name!r} not allowed in constants")
 

@@ -285,8 +285,8 @@ class LexEqualServer:
         if op == "ping":
             return "pong"
         if op == "health":
-            # Inline on the loop: the supervisor's health checks must
-            # answer even when every worker slot is busy.
+            # Inline on the loop: a health probe must answer even when
+            # every worker slot is busy.
             return service.health(self.info())
         if op == "stats":
             return service.stats(self.info())

@@ -295,7 +295,7 @@ class LexEqualClient:
         return self.request("stats")
 
     def health(self) -> dict:
-        """The ``health`` probe (shared by supervisor and CLI)."""
+        """The ``health`` liveness/readiness probe."""
         return self.request("health")
 
     def faults(self, action: str = "list", **fields: Any) -> dict:

@@ -57,18 +57,13 @@ E_TIMEOUT = "timeout"
 E_OVERLOADED = "overloaded"
 #: The server is draining (SIGTERM received); no new work accepted.
 E_SHUTTING_DOWN = "shutting_down"
-#: No backend can answer (cluster mode: every owning shard is down, or
-#: a write could not reach all shards).  Distinct from ``degraded``
-#: responses, which are partial *successes*.
-E_UNAVAILABLE = "unavailable"
 #: Unexpected server-side failure (a bug; details in the message).
 E_INTERNAL = "internal"
 
 #: Supported operations (each documented in DESIGN.md §7).  ``faults``
 #: drives the fault-injection registry and is rejected unless the
 #: server was started with fault injection enabled.  ``health`` is the
-#: liveness/readiness probe the cluster supervisor shares with
-#: ``repro.cli client health``.
+#: liveness/readiness probe behind ``repro.cli client health``.
 OPS = (
     "ping",
     "query",
@@ -80,14 +75,13 @@ OPS = (
     "health",
 )
 
-#: Degradation fields a partial response may carry (DESIGN.md §7/§11).
-#: A payload with any ``failed_*`` list MUST also set ``degraded``;
-#: the LEX-A001 drift rule pins these literals across server, router
-#: and docs so the names cannot fork.
+#: Degradation fields a partial response may carry (DESIGN.md §7).
+#: A payload with a ``failed_languages`` list MUST also set
+#: ``degraded``; the LEX-A001 drift rule pins these literals across
+#: protocol, service and docs so the names cannot fork.
 F_DEGRADED = "degraded"
 F_FAILED_LANGUAGES = "failed_languages"
-F_FAILED_SHARDS = "failed_shards"
-DEGRADED_FIELDS = (F_DEGRADED, F_FAILED_LANGUAGES, F_FAILED_SHARDS)
+DEGRADED_FIELDS = (F_DEGRADED, F_FAILED_LANGUAGES)
 
 
 def decode_request(line: bytes | str) -> dict:

@@ -84,14 +84,14 @@ class BreakerPolicy:
 
 
 class CircuitBreaker:
-    """Closed → open → half-open breaker for one endpoint (op or shard).
+    """Closed → open → half-open breaker for one endpoint (one op).
 
-    Thread-safe: the blocking client issues one request at a time, but
-    the cluster router shares one breaker per *shard* across many
-    concurrent fan-outs (and benchmark load generators race breakers
-    deliberately).  All state lives behind one lock, and half-open
-    admits **exactly one probe**: concurrent :meth:`allow` calls while
-    the probe is in flight fail fast with
+    Thread-safe: one blocking client issues one request at a time, but
+    a :class:`BreakerBoard` hands every caller of an op the same
+    breaker, so threads sharing a board race it (benchmark load
+    generators do so deliberately).  All state lives behind one lock,
+    and half-open admits **exactly one probe**: concurrent
+    :meth:`allow` calls while the probe is in flight fail fast with
     :class:`~repro.errors.CircuitOpenError`.  The probe permit is
     released by whichever of :meth:`record_success` /
     :meth:`record_failure` resolves it, so a failed probe re-opens the

@@ -63,11 +63,6 @@ class QueryService:
         ``degraded: true`` plus the ``failed_languages`` list.
         """
         stmt = self.statements.statement(sql)
-        stmt = self._transform_statement(stmt, params)
-        if stmt is None:
-            # The transform swallowed the statement entirely (a shard
-            # that owns none of an INSERT's rows): nothing to run.
-            return {"row_count": 0}
         with degrade.collecting() as failed_languages:
             with obs.timed("server.execute"):
                 result = execute_statement(self.db, stmt, params)
@@ -80,15 +75,6 @@ class QueryService:
         else:
             payload = {"row_count": int(result)}
         return self._mark_degraded(payload, failed_languages)
-
-    def _transform_statement(self, stmt, params: dict):
-        """Hook for subclasses to rewrite a statement before execution.
-
-        The cluster's sharded service filters INSERT rows down to the
-        ones this shard owns; the base service runs statements as-is.
-        Returning ``None`` skips execution (an empty rewrite).
-        """
-        return stmt
 
     @staticmethod
     def _mark_degraded(payload: dict, failed_languages: set) -> dict:
@@ -187,10 +173,9 @@ class QueryService:
         """The ``health`` payload: liveness + readiness in one probe.
 
         Cheap by construction (no SQL, no matching, no locks beyond the
-        storage attribute read) so the cluster supervisor can poll it
+        storage attribute read) so a load balancer can poll it
         aggressively.  ``wal_lsn`` is the WAL high-water mark on
-        persistent backends and ``None`` on in-memory ones; ``shard``
-        identifies this process's slice when serving as a cluster shard.
+        persistent backends and ``None`` on in-memory ones.
         """
         info = server_info or {}
         storage = getattr(self.db, "storage", None)
@@ -201,12 +186,7 @@ class QueryService:
             "in_flight": info.get("active_requests", 0),
             "strategy": self.strategy or "default",
             "wal_lsn": getattr(storage, "wal_high_water_lsn", None),
-            "shard": self.shard_info(),
         }
-
-    def shard_info(self) -> dict | None:
-        """Shard identity (index/count) — ``None`` off-cluster."""
-        return None
 
     # ------------------------------------------------------- fault ops
 

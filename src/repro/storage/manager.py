@@ -67,8 +67,8 @@ class StorageManager:
     def wal_high_water_lsn(self) -> int | None:
         """Last committed WAL LSN, or ``None`` for non-durable backends.
 
-        Surfaced by the server's ``health`` op so operators (and the
-        cluster supervisor) can see replication/recovery progress.
+        Surfaced by the server's ``health`` op so operators can see
+        recovery progress.
         """
         return None
 

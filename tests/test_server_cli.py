@@ -109,3 +109,20 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot listen on")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--max-inflight", "0"), ("--workers", "-3")],
+    )
+    def test_non_positive_pool_sizes_are_usage_errors(
+        self, flag, value, capsys
+    ):
+        # Rejected while parsing, before any catalog or socket exists.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", str(unused_port()), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].endswith(
+            f"error: argument {flag}: must be >= 1, got {value}"
+        )

@@ -211,7 +211,6 @@ class TestHealthOp:
         # The demo server is built with the default q-gram accelerator.
         assert health["strategy"] == "qgram"
         assert health["wal_lsn"] is None  # in-memory backend: no WAL
-        assert health["shard"] is None  # not a cluster shard
 
     def test_id_echo_and_extra_fields_ignored(self, server):
         response = raw_exchange(

@@ -4,8 +4,8 @@ Covers the client-side policies (``repro.server.resilience``), the
 transport-error taxonomy, the server's graceful degradation of
 multiscript matches under per-language TTP failures, cooperative
 deadline cancellation, the ``faults`` op gating, the drain ordering
-(listener closes before the drain wait), and statement-cache eviction
-races.
+(listener closes before the drain wait), statement-cache eviction
+races, and whole answers to writes, ordered and aggregate reads.
 """
 
 import random
@@ -294,6 +294,22 @@ class TestDegradedResponses:
         assert healthy["outcome"] in ("true", "false")
         assert "degraded" not in healthy
 
+    def test_degradation_clears_once_the_language_recovers(self):
+        with BackgroundServer(fault_injection=True) as bg:
+            faults.configure(
+                "ttp.transform", error="ttp", languages=("hindi",)
+            )
+            with LexEqualClient(bg.host, bg.port, timeout=30.0) as client:
+                degraded = client.query("SELECT title FROM books")
+                lost = client.query(LEXEQUAL_SQL)
+                faults.reset()
+                healed = client.query(LEXEQUAL_SQL)
+        # A plain read never transforms names: nothing to degrade.
+        assert "degraded" not in degraded and degraded["row_count"] == 6
+        assert lost["degraded"] is True and lost["row_count"] == 2
+        assert "degraded" not in healed
+        assert authors_of(healed) == EXPECTED_AUTHORS
+
     def test_degraded_responses_are_counted(self):
         with BackgroundServer(fault_injection=True) as bg:
             faults.configure(
@@ -464,14 +480,15 @@ class TestStatementCacheEvictionRaces:
 
 
 class TestHalfOpenConcurrency:
-    """The cluster router shares one breaker per shard across fan-outs:
-    half-open must admit exactly one probe no matter how many threads
-    race `allow()`, and a failed probe must release the permit."""
+    """A `BreakerBoard` hands every caller of an op the same breaker,
+    so threads sharing a board race one breaker: half-open must admit
+    exactly one probe no matter how many threads race `allow()`, and a
+    failed probe must release the permit."""
 
     def make(self, threshold=1, reset=5.0):
         clock = [0.0]
         breaker = CircuitBreaker(
-            "shard-0",
+            "query",
             BreakerPolicy(failure_threshold=threshold, reset_timeout=reset),
             clock=lambda: clock[0],
         )
@@ -551,45 +568,41 @@ class TestHalfOpenConcurrency:
         assert breaker.info()["probe_in_flight"] is False
 
 
-class TestRouterDrain:
-    def test_inflight_fanout_completes_while_new_connects_refused(self):
-        """Router-aware SIGTERM drain (DESIGN.md §11.4).
+class TestWritesAndWholeReads:
+    """One server answers DDL, multi-row INSERT, and ordered, limited
+    and aggregate reads whole, over the wire."""
 
-        With a fan-out still in flight: the router's listener must be
-        closed (new connections refused at the OS level), the in-flight
-        fan-out must still complete with the full merged result, and
-        the shards must be SIGTERMed only after it did.
-        """
-        from repro.cluster import BackgroundCluster
+    def test_ddl_and_multirow_insert_round_trip(self):
+        with BackgroundServer() as bg:
+            with LexEqualClient(bg.host, bg.port, timeout=30.0) as client:
+                made = client.query(
+                    "CREATE TABLE loans (name TEXT, title TEXT)"
+                )
+                wrote = client.query(
+                    "INSERT INTO loans VALUES "
+                    "('Tagore', 'Gitanjali'), ('Thakur', 'Chokher Bali')"
+                )
+                after = client.query("SELECT name FROM loans")
+        assert made["row_count"] == 0
+        assert wrote["row_count"] == 2
+        assert after["row_count"] == 2
+        assert {r[0] for r in after["rows"]} == {"Tagore", "Thakur"}
 
-        faults.configure("cluster.shard.slow", latency=0.6, count=2)
-        bg = BackgroundCluster(
-            2, supervisor_options={"health_interval": 0.2}
-        )
-        bg.start()
-        results: list = []
-        errors: list = []
-
-        def inflight():
-            try:
-                with LexEqualClient(bg.host, bg.port, timeout=30.0) as c:
-                    results.append(c.query(LEXEQUAL_SQL))
-            except Exception as exc:  # surfaced via `errors`
-                errors.append(repr(exc))
-
-        t = threading.Thread(target=inflight)
-        t.start()
-        time.sleep(0.25)  # the fan-out is inside the slow-shard sleep
-        stopper = threading.Thread(target=bg.stop)
-        stopper.start()
-        time.sleep(0.2)  # drain has begun; fan-out still has ~0.3s
-        try:
-            with pytest.raises(TransportError):
-                LexEqualClient(bg.host, bg.port, timeout=2.0)
-        finally:
-            stopper.join(timeout=60.0)
-            t.join(timeout=60.0)
-        assert not errors, errors
-        assert results and authors_of(results[0]) == EXPECTED_AUTHORS
-        # Forwarded drain: no shard process survived the router exit.
-        assert bg.supervisor.live_pids() == []
+    @pytest.mark.parametrize(
+        "sql, rows",
+        [
+            ("SELECT price FROM books ORDER BY price LIMIT 2",
+             [[9.95], [15.5]]),
+            ("SELECT COUNT(*) FROM books", [[6]]),
+            ("SELECT language, COUNT(*) FROM books GROUP BY language "
+             "ORDER BY language",
+             [["english", 2], ["french", 1], ["greek", 1], ["hindi", 1],
+              ["tamil", 1]]),
+        ],
+    )
+    def test_ordered_and_aggregate_reads(self, sql, rows):
+        with BackgroundServer() as bg:
+            with LexEqualClient(bg.host, bg.port, timeout=30.0) as client:
+                result = client.query(sql)
+        assert result["rows"] == rows
+        assert "degraded" not in result
