@@ -7,7 +7,8 @@ the build when either regression appears:
 
 * **divergence** — the banded scalar kernel, the vectorized batch
   kernel, or the parallel executor returns anything other than the
-  reference DP's distances and match sets;
+  reference DP's distances and match sets, or the pooled join other
+  pairs than the inline join;
 * **lost speedup** — the banded kernel stops beating the reference DP,
   the parallel executor stops beating the sequential naive scan, the
   q-gram strategy (columnar postings + the one verifier) stops beating
@@ -31,8 +32,10 @@ Besides asserting, the run writes a JSON report of its speedup ratios
 (``--out``); ``scripts/perf_compare.py`` diffs that report against the
 committed ``BENCH_baseline.json`` to catch slow drift that stays above
 the lax floors.  The report records ``cpu_count`` because the
-multi-worker scaling ratio is only meaningful (and only enforced) on
-machines with at least that many CPUs.
+multi-worker ratios are only meaningful (and only enforced) on
+machines with at least that many CPUs: ``scaling_4v1`` (selects) and
+``join_2v1``, the clustered-cost join inline over the same join on a
+2-worker pool, the shape the ``join-crossscript-1500`` workload runs.
 
 Environment knobs: ``REPRO_PERF_SMOKE_ROWS`` (default 1500),
 ``REPRO_PERF_SMOKE_SEED`` (default 20040314).
@@ -79,6 +82,8 @@ QUERIES = 6
 #: ``serve-mixed-600`` q-gram source leaves ~250), and queries timed.
 VERIFY_KEYS = 250
 VERIFY_QUERIES = 12
+#: Alternating inline/pooled timings of the clustered-cost join.
+JOIN_ROUNDS = 3
 
 
 #: The kernel and strategy checks' classical costs.
@@ -362,6 +367,46 @@ def check_join_pruning(catalog: NameCatalog) -> float:
     return reduction
 
 
+def check_join_pool(catalog: NameCatalog) -> float:
+    """The pooled cross-language join, clustered costs: same pairs.
+
+    Times the join inline and on a warm pool of
+    :data:`repro.perf.JOIN_POOL_WORKERS` workers, alternating
+    :data:`JOIN_ROUNDS` times, and checks both return the same pairs.
+    Returns ``join_2v1``: the best inline time over the best pooled
+    time (> 1 means the pool pays; enforced by
+    ``scripts/perf_compare.py`` on runs with that many CPUs).
+    """
+    pool = perf.JOIN_POOL_WORKERS
+    seconds: dict[int, list[float]] = {1: [], pool: []}
+    strategies = {w: ParallelStrategy(catalog, workers=w) for w in seconds}
+    try:
+        for strategy in strategies.values():
+            strategy.join()  # table built, pool warmed
+        for _ in range(JOIN_ROUNDS):
+            got = {}
+            for workers, strategy in strategies.items():
+                start = time.perf_counter()
+                pairs = strategy.join()
+                seconds[workers].append(time.perf_counter() - start)
+                got[workers] = [(a.id, b.id) for a, b in pairs]
+            if got[pool] != got[1]:
+                raise AssertionError(
+                    f"the join at workers={pool} diverged from the "
+                    "inline join"
+                )
+    finally:
+        for strategy in strategies.values():
+            strategy.close()
+    inline_s, pooled_s = min(seconds[1]), min(seconds[pool])
+    ratio = inline_s / max(pooled_s, 1e-9)
+    print(
+        f"join pool: {len(got[1])} pairs, inline {inline_s * 1e3:.0f} ms, "
+        f"workers={pool} {pooled_s * 1e3:.0f} ms -> {ratio:.2f}x"
+    )
+    return ratio
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -380,7 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     baseline = naive_baseline(catalog)
     qgram = check_qgram(catalog, baseline)
     executor, scaling = check_executor(catalog, baseline)
-    join_pruning = check_join_pruning(build_catalog(items, MatchConfig()))
+    clustered = build_catalog(items, MatchConfig())
+    join_pruning = check_join_pruning(clustered)
+    join_pool = check_join_pool(clustered)
     report = {
         "rows": ROWS,
         "seed": SEED,
@@ -394,6 +441,7 @@ def main(argv: list[str] | None = None) -> int:
             "verify_vs_scalar": round(verifier, 3),
             "join_dp_reduction": round(join_pruning, 3),
             f"scaling_{perf.SCALING_WORKERS}v1": round(scaling, 3),
+            perf.JOIN_POOL_KEY: round(join_pool, 3),
         },
     }
     failures = perf.check_floors(report)

@@ -129,9 +129,10 @@ SANCTIONED_UNPOLLED_LOOPS: dict[tuple[str, str], str] = {
         "orphaned-parent check; workers disarm inherited deadlines"
     ),
     ("src/repro/parallel/executor.py", "_worker_run"): (
-        "work-stealing claim loop: bounded by the shared claim counter "
-        "reaching steal_stop; cancellation is enforced parent-side "
-        "because workers disarm inherited deadlines"
+        "chunk claim loop: bounded by the query's chunk count, since "
+        "every pass claims a fresh index from the shared counter; "
+        "cancellation is enforced parent-side because workers disarm "
+        "inherited deadlines"
     ),
     (
         "src/repro/parallel/executor.py",

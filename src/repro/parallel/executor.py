@@ -10,16 +10,14 @@ sends each worker one small task message and receives one packed
 result buffer back, so IPC cost is O(workers + matches), independent
 of table size.
 
-Scheduling (DESIGN.md §9): every query's row range splits into
-
-* **affinity shards** — one contiguous slice per worker covering the
-  first ``1 - STEAL_FRACTION`` of the work (row-balanced for selects,
-  pair-balanced for joins).  A worker always starts on its own slice,
-  so the bulk of the scan runs with zero coordination;
-* **a stolen tail** — the remainder, cut into chunks of amortized size
-  (:func:`_steal_chunk`) that workers claim from a shared atomic
-  counter as they finish.  A straggler (CPU contention, unlucky
-  candidate mix) loses only its tail share, not the whole query.
+Scheduling (DESIGN.md §9): a query covers ``rows`` rows — the table
+for a select, its first ``len - 1`` rows (the join triangle's outer
+rows) for a join.  The pool splits them into
+``min(rows, CHUNKS_PER_WORKER * workers)`` equal contiguous row chunks
+(:func:`_chunks`); every worker gets the same task and claims chunk
+indices from a shared atomic counter until none are left.  A
+straggler (CPU contention, a costly candidate mix) just claims fewer
+chunks.
 
 Failure semantics: a worker crash mid-query tears the pool down
 (terminate + segment unlink) and raises
@@ -28,11 +26,12 @@ worker found dead *between* queries is respawned in place (it attaches
 to the existing segment).  Cooperative deadlines are checked at
 dispatch and while waiting for shard results; an expired deadline also
 tears the pool down, because workers still computing the cancelled
-epoch may not race the next query's steal counter.  Segment cleanup on
+epoch may not race the next query's claim counter.  Segment cleanup on
 SIGTERM and interpreter exit is handled by :mod:`repro.parallel.shm`.
 
-``workers <= 1`` (or a one-row table) runs the same shard functions
-inline — no pool, no segment, no IPC, identical results: workers apply
+``workers <= 1`` (or a table of one row or fewer) runs the same shard
+function inline over all ``rows`` at once — no pool, no segment, no
+IPC, identical results: workers apply
 the same per-pair budget ``threshold * min(|query|, |candidate|)`` as
 the scalar strategies, and the kernel is bit-identical to the
 reference DP.
@@ -57,12 +56,9 @@ from repro.matching.batch import batch_edit_distances_within_runs
 from repro.parallel import shm as shm_mod
 from repro.parallel.table import EncodedNameTable
 
-#: Fraction of each query's work left unassigned for work stealing.
-STEAL_FRACTION = 0.2
-
-#: Rows per stolen chunk are never fewer than this: one chunk must
-#: amortize a counter round-trip plus a kernel launch.
-MIN_STEAL_CHUNK = 1024
+#: Row chunks per worker in a pooled query: enough that a worker
+#: which falls behind cedes its share to the others.
+CHUNKS_PER_WORKER = 4
 
 
 class ParallelExecutionError(ReproError):
@@ -147,8 +143,18 @@ def _join_shard_on(
 # ------------------------------------------------------------- workers
 
 
+def _chunks(rows: int, workers: int) -> list[tuple[int, int]]:
+    """``min(rows, CHUNKS_PER_WORKER * workers)`` equal contiguous row
+    ranges covering [0, rows) exactly once."""
+    count = min(rows, CHUNKS_PER_WORKER * workers)
+    return [
+        (rows * index // count, rows * (index + 1) // count)
+        for index in range(count)
+    ]
+
+
 def _claim(counter) -> int:
-    """Atomically claim the next steal-chunk index."""
+    """Atomically claim the next chunk index."""
     with counter.get_lock():
         index = counter.value
         counter.value += 1
@@ -172,19 +178,14 @@ def _merge(parts: list[tuple]) -> tuple:
 
 
 def _worker_run(kind: str, table, counter, task) -> tuple:
-    """One worker's share of a query: its affinity slice, then tail
-    chunks claimed from the shared counter.  Returns the merged shard
-    result plus the number of chunks stolen."""
-    start, stop, steal_base, steal_chunk, steal_stop, *extra = task
+    """One worker's share of a query: the chunks it claims from the
+    shared counter, merged (an empty part when it claims none)."""
+    chunks, *extra = task
     shard = _SHARDS[kind]
-    parts = [shard(table, start, stop, *extra)]
-    while steal_chunk:
-        lo = steal_base + _claim(counter) * steal_chunk
-        if lo >= steal_stop:
-            break
-        hi = min(steal_stop, lo + steal_chunk)
-        parts.append(shard(table, lo, hi, *extra))
-    return _merge(parts) + (len(parts) - 1,)
+    parts = []
+    while (index := _claim(counter)) < len(chunks):
+        parts.append(shard(table, *chunks[index], *extra))
+    return _merge(parts or [shard(table, 0, 0, *extra)])
 
 
 def _worker_main(descriptor, counter, task_conn, result_conn, parent_pid) -> None:
@@ -382,96 +383,6 @@ class ParallelMatchExecutor:
         except Exception:
             pass
 
-    # ----------------------------------------------------------- sharding
-
-    @staticmethod
-    def _split_range(start: int, stop: int, k: int) -> list[tuple[int, int]]:
-        """K near-equal contiguous slices of [start, stop)."""
-        n = stop - start
-        if n <= 0 or k <= 0:
-            return []
-        k = min(k, n)
-        bounds = start + np.linspace(0, n, k + 1).astype(np.int64)
-        return [
-            (int(bounds[i]), int(bounds[i + 1]))
-            for i in range(k)
-            if bounds[i] < bounds[i + 1]
-        ]
-
-    def _select_shards(self) -> list[tuple[int, int]]:
-        """Contiguous row ranges, one per worker (row-balanced)."""
-        return self._split_range(0, len(self.table), self.workers)
-
-    def _join_shards(
-        self, stop: int | None = None
-    ) -> list[tuple[int, int]]:
-        """Row ranges with near-equal pair counts (triangle-balanced).
-
-        Row ``i`` of the self-join owns ``n - i - 1`` pairs, so equal
-        row ranges would be lopsided; boundaries are placed on the pair
-        prefix sums instead.  ``stop`` bounds the sharded row range
-        (default: the whole triangle, rows [0, n-1)).
-        """
-        n = len(self.table)
-        if n < 2:
-            return []
-        limit = n - 1 if stop is None else min(stop, n - 1)
-        if limit <= 0:
-            return []
-        k = max(1, min(self.workers, limit))
-        total = sum(n - i - 1 for i in range(limit))
-        target = total / k
-        shards = []
-        start = 0
-        acc = 0
-        for i in range(limit):
-            acc += n - i - 1
-            if acc >= target * (len(shards) + 1) or i == limit - 1:
-                shards.append((start, i + 1))
-                start = i + 1
-                if len(shards) == k:
-                    break
-        if start < limit:
-            shards.append((start, limit))
-        return shards
-
-    @staticmethod
-    def _steal_chunk(tail: int, workers: int) -> int:
-        """Amortized chunk size for a stolen tail of ``tail`` rows."""
-        if tail <= 0:
-            return 0
-        return max(MIN_STEAL_CHUNK, -(-tail // (workers * 4)))
-
-    def _plan_select(self) -> list[tuple]:
-        """Per-worker match tasks: affinity slice + shared steal tail."""
-        n = len(self.table)
-        static_stop = n - int(n * STEAL_FRACTION)
-        chunk = self._steal_chunk(n - static_stop, self.workers)
-        shards = self._split_range(0, static_stop, self.workers)
-        shards += [(0, 0)] * (self.workers - len(shards))
-        return [
-            (start, stop, static_stop, chunk, n)
-            for start, stop in shards
-        ]
-
-    def _plan_join(self) -> list[tuple]:
-        """Per-worker join tasks: pair-balanced slice + steal tail.
-
-        The tail is the *last* rows of the triangle — the cheapest ones
-        (row ``i`` owns ``n - i - 1`` pairs), so stolen chunks are fine
-        grained where fine grain is affordable.
-        """
-        n = len(self.table)
-        tail_rows = int((n - 1) * (1 - (1 - STEAL_FRACTION) ** 0.5))
-        static_stop = (n - 1) - tail_rows
-        chunk = self._steal_chunk(tail_rows, self.workers)
-        shards = self._join_shards(stop=static_stop)
-        shards += [(0, 0)] * (self.workers - len(shards))
-        return [
-            (start, stop, static_stop, chunk, n - 1)
-            for start, stop in shards
-        ]
-
     # ------------------------------------------------------------ dispatch
 
     def _ensure_pool(self) -> None:
@@ -495,24 +406,16 @@ class ParallelMatchExecutor:
             except (EOFError, OSError):
                 pass
 
-    def _run_pool(self, kind: str, extra: tuple) -> list:
-        """One warm-pool round trip: plan, dispatch, collect.
-
-        ``extra`` is the per-query suffix appended to every worker's
-        shard tuple (query vector + threshold for matches, threshold +
-        flags for joins).
-        """
+    def _run_pool(self, kind: str, task: tuple) -> list:
+        """One warm-pool round trip: dispatch ``task`` (the query's row
+        chunks plus its shard arguments) to every worker, collect."""
         self._ensure_pool()
         self._drain_stale()
-        shards = (
-            self._plan_select() if kind == "match" else self._plan_join()
-        )
-        tasks = [shard + extra for shard in shards]
         with self._counter.get_lock():
             self._counter.value = 0
         self._epoch += 1
         epoch = self._epoch
-        for worker, task in zip(self._workers, tasks):
+        for worker in self._workers:
             try:
                 worker.task_conn.send((kind, epoch, task))
             except (OSError, ValueError) as exc:
@@ -728,34 +631,28 @@ class ParallelMatchExecutor:
         """One ``match`` or ``join`` over the table, on the pool or
         inline: the merged result arrays.  Work counts go to
         :attr:`last_stats` and the ``parallel.*`` counters."""
+        n = len(self.table)
+        rows = n if kind == "match" else max(n - 1, 0)
         with obs.timed(f"parallel.{kind}"):
             if self._pooled():
-                parts = self._run_pool(kind, extra)
+                chunks = _chunks(rows, self.workers)
+                parts = self._run_pool(kind, (chunks,) + extra)
                 deadline.check("parallel shard merge")
             else:
-                shard = _SHARDS[kind]
-                shards = (
-                    self._select_shards()
-                    if kind == "match"
-                    else self._join_shards()
-                )
-                parts = [
-                    shard(self.table, start, stop, *extra) + (0,)
-                    for start, stop in shards or [(0, 0)]
-                ]
-        *arrays, rows, candidates, steals = _merge(parts)
+                chunks = [(0, rows)]
+                parts = [_SHARDS[kind](self.table, 0, rows, *extra)]
+        *arrays, scanned, candidates = _merge(parts)
         matches = len(arrays[0])
         self.last_stats = {
-            "rows": rows,
+            "rows": scanned,
             "candidates": candidates,
             "matches": matches,
         }
         obs.incr(
             "parallel.queries" if kind == "match" else "parallel.join_queries"
         )
-        obs.incr("parallel.shards", len(parts))
-        obs.incr("parallel.steal_chunks", steals)
-        obs.incr("parallel.rows", rows)
+        obs.incr("parallel.shards", len(chunks))
+        obs.incr("parallel.rows", scanned)
         obs.incr("parallel.candidates", candidates)
         obs.incr("parallel.matches", matches)
         return arrays

@@ -6,7 +6,7 @@ planner, the CLI, the query server's worker pool, and the benchmark
 harness.  Match semantics are exactly :class:`NaiveUdfStrategy`'s —
 same per-pair relative budget, same result ordering, same
 ``rows_considered`` accounting — only the evaluation path differs
-(vectorized banded kernels over table shards instead of a scalar DP per
+(vectorized banded kernels over row chunks instead of a scalar DP per
 row).  The differential and snapshot suites assert the equivalence.
 """
 
@@ -33,15 +33,9 @@ class ParallelStrategy(Strategy):
 
     name = "parallel"
 
-    def __init__(
-        self,
-        catalog: NameCatalog,
-        workers: int | None = None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, catalog: NameCatalog, workers: int | None = None):
         super().__init__(catalog)
         self.workers = workers
-        self._start_method = start_method
         self._executor: ParallelMatchExecutor | None = None
 
     # ---------------------------------------------------------- lifecycle
@@ -53,7 +47,6 @@ class ParallelStrategy(Strategy):
             self._executor = ParallelMatchExecutor(
                 EncodedNameTable.from_catalog(self.catalog),
                 workers=self.workers,
-                start_method=self._start_method,
             )
         return self._executor
 

@@ -13,6 +13,8 @@ from repro.perf.gates import (
     ACCEPTANCE_KERNEL_FLOOR,
     ACCEPTANCE_SCALING_FLOOR,
     DEFAULT_TOLERANCE,
+    JOIN_POOL_KEY,
+    JOIN_POOL_WORKERS,
     SCALING_BEAT_FLOOR,
     SCALING_MIN_ROWS,
     SCALING_WORKERS,
@@ -21,6 +23,7 @@ from repro.perf.gates import (
     SMOKE_KERNEL_FLOOR,
     check_floors,
     compare,
+    join_pool_enforced,
     scaling_enforced,
 )
 
@@ -28,6 +31,8 @@ __all__ = [
     "ACCEPTANCE_KERNEL_FLOOR",
     "ACCEPTANCE_SCALING_FLOOR",
     "DEFAULT_TOLERANCE",
+    "JOIN_POOL_KEY",
+    "JOIN_POOL_WORKERS",
     "SCALING_BEAT_FLOOR",
     "SCALING_MIN_ROWS",
     "SCALING_WORKERS",
@@ -36,5 +41,6 @@ __all__ = [
     "SMOKE_KERNEL_FLOOR",
     "check_floors",
     "compare",
+    "join_pool_enforced",
     "scaling_enforced",
 ]

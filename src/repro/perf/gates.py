@@ -14,17 +14,20 @@ and ``benchmarks/bench_parallel_scaling.py``)::
         "qgram_vs_naive": 118.5,
         "verify_vs_scalar": 6.0,
         "join_dp_reduction": 33.5,
-        "scaling_4v1": 2.7
+        "scaling_4v1": 2.7,
+        "join_2v1": 1.9
       }
     }
 
 Every ratio is a dimensionless speedup (bigger is better), which makes
 reports comparable across machines of different absolute speed.  The
-scaling ratio is the exception to "always enforce": running 4 workers
-on a box with fewer than 4 CPUs *cannot* beat 1 worker, so scaling
-checks apply only when :func:`scaling_enforced` says the hardware can
-express them — the report records ``cpu_count`` precisely so the gate
-stays honest on small runners.
+pool ratios are the exception to "always enforce": running 4 workers
+on a box with fewer than 4 CPUs *cannot* beat 1 worker, so the select
+scaling ratio applies only when :func:`scaling_enforced` says the
+hardware can express it, and ``join_2v1`` (the cross-language join on
+a 2-worker pool against inline) only when :func:`join_pool_enforced`
+does — the report records ``cpu_count`` precisely so the gate stays
+honest on small runners.
 
 Two kinds of check:
 
@@ -68,6 +71,12 @@ SCALING_BEAT_FLOOR = 1.0
 #: amortizes, so the scaling ratio is recorded but not enforced.
 SCALING_MIN_ROWS = 10_000
 
+#: The pool size of the cross-language join ratio: inline join time
+#: over the join's time on this many workers.  A join amortizes one
+#: dispatch over the whole triangle, so it is enforced at smoke scale.
+JOIN_POOL_WORKERS = 2
+JOIN_POOL_KEY = f"join_{JOIN_POOL_WORKERS}v1"
+
 #: Allowed fractional drop of a fresh ratio below its baseline before
 #: the gate fails (timing jitter on shared CI runners is real).
 DEFAULT_TOLERANCE = 0.35
@@ -97,6 +106,12 @@ def scaling_enforced(report: dict) -> bool:
     workers = int(report.get("scaling_workers") or SCALING_WORKERS)
     rows = int(report.get("rows") or 0)
     return cpus >= workers and rows >= SCALING_MIN_ROWS
+
+
+def join_pool_enforced(report: dict) -> bool:
+    """Can this report's run express the pooled join's speedup?  True
+    when the recorded ``cpu_count`` covers :data:`JOIN_POOL_WORKERS`."""
+    return int(report.get("cpu_count") or 0) >= JOIN_POOL_WORKERS
 
 
 def check_floors(
@@ -140,10 +155,10 @@ def compare(
     """Regression messages for a fresh report vs the baseline.
 
     Every ratio present in the baseline must exist in the fresh report
-    and stay at or above ``baseline * (1 - tolerance)``.  Scaling-ratio
-    keys are exempted when the fresh run's hardware cannot express
-    scaling (:func:`scaling_enforced`).  Reports over different row
-    counts are not comparable and fail outright.
+    and stay at or above ``baseline * (1 - tolerance)``.  Pool ratios
+    are exempted when the fresh run's hardware cannot express them
+    (:func:`scaling_enforced`, :func:`join_pool_enforced`).  Reports
+    over different row counts are not comparable and fail outright.
     """
     failures = []
     base_rows = baseline.get("rows")
@@ -158,6 +173,8 @@ def compare(
     fresh_ratios = fresh.get("ratios", {})
     for key, base_value in sorted(baseline.get("ratios", {}).items()):
         if key.startswith("scaling_") and not enforce_scaling:
+            continue
+        if key == JOIN_POOL_KEY and not join_pool_enforced(fresh):
             continue
         fresh_value = fresh_ratios.get(key)
         if fresh_value is None:

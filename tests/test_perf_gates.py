@@ -36,6 +36,7 @@ def report(
         "verify_vs_scalar": 6.0,
         "join_dp_reduction": 30.0,
         "scaling_4v1": 3.2,
+        "join_2v1": 1.8,
     }
     base.update(ratios)
     return {
@@ -103,6 +104,20 @@ class TestScalingGate:
         assert perf.scaling_enforced(report())
         assert not perf.scaling_enforced(report(cpu_count=3))
         assert not perf.scaling_enforced(report(rows=100))
+
+
+class TestJoinPoolGate:
+    """``join_2v1``: the pooled join must keep beating the inline one."""
+
+    def test_regression_fails_on_two_cpus(self):
+        # Unlike scaling_4v1, the join ratio holds at smoke scale.
+        fresh = report(rows=1500, cpu_count=2, join_2v1=0.9)
+        failures = perf.compare(report(rows=1500), fresh, tolerance=0.35)
+        assert any("join_2v1 regressed" in f for f in failures)
+
+    def test_skipped_on_single_cpu(self):
+        fresh = report(cpu_count=1, join_2v1=0.5)
+        assert perf.compare(report(), fresh, tolerance=0.35) == []
 
 
 class TestCompare:
@@ -211,6 +226,7 @@ class TestCommittedBaseline:
             "verify_vs_scalar",
             "join_dp_reduction",
             f"scaling_{perf.SCALING_WORKERS}v1",
+            perf.JOIN_POOL_KEY,
         ):
             assert key in baseline["ratios"], key
 
