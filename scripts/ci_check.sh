@@ -40,6 +40,11 @@ python scripts/perf_compare.py BENCH_baseline.json results/perf_smoke.json
 echo "== end-to-end benchmark smoke (metric names, trace targets, zero failures) =="
 python -m pytest benchmarks/e2e -q
 
+echo "== parallel scaling benchmark (scaled down) =="
+REPRO_BENCH_PARALLEL_ROWS="${REPRO_BENCH_PARALLEL_ROWS:-500,2000}" \
+REPRO_BENCH_PARALLEL_WORKERS="${REPRO_BENCH_PARALLEL_WORKERS:-1,2}" \
+python -m pytest benchmarks/bench_parallel_scaling.py -q
+
 echo "== benchmark smoke (Table 1) =="
 REPRO_BENCH_SIZE="${REPRO_BENCH_SIZE:-400}" \
 REPRO_BENCH_JOIN="${REPRO_BENCH_JOIN:-100}" \

@@ -317,7 +317,8 @@ class PhoneticAccelerator:
                 EncodedNameTable.from_store(self._phonemes),
                 workers=self.workers,
             )
-        return self._executor.match_keys(query_phonemes, config.threshold)
+        ids, _dists = self._executor.match(query_phonemes, config.threshold)
+        return ids.tolist()
 
     # ------------------------------------------------------- statistics
 

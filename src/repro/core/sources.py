@@ -4,7 +4,8 @@ Every filtered LexEQUAL evaluation is two steps: a candidate source
 narrows the stored strings to candidate keys, then
 :meth:`PhonemeStore.verify` keeps those within the per-pair budget
 ``threshold * min(|q|, |c|)`` using the banded batch kernel over the
-code columns the store encoded once, at insert.  The SQL
+code columns the store encoded once, at insert, in the one code space
+:data:`~repro.phonetics.inventory.SYMBOL_CODES`.  The SQL
 accelerator (:mod:`repro.core.engine`) and the Strategy API
 (:mod:`repro.core.strategies`) both run that pipeline over:
 
@@ -28,17 +29,15 @@ from collections.abc import Iterable
 
 from repro import obs
 from repro.core.config import MatchConfig
+from repro.errors import PhonemeError
 from repro.matching.costs import CostModel, count_classes
-from repro.matching.editdist import edit_distance_within
 from repro.matching.qgrams import positional_qgrams, publish_filter_counts
 from repro.phonetics.inventory import SYMBOL_CODES
 from repro.phonetics.keys import grouped_key
 from repro.phonetics.parse import PhonemeString
 
-#: Stored-length sentinels: no string under the key, or a string with a
-#: symbol outside :data:`SYMBOL_CODES` (kept for the scalar kernel).
+#: Stored-length sentinel: no string under the key.
 ABSENT = -1
-UNENCODABLE = -2
 
 #: The code space's symbols, in code order.
 SYMBOLS = tuple(SYMBOL_CODES)
@@ -82,13 +81,16 @@ def _encoded_costs(costs: CostModel):
     return EncodedCosts(costs, SYMBOLS)
 
 
-def _encode(phonemes: PhonemeString) -> bytes | None:
-    """Phoneme string -> one code byte per phoneme; None if a symbol is
-    outside the inventory (possible only for hand-written IPA)."""
+def _encode(phonemes: PhonemeString) -> bytes:
+    """Phoneme string -> one code byte per phoneme; raises
+    :class:`~repro.errors.PhonemeError` for a symbol outside the
+    inventory."""
     try:
         return bytes(map(SYMBOL_CODES.__getitem__, phonemes))
-    except KeyError:
-        return None
+    except KeyError as exc:
+        raise PhonemeError(
+            f"unknown phoneme symbol {exc.args[0]!r} (not in the inventory)"
+        ) from None
 
 
 def _gather(codes: array, begin, lengths):
@@ -110,7 +112,7 @@ class PhonemeStore:
     ...) whose every write goes through :meth:`_write`, which also
     encodes the string into columns: an append-only ``uint8`` code
     column, dense key-indexed start and length columns, where a length
-    of :data:`ABSENT` or :data:`UNENCODABLE` marks the key, and a dense
+    of :data:`ABSENT` marks a key with no string, and a dense
     key-indexed class-count column holding, per key, the string's number
     of symbols in each class of the batch kernel's count bound
     (:func:`~repro.matching.costs.count_classes`, :attr:`width` classes
@@ -119,8 +121,11 @@ class PhonemeStore:
     bounds candidates by their stored counts and gathers codes only for
     the survivors, and :meth:`export` gathers every live string for the
     parallel executor's table; nothing is re-encoded or recounted.
-    Every write bumps :attr:`writes`.  Building, writing and restoring a
-    store never import numpy.
+    :data:`SYMBOL_CODES` is the only code space: writing or querying a
+    string with a symbol outside it raises
+    :class:`~repro.errors.PhonemeError`.  Every accepted write bumps
+    :attr:`writes`.  Building, writing and restoring a store never
+    import numpy.
 
     Readers take no lock.  The one writer fills spare capacity beyond
     the published ``used``, writes the key's counts, then its start, and
@@ -192,13 +197,16 @@ class PhonemeStore:
 
     def _write(self, key: int, phonemes: PhonemeString | None) -> None:
         """Store (or, for None, remove) one key's string, codes and
-        class counts."""
+        class counts.  A string with a symbol outside the inventory
+        raises :class:`~repro.errors.PhonemeError` and leaves the store
+        as it was."""
+        encoded = None if phonemes is None else _encode(phonemes)
         self.writes += 1
         codes, starts, lens, counts, used = self._columns
         if key < len(lens) and lens[key] != ABSENT:
-            self._dead += max(lens[key], 0)
+            self._dead += lens[key]
             lens[key] = ABSENT  # readers skip the key until rewritten
-        if phonemes is None:
+        if encoded is None:
             self._strings.pop(key, None)
         else:
             self._strings[key] = phonemes
@@ -207,31 +215,26 @@ class PhonemeStore:
                 lens = _covering(lens, key)
                 starts = _grown(starts, len(starts), len(lens))
                 counts = _grown(counts, len(counts), len(lens) * width)
-                self._columns = (codes, starts, lens, counts, used)
-            encoded = _encode(phonemes)
-            if encoded is None:
-                lens[key] = UNENCODABLE
-            else:
-                end = used + len(encoded)
-                if end > len(codes):
-                    codes = _grown(codes, used, max(end, 64))
-                row = [0] * width
-                classes = self._classes
-                for code in encoded:
-                    row[classes[code]] += 1
-                limit = _COUNT_LIMITS[counts.typecode]
-                if len(encoded) > limit and max(row) > limit:
-                    # Widen all of a fresh tuple: a reader of the old
-                    # one sees none of this write.
-                    counts = _widened(counts, max(row))
-                    starts, lens = starts[:], lens[:]
-                counts[key * width : (key + 1) * width] = array(
-                    counts.typecode, row
-                )
-                codes[used:end] = array("B", encoded)
-                starts[key] = used
-                lens[key] = len(encoded)
-                self._columns = (codes, starts, lens, counts, end)
+            end = used + len(encoded)
+            if end > len(codes):
+                codes = _grown(codes, used, max(end, 64))
+            row = [0] * width
+            classes = self._classes
+            for code in encoded:
+                row[classes[code]] += 1
+            limit = _COUNT_LIMITS[counts.typecode]
+            if len(encoded) > limit and max(row) > limit:
+                # Widen all of a fresh tuple: a reader of the old one
+                # sees none of this write.
+                counts = _widened(counts, max(row))
+                starts, lens = starts[:], lens[:]
+            counts[key * width : (key + 1) * width] = array(
+                counts.typecode, row
+            )
+            codes[used:end] = array("B", encoded)
+            starts[key] = used
+            lens[key] = len(encoded)
+            self._columns = (codes, starts, lens, counts, end)
         if 2 * self._dead > self._columns[4]:
             self._compact()
 
@@ -286,21 +289,13 @@ class PhonemeStore:
         return codes, keys, clens, begin, rows
 
     def export(self):
-        """Every live string in the code space, gathered once, in key
-        order: ``(keys, codes, offsets, counts, outside)``, with
-        ``codes`` one ``uint8`` CSR over ``offsets``, ``counts`` the
-        strings' class-count rows, and ``outside`` the keys whose
-        strings hold a symbol outside the code space."""
+        """Every live string, gathered once, in key order: ``(keys,
+        codes, offsets, counts)``, with ``codes`` one ``uint8`` CSR over
+        ``offsets`` and ``counts`` the strings' class-count rows."""
         codes, keys, clens, begin, rows = self._read()
         live = clens >= 0
         flat, offsets = _gather(codes, begin[live], clens[live])
-        return (
-            keys[live],
-            flat,
-            offsets,
-            rows[live],
-            keys[clens == UNENCODABLE],
-        )
+        return keys[live], flat, offsets, rows[live]
 
     def verify(
         self,
@@ -314,12 +309,12 @@ class PhonemeStore:
         within ``threshold * min(|q|, |c|)``.  The batch kernel reads
         the stored columns in place: it applies the length filter and
         the class-count bound over the stored counts first, and gathers
-        codes only for the keys that survive.  A key whose string lies
-        outside the code space (or every key, when the query does) takes
-        the scalar kernel instead, with identical decisions.  A key
+        codes only for the keys that survive.  A query symbol outside
+        the inventory raises :class:`~repro.errors.PhonemeError`.  A key
         deleted or being rewritten since its source listed it (readers
         take no lock) is skipped.
         """
+        query = _encode(query_phonemes)
         if not keys:
             return []
         import numpy as np
@@ -329,36 +324,18 @@ class PhonemeStore:
         codes, keys, clens, begin, rows = self._read(
             np.asarray(keys, np.int64)
         )
-        batch = clens >= 0
-        scalar = clens == UNENCODABLE
-        query = _encode(query_phonemes)
-        if query is None:
-            scalar |= batch
-            batch[:] = False
-        accept = np.zeros(len(keys), dtype=bool)
-        if batch.any():
-            clens = clens[batch]
-            distances = batch_edit_distances_within_runs(
-                np.frombuffer(query, np.uint8),
-                np.frombuffer(codes, np.uint8),
-                begin[batch],
-                clens,
-                _encoded_costs(self.costs),
-                threshold * np.minimum(len(query), clens),
-                class_counts=rows[batch],
-            )
-            accept[batch] = distances != math.inf
-        if scalar.any():
-            obs.incr("matching.verify.scalar_fallbacks")
-            for i in np.flatnonzero(scalar).tolist():
-                cand = self._strings.get(int(keys[i]))
-                accept[i] = cand is not None and edit_distance_within(
-                    query_phonemes,
-                    cand,
-                    threshold * min(len(query_phonemes), len(cand)),
-                    self.costs,
-                ) is not None
-        return keys[accept].tolist()
+        live = clens >= 0
+        clens = clens[live]
+        distances = batch_edit_distances_within_runs(
+            np.frombuffer(query, np.uint8),
+            np.frombuffer(codes, np.uint8),
+            begin[live],
+            clens,
+            _encoded_costs(self.costs),
+            threshold * np.minimum(len(query), clens),
+            class_counts=rows[live],
+        )
+        return keys[live][distances != math.inf].tolist()
 
 
 def filter_tokens(phonemes: PhonemeString, config: MatchConfig) -> tuple:

@@ -285,8 +285,8 @@ class ParallelMatchExecutor:
         self._closed = False
         #: Work accounting of the most recent match()/match_all_pairs():
         #: ``rows`` scanned, ``candidates`` the pairs a DP ran on (past
-        #: the kernel's length filter and class-count bound, plus any
-        #: scalar fallbacks), and ``matches``.
+        #: the kernel's length filter and class-count bound), and
+        #: ``matches``.
         self.last_stats: dict[str, int] = {}
         if self._pooled():
             self._start_pool()
@@ -507,77 +507,6 @@ class ParallelMatchExecutor:
             )
         return table
 
-    def match_keys(
-        self,
-        phonemes,
-        threshold: float,
-        languages: tuple[str, ...] = (),
-    ) -> list[int]:
-        """The store keys matching ``phonemes``, ascending.
-
-        The sharded scan covers the table; rows outside the code space
-        (or every row, when the query is) go to the store's verifier,
-        whose scalar fallback decides them exactly.
-        """
-        self._guard()
-        table = self._current()
-        if _encode(phonemes) is None:
-            found, rest = [], sorted(table.store.keys())
-            self.last_stats = {"rows": len(rest), "candidates": 0}
-        else:
-            ids, _dists = self.match(phonemes, threshold, languages)
-            found, rest = ids.tolist(), table.outside
-        if languages:
-            wanted = {lang.lower() for lang in languages}
-            language_of = table.language_of or {}
-            rest = [key for key in rest if language_of.get(key, "") in wanted]
-        if rest:
-            found += table.store.verify(phonemes, rest, threshold)
-            found.sort()
-        self.last_stats["candidates"] += len(rest)
-        self.last_stats["matches"] = len(found)
-        return found
-
-    def join_keys(
-        self, threshold: float, *, cross_language_only: bool = True
-    ) -> list[tuple[int, int]]:
-        """All matching store-key pairs ``(a, b)``, ``a < b``, sorted.
-
-        Pairs within the table come from :meth:`match_all_pairs`; each
-        row outside the code space is verified against every other row
-        by the store's scalar fallback and merged in.
-        """
-        ids_a, ids_b, _dists = self.match_all_pairs(
-            threshold, cross_language_only=cross_language_only
-        )
-        pairs = list(zip(ids_a.tolist(), ids_b.tolist()))
-        table = self.table
-        if not table.outside:
-            return pairs
-        store, outside = table.store, set(table.outside)
-        language_of = table.language_of or {}
-        keys = sorted(store.keys())
-        for key in table.outside:
-            language = language_of.get(key, "")
-            others = [
-                other
-                for other in keys
-                if other != key
-                and (other > key or other not in outside)
-                and not (
-                    cross_language_only
-                    and language_of.get(other, "") == language
-                )
-            ]
-            self.last_stats["candidates"] += len(others)
-            pairs += [
-                (min(key, other), max(key, other))
-                for other in store.verify(store[key], others, threshold)
-            ]
-        pairs.sort()
-        self.last_stats["matches"] = len(pairs)
-        return pairs
-
     # ------------------------------------------------------------- match
 
     def match(
@@ -589,17 +518,13 @@ class ParallelMatchExecutor:
         """All (id, distance) pairs matching within the relative budget.
 
         Returns parallel arrays sorted by record id; decisions are
-        identical to the sequential scan with the reference DP.
+        identical to the sequential scan with the reference DP.  A query
+        symbol outside the inventory raises
+        :class:`~repro.errors.PhonemeError`.
         """
         self._guard()
         table = self._current()
-        q = _encode(phonemes)
-        if q is None:
-            raise ParallelExecutionError(
-                "query contains a phoneme symbol outside the encoded "
-                "cost tables"
-            )
-        q = np.frombuffer(q, np.uint8).astype(np.int64)
+        q = np.frombuffer(_encode(phonemes), np.uint8).astype(np.int64)
         allowed = table.language_codes_for(tuple(languages))
         if allowed is not None and allowed.size == 0:
             self.last_stats = {"rows": 0, "candidates": 0, "matches": 0}

@@ -72,14 +72,14 @@ class ParallelStrategy(Strategy):
     ) -> list[NameRecord]:
         stats = StrategyStats(rows_considered=len(self.catalog))
         executor = self.executor()
-        ids = executor.match_keys(
+        ids, _dists = executor.match(
             self._query_phonemes(query, language),
             self.config.threshold,
             tuple(languages),
         )
         stats.candidates_after_filters = executor.last_stats["candidates"]
         stats.udf_calls = stats.candidates_after_filters
-        results = [self.catalog.record(i) for i in ids]
+        results = [self.catalog.record(i) for i in ids.tolist()]
         stats.results = len(results)
         self._finish(stats)
         return results
@@ -90,12 +90,12 @@ class ParallelStrategy(Strategy):
         n = len(self.catalog)
         stats = StrategyStats(rows_considered=n * (n - 1) // 2)
         executor = self.executor()
-        pairs = executor.join_keys(
+        ids_a, ids_b, _dists = executor.match_all_pairs(
             self.config.threshold, cross_language_only=cross_language_only
         )
         results = [
             (self.catalog.record(a), self.catalog.record(b))
-            for a, b in pairs
+            for a, b in zip(ids_a.tolist(), ids_b.tolist())
         ]
         stats.candidates_after_filters = executor.last_stats["candidates"]
         stats.udf_calls = stats.candidates_after_filters

@@ -35,18 +35,17 @@ class SharedTableDescriptor:
 class EncodedNameTable:
     """An immutable encoded snapshot of a phoneme store's rows.
 
-    Rows are the store's keys in the code space, in key order.  A table
-    gathered on the parent side also remembers its provenance: the
-    ``store``, its key -> language map ``language_of`` (None: every row
-    has language ``""``), the store's ``writes`` count at the gather, and
-    the ``outside`` keys left out because their strings hold a symbol
-    outside the code space.  An attached worker view has none of these.
+    Rows are the store's keys, in key order: every stored string, since
+    the store admits only strings in the code space.  A table gathered
+    on the parent side also remembers its provenance: the ``store``, its
+    key -> language map ``language_of`` (None: every row has language
+    ``""``) and the store's ``writes`` count at the gather.  An attached
+    worker view has none of these.
     """
 
     store = None
     language_of = None
     writes = -1
-    outside = ()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -57,7 +56,7 @@ class EncodedNameTable:
         columns, widened to int64 once, and its class-count rows, with
         no re-encoding or recounting."""
         writes = store.writes
-        keys, codes, offsets, class_counts, outside = store.export()
+        keys, codes, offsets, class_counts = store.export()
         names = (
             [language_of[key] for key in keys.tolist()]
             if language_of is not None
@@ -80,7 +79,6 @@ class EncodedNameTable:
         table.store = store
         table.language_of = language_of
         table.writes = writes
-        table.outside = outside.tolist()
         return table
 
     @classmethod

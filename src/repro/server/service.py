@@ -90,11 +90,6 @@ class QueryService:
         bound = session.prepare(sql, name)
         return {"statement": bound}
 
-    def execute_prepared(
-        self, session: Session, name: str, params: dict
-    ) -> dict:
-        return self.run_sql(session.prepared_sql(name), params)
-
     # ------------------------------------------------------ matching op
 
     def lexequal(

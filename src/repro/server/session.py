@@ -57,7 +57,3 @@ class Session:
                 E_UNKNOWN_STATEMENT,
                 f"no prepared statement {name!r} in this session",
             ) from None
-
-    @property
-    def prepared_count(self) -> int:
-        return len(self._prepared)

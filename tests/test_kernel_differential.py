@@ -1000,8 +1000,8 @@ def _scalar_keys(stored: dict, query, keys, threshold, costs) -> list[int]:
 class TestPhonemeStoreOracle:
     """``PhonemeStore.verify`` over its stored code columns equals the
     scalar filter of the same keys, across random interleavings of
-    ``[k] = v``, ``pop``, re-set and ``update`` (with compaction), for
-    strings and queries inside and outside the code space."""
+    ``[k] = v``, ``pop``, re-set and ``update`` (with compaction); a
+    string outside the code space is rejected and changes nothing."""
 
     @pytest.fixture(scope="class")
     def strings(self):
@@ -1012,18 +1012,10 @@ class TestPhonemeStoreOracle:
         items = generate_performance_dataset(build_lexicon(), 160)
         return [parse_ipa(item.ipa) for item in items]
 
-    @staticmethod
-    def _string(rng, strings):
-        phonemes = list(rng.choice(strings))
-        if rng.random() < 0.1:
-            phonemes[rng.randrange(len(phonemes))] = rng.choice(UNKNOWN)
-        return tuple(phonemes)
-
     @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
     def test_interleavings_equal_scalar_filter(self, strings, name):
         from repro.core import MatchConfig
         from repro.core.sources import PhonemeStore
-        from repro.errors import PhonemeError
 
         costs = MatchConfig(**PIPELINE_CONFIGS[name]).cost_model()
         rng = random.Random(SEED + 7)
@@ -1032,17 +1024,16 @@ class TestPhonemeStoreOracle:
         compactions = []
         compact = store._compact
         store._compact = lambda: (compactions.append(1), compact())[1]
-        unknown_matches = 0
         for step in range(600):
             op = rng.random()
             key = rng.randrange(120)
             if op < 0.45:
-                store[key] = stored[key] = self._string(rng, strings)
+                store[key] = stored[key] = rng.choice(strings)
             elif op < 0.7:
                 assert store.pop(key, None) == stored.pop(key, None)
             else:
                 batch = {
-                    rng.randrange(120): self._string(rng, strings)
+                    rng.randrange(120): rng.choice(strings)
                     for _ in range(rng.randrange(1, 6))
                 }
                 store.update(batch)
@@ -1051,61 +1042,46 @@ class TestPhonemeStoreOracle:
                 continue
             assert dict(store) == stored and len(store) == len(stored)
             keys = rng.sample(range(130), 60)
-            query = self._string(rng, strings)
+            query = rng.choice(strings)
             for threshold in (0.25, 0.5, 1.0):
-                try:
-                    expected = _scalar_keys(
-                        stored, query, keys, threshold, costs
-                    )
-                except PhonemeError:
-                    # Clustered costs cannot price an unknown symbol
-                    # against a different one; neither side can.
-                    with pytest.raises(PhonemeError):
-                        store.verify(query, keys, threshold)
-                    continue
-                assert store.verify(query, keys, threshold) == expected
-                unknown_matches += sum(
-                    not set(stored[k]).isdisjoint(UNKNOWN) for k in expected
+                assert store.verify(query, keys, threshold) == _scalar_keys(
+                    stored, query, keys, threshold, costs
                 )
         assert compactions
-        if name == "classical":
-            assert unknown_matches
 
-    def test_one_unencodable_key_alone_goes_scalar(
-        self, strings, monkeypatch
-    ):
-        from repro import obs
+    def test_out_of_inventory_write_and_query_rejected(self, strings):
+        """A write holding a symbol outside the code space raises
+        ``PhonemeError`` and leaves the key's old string in place for
+        the mapping, the verifier and the export alike, with ``writes``
+        unchanged; a query holding one raises from the store's verifier
+        and from the parallel executor."""
         from repro.core import MatchConfig
-        from repro.core import sources
         from repro.core.sources import PhonemeStore
+        from repro.errors import PhonemeError
+        from repro.parallel import EncodedNameTable, ParallelMatchExecutor
+        from repro.phonetics.inventory import SYMBOL_CODES
 
-        costs = MatchConfig(**PIPELINE_CONFIGS["classical"]).cost_model()
-        store = PhonemeStore(costs)
-        stored = dict(enumerate(strings[:50]))
-        stored[50] = strings[0][:-1] + (UNKNOWN[0],)
-        store.update(stored)
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1])
-            return edit_distance_within(*args)
-
-        monkeypatch.setattr(sources, "edit_distance_within", counted)
-        obs.disable()
-        try:
-            obs.enable()
-            got = store.verify(strings[0], list(stored), 1.0)
-            fallbacks = obs.snapshot()["counters"][
-                "matching.verify.scalar_fallbacks"
-            ]
-        finally:
-            obs.disable()
-        assert calls == [stored[50]]
-        assert fallbacks == 1
-        assert 0 in got and 50 in got
-        assert got == _scalar_keys(
-            stored, strings[0], list(stored), 1.0, costs
-        )
+        store = PhonemeStore(MatchConfig().cost_model())
+        store.update(enumerate(strings[:3]))
+        old, writes = strings[1], store.writes
+        with pytest.raises(PhonemeError):
+            store[1] = old[:-1] + (UNKNOWN[0],)
+        assert dict(store) == dict(enumerate(strings[:3]))
+        assert store.writes == writes
+        assert 1 in store.verify(old, [0, 1, 2], 0.0)
+        keys, codes, offsets, _counts = store.export()
+        assert keys.tolist() == [0, 1, 2]
+        assert codes[offsets[1] : offsets[2]].tolist() == [
+            SYMBOL_CODES[symbol] for symbol in old
+        ]
+        unknown = old[:-1] + (UNKNOWN[1],)
+        with pytest.raises(PhonemeError):
+            store.verify(unknown, [0, 1, 2], 1.0)
+        with ParallelMatchExecutor(
+            EncodedNameTable.from_store(store), workers=1
+        ) as executor:
+            with pytest.raises(PhonemeError):
+                executor.match(unknown, 1.0)
 
     def test_reader_holding_columns_from_before_a_growth(self, strings):
         """A reader that read the columns tuple, then lost the GIL while
@@ -1273,7 +1249,7 @@ def test_store_and_snapshot_reopen_stay_numpy_free(tmp_path):
 
         store = PhonemeStore(MatchConfig().cost_model())
         store[0] = parse_ipa("neːɦruː")
-        store.update({{1: ("ʘ", "a"), 2: ("b", "o", "s")}})
+        store.update({{1: ("k", "a"), 2: ("b", "o", "s")}})
         store[0] = ("n", "e")
         store.pop(2)
         obs.enable()
@@ -1305,20 +1281,10 @@ def test_store_and_snapshot_reopen_stay_numpy_free(tmp_path):
 # ------------------------------------ parallel path over the store's columns
 
 
-def _out_of_inventory(phonemes) -> tuple:
-    """A stored string with its middle symbol replaced by one outside
-    the code space (hand-written IPA; ``parse_ipa`` would reject it)."""
-    middle = len(phonemes) // 2
-    return (*phonemes[:middle], UNKNOWN[0], *phonemes[middle + 1 :])
-
-
 class TestParallelPathOneEncoding:
     """The parallel executor's table is a gather of ``PhonemeStore``'s
-    code columns.  A row outside the code space stays out of the table
-    and goes through the store's scalar fallback, so the parallel path
-    still equals the naive scan, including across writes between
-    queries; under clustered costs it raises ``PhonemeError`` where the
-    naive scan does."""
+    code columns, every stored string a row, so the parallel path equals
+    the naive scan, including across writes between queries."""
 
     @pytest.fixture(scope="class")
     def items(self):
@@ -1344,22 +1310,14 @@ class TestParallelPathOneEncoding:
         for step in range(500):
             key = rng.randrange(70)
             if rng.random() < 0.6:
-                phonemes = rng.choice(strings)
-                if rng.random() < 0.1:
-                    phonemes = _out_of_inventory(phonemes)
-                store[key] = stored[key] = phonemes
+                store[key] = stored[key] = rng.choice(strings)
             else:
                 assert store.pop(key, None) == stored.pop(key, None)
             if step % 20:
                 continue
             table = EncodedNameTable.from_store(store)
-            inside = sorted(
-                key
-                for key, phonemes in stored.items()
-                if all(symbol in SYMBOL_CODES for symbol in phonemes)
-            )
+            inside = sorted(stored)
             assert table.ids.tolist() == inside
-            assert table.outside == sorted(set(stored) - set(inside))
             assert table.codes.dtype == np.int64
             assert table.codes.tolist() == [
                 SYMBOL_CODES[symbol] for key in inside for symbol in stored[key]
@@ -1372,10 +1330,9 @@ class TestParallelPathOneEncoding:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
-    def test_strategy_equals_naive(self, items, name, workers, monkeypatch):
+    def test_strategy_equals_naive(self, items, name, workers):
         from repro.core import LexEqualMatcher, MatchConfig, NameCatalog
         from repro.core import NaiveUdfStrategy
-        from repro.errors import PhonemeError
         from repro.parallel import ParallelStrategy
 
         catalog = NameCatalog(
@@ -1403,63 +1360,21 @@ class TestParallelPathOneEncoding:
 
         with ParallelStrategy(catalog, workers=workers) as parallel:
             assert answers(parallel) == answers(naive)
-            # Writes between queries: more rows, one of them (placed
-            # straight into the store) outside the code space.
+            # Writes between queries: more rows.
             for item in items[60:]:
                 catalog.add(item.name, item.language, ipa=item.ipa)
-            catalog._phonemes[0] = _out_of_inventory(catalog.phonemes_of(0))
-            # A query outside the code space verifies every row.
-            transform = catalog.matcher.registry.transform
-            hand = _out_of_inventory(catalog.phonemes_of(5))
-            monkeypatch.setattr(
-                catalog.matcher.registry,
-                "transform",
-                lambda text, language: (
-                    hand if text == "Handwritten" else transform(text, language)
-                ),
-            )
-            queries.append(("Handwritten", "english", ()))
-            if name == "classical":
-                expected = answers(naive)
-                assert answers(parallel) == expected
-                assert 0 in expected[0][0]  # the out-of-table row matched
-                assert 5 in expected[0][-1]  # so did the outside query
-            else:
-                for query in (queries[0], queries[-1]):
-                    with pytest.raises(PhonemeError):
-                        naive.select(*query)
-                    with pytest.raises(PhonemeError):
-                        parallel.select(*query)
-                with pytest.raises(PhonemeError):
-                    naive.join(cross_language_only=False)
-                with pytest.raises(PhonemeError):
-                    parallel.join(cross_language_only=False)
-            table = parallel.executor().table
-            assert table.outside == [0]
-            assert len(table) == len(catalog) - 1
+            expected = answers(naive)
+            assert answers(parallel) == expected
+            assert 0 in expected[0][0]
+            assert len(parallel.executor().table) == len(catalog)
 
     @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
-    def test_accelerator_equals_unaccelerated_scan(
-        self, accel_names, name, monkeypatch
-    ):
+    def test_accelerator_equals_unaccelerated_scan(self, accel_names, name):
         from repro import Database, install_lexequal
         from repro.core import LexEqualMatcher, MatchConfig
         from repro.core import create_phonetic_accelerator
-        from repro.errors import PhonemeError
 
         matcher = LexEqualMatcher(MatchConfig(**PIPELINE_CONFIGS[name]))
-        hand = "Handwritten"
-        transform = matcher.registry.transform
-        source = transform(accel_names[0], "english")
-        monkeypatch.setattr(
-            matcher.registry,
-            "transform",
-            lambda text, language: (
-                _out_of_inventory(source)
-                if text == hand
-                else transform(text, language)
-            ),
-        )
         db = Database()
         install_lexequal(db, matcher)
         holder = []
@@ -1491,25 +1406,18 @@ class TestParallelPathOneEncoding:
             assert accelerated == plain
             # A first query built the executor; writes follow.
             _answers(db, queries)
-            rowid = db.insert("names", (900, hand))
+            rowid = db.insert("names", (900, accel_names[5]))
             db.insert("names", (901, accel_names[0]))
             db.delete_row("names", rowid - 3)
             assert holder[0]._executor is not None
-            if name == "classical":
-                accelerated = _answers(db, queries)
-                assert holder[0]._executor.table.outside == [rowid]
-                holder[0].drop()
-                holder.clear()
-                plain = _answers(db, queries)
-                assert accelerated == plain
-                assert (900,) in plain[accel_names[0], ""]
-                return
-            with pytest.raises(PhonemeError):
-                _answers(db, queries)
+            accelerated = _answers(db, queries)
+            assert rowid in holder[0]._executor.table.ids.tolist()
             holder[0].drop()
             holder.clear()
-            with pytest.raises(PhonemeError):
-                _answers(db, queries)
+            plain = _answers(db, queries)
+            assert accelerated == plain
+            assert (900,) in plain[accel_names[5], ""]
+            assert (901,) in plain[accel_names[0], ""]
         finally:
             for accelerator in holder:
                 accelerator.drop()

@@ -26,7 +26,7 @@ from repro.core import (
     QGramStrategy,
 )
 from repro.core.sources import PhonemeStore, _encode
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, PhonemeError
 from repro.matching.costs import ClusteredCost
 from repro.parallel import (
     EncodedNameTable,
@@ -85,7 +85,8 @@ class TestEncodedNameTable:
 
     def test_encode_query_unknown_symbol(self):
         assert _encode(("n", "e")) is not None
-        assert _encode(("n", "<no-such>")) is None
+        with pytest.raises(PhonemeError):
+            _encode(("n", "<no-such>"))
 
     def test_from_catalog_matches_from_store(self):
         matcher = LexEqualMatcher()
@@ -251,7 +252,7 @@ class TestParallelMatchExecutor:
 
     def test_unknown_query_symbol_raises(self):
         with ParallelMatchExecutor(_table(), workers=1) as ex:
-            with pytest.raises(ParallelExecutionError):
+            with pytest.raises(PhonemeError):
                 ex.match(("n", "<no-such>"), 0.5)
 
     def test_use_after_close_raises(self):
