@@ -10,9 +10,12 @@ second section times the banded scalar kernel
 (``edit_distance_within``) against the reference full DP on the same
 seeded pair sample.
 
-Results land in ``results/parallel_scaling.txt`` (+ ``.json``) and in
+Results land in ``results/parallel_scaling.json`` at every scale.  A run
+at the acceptance scale (largest catalog ``ACCEPTANCE_ROWS`` or more)
+also writes the committed ``results/parallel_scaling.txt`` and
 ``BENCH_parallel.json`` at the repo root — the artifact the perf gate
-and the acceptance criteria read.
+and the acceptance criteria read; a scaled-down smoke run leaves both
+as they are.
 
 Scale knobs (all comma-lists / ints, all seeded by ``--seed``):
 
@@ -53,7 +56,7 @@ from repro.matching.batch import batch_edit_distances_within_encoded
 from repro.matching.editdist import edit_distance, edit_distance_within
 from repro.parallel import EncodedNameTable, ParallelStrategy
 
-from conftest import PERF_CONFIG, bench_rng, save_result
+from conftest import PERF_CONFIG, bench_rng, save_metrics, save_result
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -176,7 +179,7 @@ def _batch_kernel(catalog) -> dict:
     rng = bench_rng(salt=17)
     costs = catalog.matcher.costs
     threshold = catalog.config.threshold
-    table = EncodedNameTable.from_catalog(catalog)
+    table = EncodedNameTable.from_catalog(catalog.keyed)
     sample = rng.sample(range(len(catalog)), min(len(catalog), 1500))
     query_id = sample[0]
     query = catalog.phonemes_of(query_id)
@@ -286,11 +289,17 @@ def test_parallel_scaling(benchmark, lexicon):
         "kernel": kernel,
         "batch_kernel": batch_kernel,
     }
-    save_result("parallel_scaling.txt", text, data)
-    (ROOT / "BENCH_parallel.json").write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"[saved to {ROOT / 'BENCH_parallel.json'}]")
+    if max(ROW_COUNTS) >= ACCEPTANCE_ROWS:
+        save_result("parallel_scaling.txt", text, data)
+        (ROOT / "BENCH_parallel.json").write_text(
+            json.dumps(data, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"[saved to {ROOT / 'BENCH_parallel.json'}]")
+    else:
+        # A scaled-down run leaves the committed paper-scale record be.
+        save_metrics("parallel_scaling", data)
+        print(f"\n{text}\n[saved to results/parallel_scaling.json]")
 
     # Smoke-scale floors: some parallel configuration clearly beats the
     # naive scan at every size, and the banded kernel never regresses

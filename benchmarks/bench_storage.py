@@ -10,11 +10,11 @@ Two claims under test (ISSUE 7 acceptance):
    per-open costs weigh more).  The reopened accelerator must return
    candidate sets identical to the freshly built one.
 
-2. **Cost-based choice** — after ``ANALYZE``, the planner picks a
-   non-naive strategy on the seeded lexicon without any
-   ``--strategy`` flag, and the chosen strategy's
-   measured latency is the fastest (or within a bounded ratio of it)
-   among the executable strategies.
+2. **Cost-based choice** — after ``ANALYZE``, the reopened ``auto``
+   accelerator picks a non-naive strategy on the seeded lexicon
+   without any ``--strategy`` flag, and the measured latency of its
+   pick (``accelerator.last_method``) is set against every forced
+   Strategy-API strategy's on the same queries.
 
 Results land in ``results/storage.txt`` (+ ``.json``) and in
 ``BENCH_storage.json`` at the repo root — the artifact the CI
@@ -40,9 +40,14 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import LexEqualMatcher, NameCatalog
+from repro.core import (
+    LexEqualMatcher,
+    NaiveUdfStrategy,
+    NameCatalog,
+    PhoneticIndexStrategy,
+    QGramStrategy,
+)
 from repro.core.engine import create_phonetic_accelerator
-from repro.core.strategies import STRATEGY_CLASSES, choose_strategy
 from repro.data.generator import generate_performance_dataset
 from repro.data.lexicon import build_lexicon
 from repro.minidb.schema import Column
@@ -58,6 +63,13 @@ ACCEPTANCE_ROWS = 200_000
 
 ROWS = int(os.environ.get("REPRO_BENCH_STORAGE_ROWS", "2000"))
 QUERY_COUNT = int(os.environ.get("REPRO_BENCH_STORAGE_QUERIES", "6"))
+
+#: The Strategy-API strategy forced for each method ``auto`` can pick.
+FORCED = {
+    "naive": NaiveUdfStrategy,
+    "qgram": QGramStrategy,
+    "index": PhoneticIndexStrategy,
+}
 
 LEXEQUAL_SQL = (
     "SELECT name FROM names WHERE name LEXEQUAL '{query}' THRESHOLD 0.25"
@@ -154,29 +166,21 @@ def test_storage_cold_reopen_and_planner():
             assert all(m != "naive" for m in chosen.values()), chosen
         db.storage.close()
 
-    # Planner-vs-forced: same lexicon in a NameCatalog, every strategy
-    # timed, the cost-based choice compared against the measured best.
+    # Auto's pick vs forced: the same lexicon in a NameCatalog, every
+    # strategy ``auto`` can pick timed on each query, and the time of
+    # the one it picked set against the measured best.
     catalog = NameCatalog(matcher)
     for item in items:
         catalog.add(item.name, item.language, ipa=item.ipa)
-    forced_ms: dict[str, list[float]] = {
-        name: [] for name in STRATEGY_CLASSES
-    }
-    chosen_ms: list[float] = []
-    choices: list[str] = []
-    strategies = {
-        name: cls(catalog) for name, cls in STRATEGY_CLASSES.items()
-    }
+    forced_ms: dict[str, list[float]] = {name: [] for name in FORCED}
+    strategies = {name: cls(catalog) for name, cls in FORCED.items()}
     for query in queries:
-        choice = choose_strategy(catalog, query, allow_lossy=True)
-        choices.append(choice.name)
-        start = time.perf_counter()
-        strategies[choice.name].select(query)
-        chosen_ms.append((time.perf_counter() - start) * 1e3)
         for name, strategy in strategies.items():
             start = time.perf_counter()
             strategy.select(query)
             forced_ms[name].append((time.perf_counter() - start) * 1e3)
+    choices = [chosen[query] for query in queries]
+    chosen_ms = [forced_ms[name][i] for i, name in enumerate(choices)]
     per_strategy = {
         name: statistics.fmean(times) for name, times in forced_ms.items()
     }

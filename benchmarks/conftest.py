@@ -95,6 +95,14 @@ def save_result(name: str, text: str, data: dict | None = None) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(text + "\n", encoding="utf-8")
     stem = Path(name).stem
+    save_metrics(stem, data)
+    print(f"\n{text}\n[saved to results/{name} and results/{stem}.json]")
+
+
+def save_metrics(stem: str, data: dict | None = None) -> None:
+    """Write only ``results/<stem>.json`` (git-ignored): ``data`` plus a
+    snapshot of the metrics collected so far this session."""
+    RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "name": stem,
         "bench_size": BENCH_SIZE,
@@ -107,7 +115,6 @@ def save_result(name: str, text: str, data: dict | None = None) -> None:
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    print(f"\n{text}\n[saved to results/{name} and results/{stem}.json]")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -341,7 +341,7 @@ def check_join_pruning(catalog: NameCatalog) -> float:
             raise AssertionError(
                 f"parallel join returned a non-matching pair ({a.id}, {b.id})"
             )
-    table = EncodedNameTable.from_catalog(catalog)
+    table = EncodedNameTable.from_catalog(catalog.keyed)
     recount = copy.copy(table)
     recount.class_counts = recount.class_totals = None
     stored_run, recount_run = (

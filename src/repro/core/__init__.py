@@ -8,7 +8,8 @@
 * :mod:`repro.core.matcher` — :class:`LexEqualMatcher`, the cached,
   configured façade used by applications and by the database strategies;
 * :mod:`repro.core.sources` — the candidate sources (q-gram postings,
-  grouped phoneme key) and the one verifier;
+  grouped phoneme key), the one verifier, and the per-key state both
+  frontends share;
 * :mod:`repro.core.strategies` — the naive UDF, q-gram filter and
   phonetic index execution strategies over a
   :class:`NameCatalog`;

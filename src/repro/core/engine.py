@@ -7,14 +7,18 @@ implementation ... with the expectation of further improving the runtime
 efficiency".  This module is that implementation for the minidb engine:
 
 * :func:`create_phonetic_accelerator` builds the auxiliary phonetic
-  structures for one text column — per-row phoneme strings plus the
-  candidate sources of :mod:`repro.core.sources` its method can use:
-  q-gram postings (``method="qgram"``, lossless), grouped-key buckets
+  structures for one text column: a
+  :class:`~repro.core.sources.KeyedPhonemes` of per-row phoneme strings
+  plus the candidate sources its method can use — q-gram postings
+  (``method="qgram"``, lossless), grouped-key buckets
   (``method="index"``, fastest, with the Section 5.3 false-dismissal
-  caveat); ``method="parallel"`` instead scans every row
-  with the sharded process-pool executor (lossless);
-* every method returns *verified* rows: candidates go through the one
-  batch verifier, :meth:`repro.core.sources.PhonemeStore.verify`;
+  caveat); ``method="parallel"`` instead scans every row with the
+  sharded process-pool executor (lossless); ``method="auto"`` picks
+  one per query by estimated cost, the system's one cost-based
+  chooser;
+* every method returns *verified* rows: candidates go through
+  :meth:`~repro.core.sources.KeyedPhonemes.matches`, the same step the
+  Strategy API runs;
 * the structures register themselves as a table observer, so inserts
   and deletes keep them consistent automatically;
 * the planner (see ``repro.minidb.planner._accelerated_candidates``)
@@ -31,9 +35,8 @@ efficiency".  This module is that implementation for the minidb engine:
 from __future__ import annotations
 
 from repro import degrade, obs
-from repro.core.config import MatchConfig
 from repro.core.matcher import LexEqualMatcher
-from repro.core.sources import SOURCES, PhonemeStore, cost_inputs
+from repro.core.sources import SOURCES, KeyedPhonemes
 from repro.errors import DatabaseError, TTPError
 from repro.minidb.catalog import Database
 from repro.phonetics.parse import PhonemeString
@@ -88,19 +91,16 @@ class PhoneticAccelerator:
         #: auto only: whether the cost model may choose the lossy
         #: grouped-key source (paper Section 5.3).
         self.allow_lossy = allow_lossy
-        config = matcher.config
-        self._sources = {
-            name: SOURCES[name](config)
-            for name in _source_names(method, allow_lossy)
-        }
+        #: The candidate sources this method can use.
+        self._source_names = _source_names(method, allow_lossy)
         #: Whether the sharded executor is a usable method.
         self._parallel = method == "parallel" or (
             method == "auto" and workers is not None
         )
         table = db.table(table_name)
         self._position = table.schema.position(column_name)
-        self._phonemes = PhonemeStore(matcher.costs)
-        self._plen_sum = 0
+        #: Phoneme strings by rowid, with the sources built over them.
+        self.keyed = KeyedPhonemes(matcher.config, matcher.costs)
         #: The parallel path's executor, built on first use.
         self._executor = None
         #: Cost-model report of the last candidate_rowids call: the
@@ -111,6 +111,8 @@ class PhoneticAccelerator:
         if restore is not None and self._restore_state(restore):
             self._sync_with_table(table)
         else:
+            for name in self._source_names:
+                self.keyed.source(name)
             for rowid, row in table.scan():
                 self.on_insert(rowid, row)
 
@@ -126,20 +128,11 @@ class PhoneticAccelerator:
 
     def on_insert(self, rowid: int, row: tuple) -> None:
         phonemes = self._phonemes_of_value(row[self._position])
-        if not phonemes:
-            return
-        self._phonemes[rowid] = phonemes
-        self._plen_sum += len(phonemes)
-        for source in self._sources.values():
-            source.add(rowid, phonemes)
+        if phonemes:
+            self.keyed.add(rowid, phonemes)
 
     def on_delete(self, rowid: int, row: tuple) -> None:
-        phonemes = self._phonemes.pop(rowid, None)
-        if phonemes is None:
-            return
-        self._plen_sum -= len(phonemes)
-        for source in self._sources.values():
-            source.remove(rowid)
+        self.keyed.remove(rowid)
 
     # ------------------------------------------------- snapshot/restore
 
@@ -154,10 +147,10 @@ class PhoneticAccelerator:
         state: dict = {
             "layout": SNAPSHOT_LAYOUT,
             "method": self.method,
-            "phonemes": dict(self._phonemes),
+            "phonemes": dict(self.keyed.store),
         }
-        for name, source in self._sources.items():
-            state[name] = source.state()
+        for name in self._source_names:
+            state[name] = self.keyed.source(name).state()
         return state
 
     def _restore_state(self, state: dict) -> bool:
@@ -174,17 +167,10 @@ class PhoneticAccelerator:
             or state.get("method") != self.method
         ):
             return False
-        self._phonemes.update(state["phonemes"])
-        self._plen_sum = sum(map(len, self._phonemes.values()))
-        config = self.matcher.config
-        for name in self._sources:
-            restored = None
-            if state.get(name) is not None:
-                restored = SOURCES[name].from_state(config, state[name])
-            if restored is None:
-                restored = SOURCES[name](config)
-                restored.add_many(self._phonemes.items())
-            self._sources[name] = restored
+        self.keyed.load(
+            state["phonemes"],
+            {name: state.get(name) for name in self._source_names},
+        )
         return True
 
     def _sync_with_table(self, table) -> None:
@@ -194,13 +180,14 @@ class PhoneticAccelerator:
         WAL replayed after it are indexed here (TTP only on the delta)
         and rows deleted since are dropped.
         """
+        store = self.keyed.store
         live = {rowid for rowid, _row in table.scan()}
-        stale = [rowid for rowid in self._phonemes if rowid not in live]
+        stale = [rowid for rowid in store if rowid not in live]
         for rowid in stale:
             self.on_delete(rowid, ())
         delta = 0
         for rowid, row in table.scan():
-            if rowid not in self._phonemes:
+            if rowid not in store:
                 self.on_insert(rowid, row)
                 delta += 1
         if stale or delta:
@@ -241,8 +228,10 @@ class PhoneticAccelerator:
             return None
         config = self.matcher.config
         if threshold is not None:
+            # with_threshold rejects a THRESHOLD outside [0, 1].
             config = config.with_threshold(float(threshold))
-        method, choice = self._resolve_method(query_phonemes, config)
+        threshold = config.threshold
+        method, choice = self._resolve_method(query_phonemes)
         self.last_method = method
         self.last_choice = choice
         if method == "naive":
@@ -251,22 +240,19 @@ class PhoneticAccelerator:
             # SeqScan + UDF recheck *is* the chosen plan.
             obs.incr("accelerator.auto.chose_naive")
             return None
-        rowids = self._matches(method, query_phonemes, config)
+        if method == "parallel":
+            if self._executor is None:
+                self._executor = self.keyed.executor(self.workers)
+            rowids = self._executor.match(query_phonemes, threshold)[0]
+            rowids = rowids.tolist()
+        else:
+            rowids, _ = self.keyed.matches(method, query_phonemes, threshold)
         if self.method == "auto":
             obs.incr(f"accelerator.auto.chose_{method}")
         obs.observe(f"accelerator.{self.method}.candidates", len(rowids))
         return rowids
 
-    def _matches(
-        self, method: str, query_phonemes: PhonemeString, config: MatchConfig
-    ) -> list[int]:
-        """Verified matching rowids via ``method``."""
-        if method == "parallel":
-            return self._parallel_matches(query_phonemes, config)
-        keys = self._sources[method].candidates(query_phonemes, config)
-        return self._phonemes.verify(query_phonemes, keys, config.threshold)
-
-    def _resolve_method(self, query_phonemes: PhonemeString, config):
+    def _resolve_method(self, query_phonemes: PhonemeString):
         """The concrete method for this query, with its cost estimate.
 
         Fixed-method accelerators still get an estimate (for EXPLAIN's
@@ -279,17 +265,17 @@ class PhoneticAccelerator:
         from repro.minidb import cost
 
         if self.method == "auto":
-            available = ["naive", *self._sources]
+            available = ["naive", *self._source_names]
             if self._parallel:
                 available.append("parallel")
         else:
             available = [self.method]
         stats = self.db.stats.accelerator(self.table_name, self.column_name)
-        rows = len(self._phonemes)
+        rows = len(self.keyed.store)
         avg_plen = (
             stats.avg_plen
             if stats is not None and stats.avg_plen
-            else (self._plen_sum / rows if rows else 1.0)
+            else (self.keyed.plen_sum / rows if rows else 1.0)
         )
         estimates = cost.estimate_strategies(
             rows=rows,
@@ -306,20 +292,6 @@ class PhoneticAccelerator:
         choice = cost.choose(estimates, allow_lossy=self.allow_lossy)
         return choice.strategy, choice
 
-    def _parallel_matches(
-        self, query_phonemes: PhonemeString, config: MatchConfig
-    ) -> list[int]:
-        """Exact matching rowids via the sharded executor."""
-        if self._executor is None:
-            from repro.parallel import EncodedNameTable, ParallelMatchExecutor
-
-            self._executor = ParallelMatchExecutor(
-                EncodedNameTable.from_store(self._phonemes),
-                workers=self.workers,
-            )
-        ids, _dists = self._executor.match(query_phonemes, config.threshold)
-        return ids.tolist()
-
     # ------------------------------------------------------- statistics
 
     def collect_stats(self, sample: int = 32):
@@ -335,24 +307,22 @@ class PhoneticAccelerator:
 
         from repro.minidb.stats import AcceleratorStats
 
-        config = self.matcher.config
-        rows = len(self._phonemes)
+        store = self.keyed.store
+        rows = len(store)
         stats = AcceleratorStats(
             rows=rows,
-            avg_plen=(self._plen_sum / rows) if rows else 0.0,
-            threshold=config.threshold,
+            avg_plen=(self.keyed.plen_sum / rows) if rows else 0.0,
+            threshold=self.matcher.config.threshold,
         )
         if rows:
             rng = random.Random(0x4C455861)  # stable across ANALYZE runs
-            rowids = sorted(self._phonemes)
+            rowids = sorted(store)
             probes = [
-                self._phonemes[rng.choice(rowids)]
-                for _ in range(min(sample, rows))
+                store[rng.choice(rowids)] for _ in range(min(sample, rows))
             ]
             stats.sample_size = len(probes)
-            for name, value in cost_inputs(
-                self._sources, probes, config
-            ).items():
+            inputs = self.keyed.cost_inputs(self._source_names, probes)
+            for name, value in inputs.items():
                 setattr(stats, name, value)
         return stats
 

@@ -1,22 +1,25 @@
-"""Candidate sources and the one verifier (paper Section 5).
+"""Candidate sources, the one verifier, and the per-key state around them
+(paper Section 5).
 
 Every filtered LexEQUAL evaluation is two steps: a candidate source
 narrows the stored strings to candidate keys, then
 :meth:`PhonemeStore.verify` keeps those within the per-pair budget
 ``threshold * min(|q|, |c|)`` using the banded batch kernel over the
 code columns the store encoded once, at insert, in the one code space
-:data:`~repro.phonetics.inventory.SYMBOL_CODES`.  The SQL
-accelerator (:mod:`repro.core.engine`) and the Strategy API
-(:mod:`repro.core.strategies`) both run that pipeline over:
+:data:`~repro.phonetics.inventory.SYMBOL_CODES`.  The sources are:
 
 * :class:`QGramSource` — positional q-gram postings with the length,
   count and position filters of Figure 14 (lossless);
 * :class:`GroupedKeySource` — the grouped phoneme string identifier of
   Figure 15 (may false-dismiss).
 
-Sources are keyed by ints (heap rowids or catalog record ids); their
-``state``/``from_state`` pair is the LEXSNAP codec, and ``selectivity``
-is what both ANALYZE and ``choose_strategy`` feed the cost model.
+:class:`KeyedPhonemes` holds one store and the sources built over it,
+and runs the pipeline in one place (:meth:`KeyedPhonemes.matches`).
+The SQL accelerator (:mod:`repro.core.engine`, keyed by heap rowid) and
+the Strategy API's :class:`~repro.core.strategies.NameCatalog` (keyed
+by record id) each hold one.  A source's ``state``/``from_state`` pair
+is the LEXSNAP codec, and ``selectivity`` is what ANALYZE feeds the
+cost model the ``auto`` accelerator chooses with.
 """
 
 from __future__ import annotations
@@ -108,9 +111,9 @@ def _gather(codes: array, begin, lengths):
 class PhonemeStore:
     """Stored phoneme strings by key, encoded once, plus the one verifier.
 
-    A small mapping (``[k] = v``, ``pop``, ``update``, ``get``, ``items``
-    ...) whose every write goes through :meth:`_write`, which also
-    encodes the string into columns: an append-only ``uint8`` code
+    A small mapping (``[k] = v``, ``pop``, ``update``, ``items`` ...)
+    whose every write goes through :meth:`_write`, which also encodes
+    the string into columns: an append-only ``uint8`` code
     column, dense key-indexed start and length columns, where a length
     of :data:`ABSENT` marks a key with no string, and a dense
     key-indexed class-count column holding, per key, the string's number
@@ -166,9 +169,6 @@ class PhonemeStore:
 
     def __len__(self) -> int:
         return len(self._strings)
-
-    def get(self, key: int, default=None):
-        return self._strings.get(key, default)
 
     def keys(self):
         return self._strings.keys()
@@ -646,21 +646,119 @@ SOURCES: dict[str, type[CandidateSource]] = {
 }
 
 
-def cost_inputs(
-    sources: dict[str, CandidateSource],
-    probes: list[PhonemeString],
-    config: MatchConfig,
-) -> dict:
-    """Measured :func:`repro.minidb.cost.estimate_strategies` inputs.
+class KeyedPhonemes:
+    """The stored phoneme strings by key, their candidate sources, and
+    the one filter-then-verify step over them.
 
-    ``<name>_sel`` per source from :meth:`CandidateSource.selectivity`,
-    plus the q-gram postings' mean list length.
+    :attr:`store` holds the strings (encoded once, at insert),
+    :attr:`languages` the lowercase language of every key added with
+    one, and each candidate source is built from the stored strings the
+    first time :meth:`source` asks for it, then kept current by
+    :meth:`add` and :meth:`remove`.  :meth:`matches` turns a source name
+    and a query into verified keys; :meth:`executor` builds the sharded
+    executor over the same strings.
     """
-    inputs = {
-        f"{name}_sel": source.selectivity(probes, config)
-        for name, source in sources.items()
-    }
-    qgram = sources.get("qgram")
-    if qgram is not None:
-        inputs["avg_posting"] = qgram.avg_posting()
-    return inputs
+
+    def __init__(self, config: MatchConfig, costs: CostModel):
+        self.config = config
+        self.store = PhonemeStore(costs)
+        #: key -> lowercase language (keys added without one have none).
+        self.languages: dict[int, str] = {}
+        #: Total stored phonemes, for the cost model's mean length.
+        self.plen_sum = 0
+        self._sources: dict[str, CandidateSource] = {}
+
+    def add(
+        self, key: int, phonemes: PhonemeString, language: str | None = None
+    ) -> None:
+        """Store one key's string (raising
+        :class:`~repro.errors.PhonemeError`, with nothing stored, for a
+        symbol outside the inventory) and index it in every built
+        source."""
+        self.store[key] = phonemes
+        self.plen_sum += len(phonemes)
+        if language is not None:
+            self.languages[key] = language
+        for source in self._sources.values():
+            source.add(key, phonemes)
+
+    def remove(self, key: int) -> None:
+        """Forget one key (no-op if absent)."""
+        phonemes = self.store.pop(key, None)
+        if phonemes is None:
+            return
+        self.plen_sum -= len(phonemes)
+        self.languages.pop(key, None)
+        for source in self._sources.values():
+            source.remove(key)
+
+    def source(self, name: str) -> CandidateSource:
+        """The candidate source ``name`` (see :data:`SOURCES`), built
+        from the stored strings on first use."""
+        source = self._sources.get(name)
+        if source is None:
+            source = SOURCES[name](self.config)
+            source.add_many(self.store.items())
+            self._sources[name] = source
+        return source
+
+    def load(self, strings: dict, states: dict) -> None:
+        """Install snapshot ``strings`` and, per source name, its LEXSNAP
+        state; a missing or stale state is rebuilt from the strings."""
+        self.store.update(strings)
+        self.plen_sum = sum(map(len, self.store.values()))
+        for name, state in states.items():
+            restored = None
+            if state is not None:
+                restored = SOURCES[name].from_state(self.config, state)
+            if restored is None:
+                self.source(name)
+            else:
+                self._sources[name] = restored
+
+    def cost_inputs(self, names, probes: list[PhonemeString]) -> dict:
+        """Measured :func:`repro.minidb.cost.estimate_strategies` inputs:
+        ``<name>_sel`` per source in ``names`` from
+        :meth:`CandidateSource.selectivity`, plus the q-gram postings'
+        mean list length."""
+        inputs = {
+            f"{name}_sel": self.source(name).selectivity(probes, self.config)
+            for name in names
+        }
+        if "qgram" in names:
+            inputs["avg_posting"] = self.source("qgram").avg_posting()
+        return inputs
+
+    def matches(
+        self,
+        source: str,
+        phonemes: PhonemeString,
+        threshold: float,
+        languages: tuple[str, ...] = (),
+    ) -> tuple[list[int], int]:
+        """Verified keys matching ``phonemes`` within ``threshold``, in
+        key order, and how many candidates reached the verifier.
+
+        The source's candidates, then, if ``languages`` is non-empty,
+        only keys stored with one of them, then
+        :meth:`PhonemeStore.verify`.  Exactly the matching keys for a
+        lossless source, a subset of them for the grouped key.
+        """
+        config = self.config
+        if threshold != config.threshold:
+            config = config.with_threshold(threshold)
+        keys = self.source(source).candidates(phonemes, config)
+        if languages:
+            wanted = {language.lower() for language in languages}
+            keys = [key for key in keys if self.languages[key] in wanted]
+        return self.store.verify(phonemes, keys, threshold), len(keys)
+
+    def executor(self, workers: int | None = None):
+        """A new :class:`~repro.parallel.ParallelMatchExecutor` over the
+        stored strings and languages; it re-gathers its table after
+        writes, and its caller closes it."""
+        from repro.parallel import EncodedNameTable, ParallelMatchExecutor
+
+        return ParallelMatchExecutor(
+            EncodedNameTable.from_catalog(self), workers=workers
+        )

@@ -15,13 +15,17 @@ table (Section 5):
 
 Both filtered strategies are one :class:`FilteredStrategy` over a
 candidate source of :mod:`repro.core.sources`: candidates, then the
-language filter, then the one batch verifier.
+language filter, then the one batch verifier, all in
+:meth:`~repro.core.sources.KeyedPhonemes.matches`, the step the SQL
+accelerator runs too.
 
-Strategies run against a :class:`NameCatalog`, which owns the minidb
-``names`` table, its id index, the per-row phoneme strings, and the
-candidate sources built from them on first use.  Strategies record how
-much work they did in :attr:`Strategy.last_stats`, which the benchmark
-harness reports.
+Strategies run against a :class:`NameCatalog`, which keeps its records
+in a list indexed by id and their phoneme strings, languages and
+candidate sources in one :class:`~repro.core.sources.KeyedPhonemes`.
+Strategies record how much work they did in :attr:`Strategy.last_stats`,
+which the benchmark harness reports.  Which strategy is cheapest for a
+query is the ``auto`` accelerator's decision
+(:mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -32,17 +36,9 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.config import MatchConfig
 from repro.core.matcher import LexEqualMatcher
-from repro.core.sources import (
-    SOURCES,
-    CandidateSource,
-    PhonemeStore,
-    cost_inputs,
-)
+from repro.core.sources import KeyedPhonemes
 from repro.errors import DatasetError
 from repro.matching.editdist import edit_distance
-from repro.minidb.catalog import Database
-from repro.minidb.schema import Column
-from repro.minidb.values import SqlType
 from repro.phonetics.parse import PhonemeString, format_phonemes, parse_ipa
 
 
@@ -73,43 +69,17 @@ class StrategyStats:
 class NameCatalog:
     """A multiscript names table with its phonetic auxiliary structures.
 
-    Owns one minidb table ``<name>`` (``id, name, language, tag, pname,
-    plen`` — the names with their IPA transcription and phoneme count)
-    with a B+ tree index on ``id``, plus the parsed phoneme string of
-    every row.  Candidate sources are built from those strings the first
-    time :meth:`source` asks for one and kept current by :meth:`add`.
+    Records live in a list indexed by id.  Their phoneme strings,
+    languages and candidate sources live in :attr:`keyed`, the same
+    :class:`~repro.core.sources.KeyedPhonemes` the SQL accelerator
+    keeps per column.
     """
 
-    def __init__(
-        self,
-        matcher: LexEqualMatcher | None = None,
-        db: Database | None = None,
-        table_name: str = "names",
-    ):
+    def __init__(self, matcher: LexEqualMatcher | None = None):
         self.matcher = matcher or LexEqualMatcher()
         self.config: MatchConfig = self.matcher.config
-        self.db = db or Database()
-        self.table_name = table_name
-        self._next_id = 0
-        #: id -> phoneme tuple (parsed and encoded once at load).
-        self._phonemes = PhonemeStore(self.matcher.costs)
-        #: id -> lowercase language.
-        self._languages: dict[int, str] = {}
-        self._sources: dict[str, CandidateSource] = {}
-        self.db.create_table(
-            self.table_name,
-            [
-                Column("id", SqlType.INTEGER, nullable=False),
-                Column("name", SqlType.TEXT, nullable=False),
-                Column("language", SqlType.TEXT, nullable=False),
-                Column("tag", SqlType.INTEGER),
-                Column("pname", SqlType.TEXT, nullable=False),
-                Column("plen", SqlType.INTEGER, nullable=False),
-            ],
-        )
-        self.db.create_index(
-            f"idx_{self.table_name}_id", self.table_name, "id"
-        )
+        self.keyed = KeyedPhonemes(self.config, self.matcher.costs)
+        self._records: list[NameRecord] = []
 
     # -------------------------------------------------------------- load
 
@@ -134,24 +104,14 @@ class NameCatalog:
             raise DatasetError(
                 f"name {name!r} ({language}) has an empty transcription"
             )
-        record_id = self._next_id
-        self._next_id += 1
+        record_id = len(self._records)
         language = language.lower()
-        self.db.insert(
-            self.table_name,
-            (
-                record_id,
-                name,
-                language,
-                tag,
-                format_phonemes(phonemes),
-                len(phonemes),
-            ),
+        self.keyed.add(record_id, phonemes, language)
+        self._records.append(
+            NameRecord(
+                record_id, name, language, tag, format_phonemes(phonemes)
+            )
         )
-        self._phonemes[record_id] = phonemes
-        self._languages[record_id] = language
-        for source in self._sources.values():
-            source.add(record_id, phonemes)
         return record_id
 
     def add_many(self, entries) -> list[int]:
@@ -169,56 +129,27 @@ class NameCatalog:
     # ------------------------------------------------------------ access
 
     def __len__(self) -> int:
-        return len(self.db.table(self.table_name))
+        return len(self._records)
 
     def record(self, record_id: int) -> NameRecord:
-        """Fetch one record by id (via the id index)."""
-        tree = self.db.index(f"idx_{self.table_name}_id").tree
-        rowids = tree.search(record_id)
-        if not rowids:
+        """Fetch one record by id."""
+        if not 0 <= record_id < len(self._records):
             raise DatasetError(f"no name with id {record_id}")
-        row = self.db.table(self.table_name).fetch(rowids[0])
-        return self._to_record(row)
+        return self._records[record_id]
 
     def records(self) -> list[NameRecord]:
         """All records in id order."""
-        return [
-            self._to_record(row)
-            for row in self.db.table(self.table_name).rows()
-        ]
-
-    @staticmethod
-    def _to_record(row: tuple) -> NameRecord:
-        return NameRecord(
-            id=row[0], name=row[1], language=row[2], tag=row[3], ipa=row[4]
-        )
+        return list(self._records)
 
     def phonemes_of(self, record_id: int) -> PhonemeString:
-        return self._phonemes[record_id]
+        return self.keyed.store[record_id]
 
     def language_of(self, record_id: int) -> str:
-        return self._languages[record_id]
+        return self._records[record_id].language
 
     def ids(self) -> list[int]:
         """Every record id, ascending."""
-        return sorted(self._phonemes)
-
-    def source(self, name: str) -> CandidateSource:
-        """The catalog's candidate source ``name`` (see ``SOURCES``)."""
-        source = self._sources.get(name)
-        if source is None:
-            source = SOURCES[name](self.config)
-            source.add_many(self._phonemes.items())
-            self._sources[name] = source
-        return source
-
-    def verify(
-        self, query_phonemes: PhonemeString, ids: list[int]
-    ) -> list[int]:
-        """The ``ids`` that match the query (the one verifier)."""
-        return self._phonemes.verify(
-            query_phonemes, ids, self.config.threshold
-        )
+        return list(range(len(self._records)))
 
 
 class Strategy(abc.ABC):
@@ -305,15 +236,15 @@ class NaiveUdfStrategy(Strategy):
         costs = self.matcher.costs
         threshold = self.config.threshold
         results = []
-        for row in self.catalog.db.table(self.catalog.table_name).rows():
+        for record in self.catalog.records():
             stats.rows_considered += 1
-            if not self._language_ok(row[2], languages):
+            if not self._language_ok(record.language, languages):
                 continue
-            phonemes = self.catalog.phonemes_of(row[0])
+            phonemes = self.catalog.phonemes_of(record.id)
             stats.udf_calls += 1
             budget = threshold * min(len(query_phonemes), len(phonemes))
             if edit_distance(query_phonemes, phonemes, costs) <= budget:
-                results.append(NameCatalog._to_record(row))
+                results.append(record)
         stats.candidates_after_filters = stats.udf_calls
         stats.results = len(results)
         self._finish(stats)
@@ -323,26 +254,24 @@ class NaiveUdfStrategy(Strategy):
         self, *, cross_language_only: bool = True
     ) -> list[tuple[NameRecord, NameRecord]]:
         stats = StrategyStats()
-        rows = list(self.catalog.db.table(self.catalog.table_name).rows())
+        records = self.catalog.records()
         costs = self.matcher.costs
         threshold = self.config.threshold
         results = []
-        for i, row_a in enumerate(rows):
-            phonemes_a = self.catalog.phonemes_of(row_a[0])
-            for row_b in rows[i + 1 :]:
+        for i, record_a in enumerate(records):
+            phonemes_a = self.catalog.phonemes_of(record_a.id)
+            for record_b in records[i + 1 :]:
                 stats.rows_considered += 1
-                if cross_language_only and row_a[2] == row_b[2]:
+                if (
+                    cross_language_only
+                    and record_a.language == record_b.language
+                ):
                     continue
-                phonemes_b = self.catalog.phonemes_of(row_b[0])
+                phonemes_b = self.catalog.phonemes_of(record_b.id)
                 stats.udf_calls += 1
                 budget = threshold * min(len(phonemes_a), len(phonemes_b))
                 if edit_distance(phonemes_a, phonemes_b, costs) <= budget:
-                    results.append(
-                        (
-                            NameCatalog._to_record(row_a),
-                            NameCatalog._to_record(row_b),
-                        )
-                    )
+                    results.append((record_a, record_b))
         stats.candidates_after_filters = stats.udf_calls
         stats.results = len(results)
         self._finish(stats)
@@ -352,16 +281,21 @@ class NaiveUdfStrategy(Strategy):
 class FilteredStrategy(Strategy):
     """A candidate source, the language filter, then the one verifier.
 
-    ``select`` verifies the query's candidates; ``join`` probes with
-    every stored string, keeps candidates with a larger id (each pair
-    once), and verifies them the same way.  Verified matches are exact,
-    so a lossless source returns exactly :class:`NaiveUdfStrategy`'s
-    results and a lossy one a subset of them.
+    ``select`` is :meth:`~repro.core.sources.KeyedPhonemes.matches` over
+    the catalog's :attr:`source`; ``join`` probes the source with every
+    stored string, keeps candidates with a larger id (each pair once),
+    and verifies them the same way.  Verified matches are exact, so a
+    lossless source returns exactly :class:`NaiveUdfStrategy`'s results
+    and a lossy one a subset of them.
     """
 
-    def __init__(self, catalog: NameCatalog, source: CandidateSource):
+    #: Name of the candidate source (see ``repro.core.sources.SOURCES``).
+    source: str
+
+    def __init__(self, catalog: NameCatalog):
         super().__init__(catalog)
-        self.source = source
+        # Built here, not inside the first (timed) query.
+        catalog.keyed.source(self.source)
 
     def select(
         self,
@@ -371,15 +305,14 @@ class FilteredStrategy(Strategy):
     ) -> list[NameRecord]:
         catalog = self.catalog
         stats = StrategyStats(rows_considered=len(catalog))
-        query_phonemes = self._query_phonemes(query, language)
-        keys = self.source.candidates(query_phonemes, self.config)
-        if languages:
-            wanted = {lang.lower() for lang in languages}
-            keys = [k for k in keys if catalog.language_of(k) in wanted]
-        stats.candidates_after_filters = stats.udf_calls = len(keys)
-        results = [
-            catalog.record(k) for k in catalog.verify(query_phonemes, keys)
-        ]
+        ids, candidates = catalog.keyed.matches(
+            self.source,
+            self._query_phonemes(query, language),
+            self.config.threshold,
+            languages,
+        )
+        stats.candidates_after_filters = stats.udf_calls = candidates
+        results = [catalog.record(k) for k in ids]
         stats.results = len(results)
         self._finish(stats)
         return results
@@ -388,26 +321,28 @@ class FilteredStrategy(Strategy):
         self, *, cross_language_only: bool = True
     ) -> list[tuple[NameRecord, NameRecord]]:
         catalog = self.catalog
+        keyed = catalog.keyed
+        source = keyed.source(self.source)
         n = len(catalog)
         stats = StrategyStats(rows_considered=n * (n - 1) // 2)
         results = []
-        for id_a in catalog.ids():
-            phonemes_a = catalog.phonemes_of(id_a)
-            language_a = catalog.language_of(id_a)
+        for record_a in catalog.records():
+            id_a = record_a.id
+            phonemes_a = keyed.store[id_a]
             keys = [
                 k
-                for k in self.source.candidates(phonemes_a, self.config)
+                for k in source.candidates(phonemes_a, self.config)
                 if k > id_a
                 and not (
                     cross_language_only
-                    and catalog.language_of(k) == language_a
+                    and keyed.languages[k] == record_a.language
                 )
             ]
             stats.candidates_after_filters += len(keys)
-            matched = catalog.verify(phonemes_a, keys)
-            if matched:
-                record_a = catalog.record(id_a)
-                results.extend((record_a, catalog.record(k)) for k in matched)
+            matched = keyed.store.verify(
+                phonemes_a, keys, self.config.threshold
+            )
+            results.extend((record_a, catalog.record(k)) for k in matched)
         stats.udf_calls = stats.candidates_after_filters
         stats.results = len(results)
         self._finish(stats)
@@ -418,9 +353,7 @@ class QGramStrategy(FilteredStrategy):
     """Length + count + position filters over q-gram postings (Fig. 14)."""
 
     name = "qgram"
-
-    def __init__(self, catalog: NameCatalog):
-        super().__init__(catalog, catalog.source("qgram"))
+    source = "qgram"
 
 
 class PhoneticIndexStrategy(FilteredStrategy):
@@ -434,9 +367,7 @@ class PhoneticIndexStrategy(FilteredStrategy):
     """
 
     name = "phonetic-index"
-
-    def __init__(self, catalog: NameCatalog):
-        super().__init__(catalog, catalog.source("index"))
+    source = "index"
 
 
 class ExactStrategy(Strategy):
@@ -456,10 +387,12 @@ class ExactStrategy(Strategy):
     ) -> list[NameRecord]:
         stats = StrategyStats()
         results = []
-        for row in self.catalog.db.table(self.catalog.table_name).rows():
+        for record in self.catalog.records():
             stats.rows_considered += 1
-            if row[1] == query and self._language_ok(row[2], languages):
-                results.append(NameCatalog._to_record(row))
+            if record.name == query and self._language_ok(
+                record.language, languages
+            ):
+                results.append(record)
         stats.results = len(results)
         self._finish(stats)
         return results
@@ -468,96 +401,20 @@ class ExactStrategy(Strategy):
         self, *, cross_language_only: bool = True
     ) -> list[tuple[NameRecord, NameRecord]]:
         stats = StrategyStats()
-        by_name: dict[str, list[tuple]] = {}
-        for row in self.catalog.db.table(self.catalog.table_name).rows():
+        by_name: dict[str, list[NameRecord]] = {}
+        for record in self.catalog.records():
             stats.rows_considered += 1
-            by_name.setdefault(row[1], []).append(row)
+            by_name.setdefault(record.name, []).append(record)
         results = []
-        for rows in by_name.values():
-            if len(rows) < 2:
-                continue
-            rows.sort(key=lambda row: row[0])
-            for i, row_a in enumerate(rows):
-                for row_b in rows[i + 1 :]:
-                    if cross_language_only and row_a[2] == row_b[2]:
+        for records in by_name.values():
+            for i, record_a in enumerate(records):
+                for record_b in records[i + 1 :]:
+                    if (
+                        cross_language_only
+                        and record_a.language == record_b.language
+                    ):
                         continue
-                    results.append(
-                        (
-                            NameCatalog._to_record(row_a),
-                            NameCatalog._to_record(row_b),
-                        )
-                    )
+                    results.append((record_a, record_b))
         stats.results = len(results)
         self._finish(stats)
         return results
-
-
-# ---------------------------------------------------------------- choice
-
-#: Cost-model strategy name -> executable strategy class.
-STRATEGY_CLASSES: dict[str, type[Strategy]] = {
-    "naive": NaiveUdfStrategy,
-    "qgram": QGramStrategy,
-    "index": PhoneticIndexStrategy,
-}
-
-
-@dataclass
-class StrategyChoice:
-    """Outcome of cost-based strategy selection.
-
-    ``strategy`` is ready to run; ``estimate`` is the winning
-    :class:`~repro.minidb.cost.StrategyEstimate`; ``estimates`` holds
-    every considered alternative (for EXPLAIN-style reporting and the
-    cost-model test suite).
-    """
-
-    strategy: Strategy
-    estimate: object
-    estimates: list
-
-    @property
-    def name(self) -> str:
-        return self.estimate.strategy
-
-
-def choose_strategy(
-    catalog: NameCatalog,
-    query: str,
-    language: str = "english",
-    *,
-    allow_lossy: bool = False,
-    available: tuple[str, ...] | None = None,
-) -> StrategyChoice:
-    """Pick the cheapest execution strategy for one selection query.
-
-    Estimates every candidate strategy with :mod:`repro.minidb.cost`,
-    feeding it each source's measured selectivity for this very query
-    (:func:`repro.core.sources.cost_inputs`), then instantiates the
-    winner.  The lossy grouped-key source (``index``) may false-dismiss,
-    so it is only eligible under ``allow_lossy`` — exactly the
-    planner's rule.  ``available`` restricts the field.
-    """
-    from repro.minidb import cost
-
-    if available is None:
-        available = tuple(STRATEGY_CLASSES)
-    query_phonemes = catalog.matcher.registry.transform(query, language)
-    rows = len(catalog)
-    sources = {
-        name: catalog.source(name) for name in available if name in SOURCES
-    }
-    estimates = cost.estimate_strategies(
-        rows=rows,
-        query_len=len(query_phonemes),
-        avg_plen=(
-            sum(map(len, catalog._phonemes.values())) / rows if rows else 1.0
-        ),
-        available=available,
-        **cost_inputs(sources, [query_phonemes], catalog.config),
-    )
-    winner = cost.choose(estimates, allow_lossy=allow_lossy)
-    obs.incr(f"strategy.choice.{winner.strategy}")
-    return StrategyChoice(
-        STRATEGY_CLASSES[winner.strategy](catalog), winner, estimates
-    )

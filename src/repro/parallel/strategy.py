@@ -19,7 +19,6 @@ from repro.core.strategies import (
     StrategyStats,
 )
 from repro.parallel.executor import ParallelMatchExecutor
-from repro.parallel.table import EncodedNameTable
 
 
 class ParallelStrategy(Strategy):
@@ -27,7 +26,8 @@ class ParallelStrategy(Strategy):
 
     ``workers`` defaults to the machine's CPU count; ``workers=1`` runs
     the same kernels inline (no pool) and is the fastest sequential
-    scan.  The executor (table and pool) is built on first use; it
+    scan.  The executor (table and pool) comes from the catalog's
+    :meth:`~repro.core.sources.KeyedPhonemes.executor` on first use; it
     re-gathers its table from the catalog's phoneme store after writes.
     """
 
@@ -44,10 +44,7 @@ class ParallelStrategy(Strategy):
         """The executor, built on first use; it re-gathers its table
         itself after the catalog changes."""
         if self._executor is None:
-            self._executor = ParallelMatchExecutor(
-                EncodedNameTable.from_catalog(self.catalog),
-                workers=self.workers,
-            )
+            self._executor = self.catalog.keyed.executor(self.workers)
         return self._executor
 
     def close(self) -> None:

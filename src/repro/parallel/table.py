@@ -38,9 +38,9 @@ class EncodedNameTable:
     Rows are the store's keys, in key order: every stored string, since
     the store admits only strings in the code space.  A table gathered
     on the parent side also remembers its provenance: the ``store``, its
-    key -> language map ``language_of`` (None: every row has language
-    ``""``) and the store's ``writes`` count at the gather.  An attached
-    worker view has none of these.
+    key -> language map ``language_of`` (a key it lacks, or every key
+    when it is None, has language ``""``) and the store's ``writes``
+    count at the gather.  An attached worker view has none of these.
     """
 
     store = None
@@ -58,7 +58,7 @@ class EncodedNameTable:
         writes = store.writes
         keys, codes, offsets, class_counts = store.export()
         names = (
-            [language_of[key] for key in keys.tolist()]
+            [language_of.get(key, "") for key in keys.tolist()]
             if language_of is not None
             else [""] * len(keys)
         )
@@ -82,9 +82,10 @@ class EncodedNameTable:
         return table
 
     @classmethod
-    def from_catalog(cls, catalog) -> EncodedNameTable:
-        """Gather a :class:`~repro.core.strategies.NameCatalog`'s store."""
-        return cls.from_store(catalog._phonemes, catalog._languages)
+    def from_catalog(cls, keyed) -> EncodedNameTable:
+        """Gather a :class:`~repro.core.sources.KeyedPhonemes`' store
+        and languages."""
+        return cls.from_store(keyed.store, keyed.languages)
 
     # --------------------------------------------------- shared memory
 

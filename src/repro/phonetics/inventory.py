@@ -307,11 +307,6 @@ SYMBOL_CODES: dict[str, int] = {
 }
 assert len(SYMBOL_CODES) <= 256
 
-#: All inventory symbols, longest first (the parser matches greedily).
-SYMBOLS_BY_LENGTH: tuple[str, ...] = tuple(
-    sorted(INVENTORY, key=lambda s: (-len(s), s))
-)
-
 
 def get_phoneme(symbol: str) -> Phoneme:
     """Return the :class:`Phoneme` for ``symbol``.

@@ -24,7 +24,6 @@ from repro.phonetics.inventory import (
     INVENTORY,
     LENGTH_MARK,
     NASAL_MARK,
-    SYMBOLS_BY_LENGTH,
     is_known_symbol,
 )
 
@@ -125,15 +124,18 @@ def parse_ipa(text: str) -> PhonemeString:
     return tuple(phonemes)
 
 
+#: Probe widths, longest first: the longest inventory symbol is 3
+#: characters.
+_WIDTHS = tuple(range(max(map(len, INVENTORY)), 0, -1))
+
+
 def _longest_match(text: str, start: int) -> str | None:
-    # SYMBOLS_BY_LENGTH is sorted longest-first, so the first hit is the
-    # greedy match.  Inventory symbols are at most 3 characters long.
-    for sym in SYMBOLS_BY_LENGTH:
-        if text.startswith(sym, start):
-            # Do not match a bare base symbol when a modifier follows that
-            # would extend it (handled by the modifier branch above), except
-            # that the greedy sort already prefers the extended symbol.
-            return sym
+    # Probing the longest slice first makes the first hit the greedy
+    # match.
+    for width in _WIDTHS:
+        symbol = text[start : start + width]
+        if symbol in INVENTORY:
+            return symbol
     return None
 
 

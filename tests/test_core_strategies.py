@@ -42,6 +42,12 @@ class TestNameCatalog:
         with pytest.raises(DatasetError):
             nehru_catalog.record(999)
 
+    def test_record_out_of_range_raises(self, nehru_catalog):
+        # A plain list index would wrap -1 to the last record.
+        for record_id in (-1, len(nehru_catalog)):
+            with pytest.raises(DatasetError):
+                nehru_catalog.record(record_id)
+
     def test_records_in_id_order(self, nehru_catalog):
         ids = [r.id for r in nehru_catalog.records()]
         assert ids == sorted(ids)
@@ -60,11 +66,11 @@ class TestNameCatalog:
     def test_qgram_rows_created(self, matcher):
         catalog = NameCatalog(matcher)
         catalog.add("Nehru", "english")
-        source = catalog.source("qgram")
+        source = catalog.keyed.source("qgram")
         phonemes = catalog.phonemes_of(0)
         assert source.posting_count == len(phonemes) + catalog.config.q - 1
         catalog.add("Gandhi", "english")
-        assert catalog.source("qgram") is source
+        assert catalog.keyed.source("qgram") is source
         assert len(source) == 2
 
 

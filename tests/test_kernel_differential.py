@@ -608,8 +608,19 @@ class TestAcceleratorDifferential:
         holder[0].drop()
         db.storage.close()
 
-        reopened = open_database(str(tmp_path), matcher=matcher)
+        # The snapshot attaches without TTP over the table: only the
+        # delta row is converted.
+        calls = []
+        transform = matcher.registry.transform
+        matcher.registry.transform = lambda *a: (
+            calls.append(a[0]), transform(*a)
+        )[1]
         try:
+            reopened = open_database(str(tmp_path), matcher=matcher)
+        finally:
+            del matcher.registry.transform
+        try:
+            assert calls == [accel_names[1]]
             assert reopened.accelerator_for("names", "name") is not None
             assert _answers(reopened, queries) == before
         finally:
@@ -643,7 +654,7 @@ class TestAcceleratorDifferential:
             db, "names", "name", matcher, restore=old_layout
         )
         assert _answers(db, queries) == expected
-        assert sorted(restored._phonemes) == sorted(
+        assert sorted(restored.keyed.store) == sorted(
             rowid
             for rowid, row in db.table("names").scan()
             if row[1] is not None and row[1] != "נהרו"
@@ -684,7 +695,7 @@ class TestAcceleratorDifferential:
         restored = create_phonetic_accelerator(
             db, "names", "name", matcher, restore=snapshot
         )
-        source = restored._sources["qgram"]
+        source = restored.keyed.source("qgram")
         assert isinstance(source, QGramSource) and len(source) == len(tokens)
         assert _answers(db, queries) == expected
 
@@ -759,7 +770,7 @@ class TestAcceleratorDifferential:
             assert calls == []
             assert _answers(db, queries) == expected
             table = restored._executor.table
-            assert table.store is restored._phonemes
+            assert table.store is restored.keyed.store
             assert "encoded" not in restored.snapshot_state()
         finally:
             restored.drop()
@@ -842,7 +853,7 @@ class TestAcceleratorDifferential:
         try:
             accelerator = reopened.accelerator_for("names", "name")
             assert accelerator.method == built
-            assert "ann" not in accelerator._sources
+            assert "ann" not in accelerator.keyed._sources
             stats = reopened.stats.accelerator("names", "name")
             assert stats is not None and stats.qgram_sel is not None
             accelerated = _answers(reopened, queries)
@@ -1255,7 +1266,7 @@ def test_store_and_snapshot_reopen_stay_numpy_free(tmp_path):
         obs.enable()
         db = open_database({str(tmp_path)!r}, matcher=LexEqualMatcher())
         accelerator = db.accelerator_for("names", "name")
-        assert len(accelerator._phonemes) == 5
+        assert len(accelerator.keyed.store) == 5
         assert obs.snapshot()["counters"]["storage.accelerator.attached"] == 1
         db.storage.close()
         assert "numpy" not in sys.modules, "numpy imported"

@@ -93,7 +93,7 @@ class TestEncodedNameTable:
         catalog = NameCatalog(matcher)
         catalog.add("Nehru", "english", ipa="nehru")
         catalog.add("Nero", "english", ipa="nero")
-        table = EncodedNameTable.from_catalog(catalog)
+        table = EncodedNameTable.from_catalog(catalog.keyed)
         assert len(table) == 2
         assert list(table.ids) == [0, 1]
         # The store's cached cost tables: equal cost models share them.

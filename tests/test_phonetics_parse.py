@@ -1,8 +1,14 @@
 """Tests for IPA string tokenization."""
 
+from unittest import mock
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import PhonemeError
+from repro.phonetics import parse
+from repro.phonetics.inventory import INVENTORY
 from repro.phonetics.parse import (
     format_phonemes,
     ipa_length,
@@ -84,3 +90,37 @@ class TestRoundTrip:
         # A length mark on a consonant doubles it (pattern used by some
         # transcriptions); the parser must not crash.
         assert parse_ipa("akːa") == ("a", "k", "k", "a")
+
+
+def _parsed(text):
+    try:
+        return parse_ipa(text)
+    except PhonemeError:
+        return PhonemeError
+
+
+#: Inventory characters, the modifiers, the ignored marks and one
+#: character the parser does not know.
+_ALPHABET = sorted(
+    {ch for symbol in INVENTORY for ch in symbol}
+    | set(parse._MODIFIERS)
+    | parse._IGNORED
+    | {"3"}
+)
+
+
+class TestLongestMatch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=_ALPHABET, max_size=16))
+    def test_probe_equals_longest_first_scan(self, text):
+        def scan(text, start):
+            for symbol in sorted(INVENTORY, key=len, reverse=True):
+                if text.startswith(symbol, start):
+                    return symbol
+            return None
+
+        for start in range(len(text)):
+            assert parse._longest_match(text, start) == scan(text, start)
+        probed = _parsed(text)
+        with mock.patch.object(parse, "_longest_match", scan):
+            assert _parsed(text) == probed

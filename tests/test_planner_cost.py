@@ -4,8 +4,8 @@ Three layers under test:
 
 * :mod:`repro.minidb.cost` — the estimates themselves: scaling shape,
   the lossless-only rule, selectivity sensitivity;
-* :func:`repro.core.strategies.choose_strategy` — cost-based choice
-  over a live catalog, checked against *measured* strategy latency
+* the ``auto`` accelerator — cost-based choice over a live table after
+  ANALYZE, checked against *measured* latency of the forced methods
   (chosen must be the fastest, or within a bounded ratio of it);
 * EXPLAIN / EXPLAIN ANALYZE — golden fragments proving estimated rows
   and cost surface next to actuals.
@@ -15,20 +15,20 @@ from __future__ import annotations
 
 import random
 import time
+from unittest import mock
 
 import pytest
 
 from repro.core.config import MatchConfig
-from repro.core.integration import demo_books_db
+from repro.core.engine import create_phonetic_accelerator
+from repro.core.integration import demo_books_db, install_lexequal
 from repro.core.matcher import LexEqualMatcher
-from repro.core.strategies import (
-    STRATEGY_CLASSES,
-    NameCatalog,
-    choose_strategy,
-)
 from repro.data.generator import generate_performance_dataset
 from repro.data.lexicon import build_lexicon
 from repro.minidb import cost
+from repro.minidb.catalog import Database
+from repro.minidb.schema import Column
+from repro.minidb.values import SqlType
 
 SEED = 20040314
 
@@ -102,72 +102,119 @@ class TestEstimates:
 # ------------------------------------------------- choice vs. measured
 
 
-def _seeded_catalog(rows: int) -> tuple[NameCatalog, list[str]]:
+SELECT = "SELECT id FROM names WHERE name LEXEQUAL :q THRESHOLD 0.25"
+
+
+def _seeded_db(rows: int) -> tuple[Database, LexEqualMatcher, list[str]]:
+    """A ``names`` table of generated names and four English queries."""
     matcher = LexEqualMatcher(MatchConfig(threshold=0.25))
-    catalog = NameCatalog(matcher)
+    db = Database()
+    install_lexequal(db, matcher)
+    db.create_table(
+        "names",
+        [
+            Column("id", SqlType.INTEGER, nullable=False),
+            Column("name", SqlType.TEXT),
+        ],
+    )
     items = list(generate_performance_dataset(build_lexicon(), rows))
-    for item in items:
-        catalog.add(item.name, item.language, ipa=item.ipa)
+    for i, item in enumerate(items):
+        db.insert("names", (i, item.name))
     rng = random.Random(SEED)
     english = [it.name for it in items if it.language == "english"]
-    return catalog, rng.sample(english, min(4, len(english)))
+    return db, matcher, rng.sample(english, min(4, len(english)))
 
 
-def _mean_latency(strategy, queries, repeats=3) -> float:
+def _accelerate(db, matcher, method="auto", **options):
+    accelerator = create_phonetic_accelerator(
+        db, "names", "name", matcher, method=method, **options
+    )
+    db.analyze()
+    return accelerator
+
+
+def _estimates_of(accelerator, query):
+    """The accelerator's pick for ``query`` and every estimate it
+    weighed."""
+    weighed = []
+    estimate = cost.estimate_strategies
+
+    def spy(**inputs):
+        weighed.append(estimate(**inputs))
+        return weighed[-1]
+
+    with mock.patch.object(cost, "estimate_strategies", spy):
+        accelerator.db.execute(SELECT, q=query)
+    return accelerator.last_choice, weighed[-1]
+
+
+def _mean_latency(db, queries, repeats=3) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for query in queries:
-            strategy.select(query)
+            db.execute(SELECT, q=query)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 class TestChooseStrategy:
+    """The ``auto`` accelerator after ANALYZE is the one chooser."""
+
     def test_choice_is_cheapest_eligible_estimate(self):
-        catalog, queries = _seeded_catalog(200)
-        choice = choose_strategy(catalog, queries[0])
-        eligible = [e for e in choice.estimates if e.lossless]
-        assert choice.estimate.est_cost == min(
-            e.est_cost for e in eligible
-        )
-        assert isinstance(
-            choice.strategy, STRATEGY_CLASSES[choice.name]
-        )
+        db, matcher, queries = _seeded_db(200)
+        accelerator = _accelerate(db, matcher)
+        choice, estimates = _estimates_of(accelerator, queries[0])
+        eligible = [e for e in estimates if e.lossless]
+        assert choice.est_cost == min(e.est_cost for e in eligible)
+        assert accelerator.last_method == choice.strategy
 
     def test_lossy_needs_opt_in(self):
-        catalog, queries = _seeded_catalog(200)
-        assert choose_strategy(catalog, queries[0]).name != "index"
-        lossy = choose_strategy(
-            catalog, queries[0], allow_lossy=True
+        db, matcher, queries = _seeded_db(200)
+        accelerator = _accelerate(db, matcher)
+        for query in queries:
+            db.execute(SELECT, q=query)
+            assert accelerator.last_method != "index"
+        accelerator.drop()
+        _accelerate(db, matcher, allow_lossy=True)
+        choice, _estimates = _estimates_of(
+            db.accelerator_for("names", "name"), queries[0]
         )
-        assert lossy.name == "index"
+        assert choice.strategy == "index"
 
-    def test_available_restricts_the_field(self):
-        catalog, queries = _seeded_catalog(100)
-        only = choose_strategy(
-            catalog, queries[0], available=("naive",)
-        )
-        assert only.name == "naive"
-        assert [e.strategy for e in only.estimates] == ["naive"]
+    def test_parallel_needs_workers(self):
+        db, matcher, queries = _seeded_db(100)
+        accelerator = _accelerate(db, matcher)
+        for query in queries:
+            _choice, estimates = _estimates_of(accelerator, query)
+            assert "parallel" not in {e.strategy for e in estimates}
+            assert accelerator.last_method != "parallel"
+        accelerator.drop()
+        accelerator = _accelerate(db, matcher, workers=1)
+        try:
+            _choice, estimates = _estimates_of(accelerator, queries[0])
+            assert "parallel" in {e.strategy for e in estimates}
+        finally:
+            accelerator.drop()
 
     def test_chosen_tracks_measured_fastest(self):
         """The cost model's pick must be the measured-fastest lossless
-        strategy — or within a generous constant of it (timings on
-        shared CI hosts are noisy; the *ordering* vs. naive must hold
-        strictly)."""
-        catalog, queries = _seeded_catalog(400)
-        choice = choose_strategy(catalog, queries[0])
-        assert choice.name != "naive"  # 400 rows: a scan cannot win
-        timings = {
-            name: _mean_latency(klass(catalog), queries)
-            for name, klass in STRATEGY_CLASSES.items()
-            # lossy index: not eligible for this choice
-            if name != "index"
-        }
-        fastest = min(timings.values())
-        assert timings[choice.name] <= max(5.0 * fastest, 1e-3)
-        assert timings[choice.name] < timings["naive"]
+        method — or within a generous constant of it (timings on
+        shared CI hosts are noisy; the *ordering* vs. the plain scan
+        must hold strictly)."""
+        db, matcher, queries = _seeded_db(400)
+        timings = {"naive": _mean_latency(db, queries)}
+        # lossy index: not eligible for this choice
+        for method, options in (("qgram", {}), ("parallel", {"workers": 1})):
+            accelerator = _accelerate(db, matcher, method, **options)
+            timings[method] = _mean_latency(db, queries)
+            accelerator.drop()
+        accelerator = _accelerate(db, matcher)
+        db.execute(SELECT, q=queries[0])
+        assert accelerator.last_method != "naive"  # 400 rows: no scan
+        auto = _mean_latency(db, queries)
+        assert auto <= max(5.0 * min(timings.values()), 1e-3)
+        assert auto < timings["naive"]
 
 
 # --------------------------------------------------------- EXPLAIN
