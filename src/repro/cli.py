@@ -54,6 +54,7 @@ import sys
 from repro.core.config import MatchConfig
 from repro.core.engine import METHODS
 from repro.core.matcher import LexEqualMatcher
+from repro.core.operator import language_set
 from repro.errors import ReproError
 
 #: ``--strategy`` values: every accelerator method, or plain UDF
@@ -106,9 +107,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         lexicon = MultiscriptLexicon.load_tsv(args.lexicon)
     else:
         lexicon = default_lexicon()
-    languages = tuple(
-        lang for lang in (args.languages or "").split(",") if lang
-    )
+    languages = language_set(args.languages)
     query_phonemes = matcher.phonemes(args.query)
     shown = 0
     for entry in lexicon:

@@ -30,6 +30,13 @@ _COST_MODELS: dict[tuple, tuple[PhonemeClustering, CostModel]] = {}
 _COST_MODEL_CACHE_SIZE = 64
 
 
+def check_threshold(threshold: float) -> float:
+    """``threshold`` itself if it is a legal user match threshold."""
+    if not 0.0 <= threshold <= 1.0:
+        raise MatchConfigError(f"threshold {threshold} not in [0, 1]")
+    return threshold
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     """Immutable LexEQUAL parameter bundle."""
@@ -55,10 +62,7 @@ class MatchConfig:
     key_mode: str = "skeleton"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise MatchConfigError(
-                f"threshold {self.threshold} not in [0, 1]"
-            )
+        check_threshold(self.threshold)
         if not 0.0 <= self.intra_cluster_cost <= 1.0:
             raise MatchConfigError(
                 f"intra-cluster cost {self.intra_cluster_cost} not in [0, 1]"
@@ -125,9 +129,13 @@ class MatchConfig:
         """Copy with a different intra-cluster substitution cost."""
         return replace(self, intra_cluster_cost=cost)
 
-    def budget(self, len_left: int, len_right: int) -> float:
-        """Edit-cost budget for a pair: ``e * min(|T_l|, |T_r|)``."""
-        return self.threshold * min(len_left, len_right)
+    def budget(
+        self, len_left: int, len_right: int, threshold: float | None = None
+    ) -> float:
+        """Edit-cost budget for a pair: ``e * min(|T_l|, |T_r|)``, with
+        ``e`` this config's threshold unless ``threshold`` is given."""
+        e = self.threshold if threshold is None else threshold
+        return e * min(len_left, len_right)
 
     def max_operations(self, query_len: int) -> int:
         """Upper bound on edit *operations* for any match with a query.

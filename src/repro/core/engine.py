@@ -119,11 +119,9 @@ class PhoneticAccelerator:
     # ----------------------------------------------------- maintenance
 
     def _phonemes_of_value(self, value) -> PhonemeString | None:
-        if value is None:
-            return None
-        language = self.matcher.language_of(value)
-        if language is None or not self.matcher.registry.supports(language):
-            return None  # NORESOURCE rows are not indexed
+        language = None if value is None else self.matcher.resolve(value)
+        if language is None:
+            return None  # NULL and NORESOURCE rows are not indexed
         return self.matcher.registry.transform(str(value), language)
 
     def on_insert(self, rowid: int, row: tuple) -> None:
@@ -196,10 +194,7 @@ class PhoneticAccelerator:
     # --------------------------------------------------------- planning
 
     def candidate_rowids(
-        self,
-        value,
-        threshold: float | None,
-        languages: tuple[str, ...] = (),
+        self, value, threshold: float | None
     ) -> list[int] | None:
         """Matching rowids for ``column LexEQUAL value THRESHOLD t``.
 
@@ -210,9 +205,12 @@ class PhoneticAccelerator:
         ``index``.  The planner's UDF recheck then applies NULL,
         INLANGUAGES and degradation semantics to true matches only.
         Returns None (declining, planner falls back to a scan) when the
-        query value cannot be converted to phonemes.
+        query value cannot be converted to phonemes.  A ``threshold``
+        outside ``[0, 1]`` raises
+        :class:`~repro.errors.MatchConfigError`, as the operator does.
         """
         obs.incr(f"accelerator.{self.method}.calls")
+        threshold = self.matcher.threshold_of(threshold)
         try:
             query_phonemes = self._phonemes_of_value(value)
         except TTPError as exc:
@@ -226,11 +224,6 @@ class PhoneticAccelerator:
         if not query_phonemes:
             obs.incr(f"accelerator.{self.method}.declined")
             return None
-        config = self.matcher.config
-        if threshold is not None:
-            # with_threshold rejects a THRESHOLD outside [0, 1].
-            config = config.with_threshold(float(threshold))
-        threshold = config.threshold
         method, choice = self._resolve_method(query_phonemes)
         self.last_method = method
         self.last_choice = choice

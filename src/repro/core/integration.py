@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from repro import degrade, obs
 from repro.core.matcher import LexEqualMatcher
+from repro.core.operator import MatchOutcome
 from repro.errors import TTPError
 from repro.minidb.catalog import Database
 from repro.minidb.values import LangText
+from repro.phonetics.keys import grouped_key
 
 
 def install_lexequal(
@@ -32,10 +34,13 @@ def install_lexequal(
     UDFs installed:
 
     ``lexequal(left, right, threshold[, languages_csv])``
-        The paper's operator on *text* operands.  Language tags come from
+        The paper's operator on *text* operands:
+        :meth:`LexEqualMatcher.match`, with ``languages_csv`` the
+        comma-separated ``INLANGUAGES`` set.  Language tags come from
         :class:`~repro.minidb.values.LangText` values or script
-        detection.  Returns True/False, or SQL NULL for the NORESOURCE
-        outcome (unknown, in three-valued logic).
+        detection.  Returns True/False, or SQL NULL for a NULL operand
+        and for the NORESOURCE outcome (unknown, in three-valued
+        logic).
 
     ``lexequal_ipa(left_ipa, right_ipa, threshold)``
         The operator on precomputed IPA strings — what the auxiliary
@@ -52,28 +57,8 @@ def install_lexequal(
         obs.incr("udf.lexequal.calls")
         if left is None or right is None:
             return None
-        langs: tuple[str, ...] = ()
-        if languages_csv:
-            langs = tuple(
-                lang.strip().lower()
-                for lang in str(languages_csv).split(",")
-                if lang.strip()
-            )
-        lang_l = matcher.language_of(left)
-        lang_r = matcher.language_of(right)
-        if (
-            lang_l is None
-            or lang_r is None
-            or not matcher.registry.supports(lang_l)
-            or not matcher.registry.supports(lang_r)
-        ):
-            obs.incr("udf.lexequal.noresource")
-            return None  # NORESOURCE -> SQL NULL (unknown)
-        if langs and (lang_l not in langs or lang_r not in langs):
-            return False
         try:
-            phonemes_l = matcher.registry.transform(str(left), lang_l)
-            phonemes_r = matcher.registry.transform(str(right), lang_r)
+            outcome = matcher.match(left, right, threshold, languages_csv)
         except TTPError as exc:
             # Transient conversion failure.  Under a serving-layer
             # degradation context the row degrades to NULL (unknown,
@@ -83,82 +68,49 @@ def install_lexequal(
                 raise
             obs.incr("udf.lexequal.degraded")
             return None
-        if threshold is None:
-            return matcher.phonemes_match(phonemes_l, phonemes_r)
-        from repro.matching.editdist import edit_distance_within
-
-        budget = float(threshold) * min(len(phonemes_l), len(phonemes_r))
-        return (
-            edit_distance_within(
-                phonemes_l, phonemes_r, budget, matcher.costs
-            )
-            is not None
-        )
+        if outcome is MatchOutcome.NORESOURCE:
+            obs.incr("udf.lexequal.noresource")
+            return None  # NORESOURCE -> SQL NULL (unknown)
+        return outcome is MatchOutcome.TRUE
 
     def lexequal_ipa(left_ipa, right_ipa, threshold=None):
         obs.incr("udf.lexequal_ipa.calls")
         if left_ipa is None or right_ipa is None:
             return None
-        from repro.matching.editdist import edit_distance_within
-        from repro.phonetics.parse import parse_ipa
-
-        phonemes_l = parse_ipa(str(left_ipa))
-        phonemes_r = parse_ipa(str(right_ipa))
-        e = matcher.config.threshold if threshold is None else float(threshold)
-        budget = e * min(len(phonemes_l), len(phonemes_r))
-        return (
-            edit_distance_within(
-                phonemes_l, phonemes_r, budget, matcher.costs
-            )
-            is not None
-        )
-
-    def _phonemes(text, language=None):
-        if language is not None:
-            return matcher.registry.transform(str(text), str(language))
-        return matcher.phonemes(text)
-
-    def ipa_of(text, language=None):
-        if text is None:
-            return None
-        try:
-            return "".join(_phonemes(text, language))
-        except TTPError:
-            return None
+        return matcher.ipa_match(str(left_ipa), str(right_ipa), threshold)
 
     def language_of(text):
-        if text is None:
-            return None
-        if isinstance(text, LangText):
-            return text.language.lower()
-        return matcher.language_of(text)
+        return None if text is None else matcher.language_of(text)
 
-    def plen_of(text, language=None):
-        if text is None:
-            return None
-        try:
-            return len(_phonemes(text, language))
-        except TTPError:
-            return None
+    def of_phonemes(fn):
+        """A helper UDF: ``fn`` of an operand's phoneme string, NULL for
+        a NULL operand or a failed conversion."""
 
-    def gpsid_of(text, language=None):
-        if text is None:
-            return None
-        from repro.phonetics.keys import grouped_key
+        def udf(text, language=None):
+            if text is None:
+                return None
+            try:
+                if language is None:
+                    phonemes = matcher.phonemes(text)
+                else:
+                    phonemes = matcher.registry.transform(
+                        str(text), str(language)
+                    )
+            except TTPError:
+                return None
+            return fn(phonemes)
 
-        try:
-            return grouped_key(
-                _phonemes(text, language), matcher.config.clustering
-            )
-        except TTPError:
-            return None
+        return udf
 
     db.register_udf("lexequal", lexequal)
     db.register_udf("lexequal_ipa", lexequal_ipa)
-    db.register_udf("ipa_of", ipa_of)
+    db.register_udf("ipa_of", of_phonemes("".join))
     db.register_udf("language_of", language_of)
-    db.register_udf("plen_of", plen_of)
-    db.register_udf("gpsid_of", gpsid_of)
+    db.register_udf("plen_of", of_phonemes(len))
+    db.register_udf(
+        "gpsid_of",
+        of_phonemes(lambda p: grouped_key(p, matcher.config.clustering)),
+    )
     return matcher
 
 

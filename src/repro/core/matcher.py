@@ -4,14 +4,21 @@ Applications construct one matcher per configuration and reuse it: the
 matcher caches text → phoneme transformations (via the TTP registry) and
 exposes phoneme-level entry points the database strategies build on
 (budgets, banded distances, grouped keys).
+
+:meth:`LexEqualMatcher.match` is the one implementation of the paper's
+Figure 8 operator: :func:`~repro.core.operator.lex_equal`, the SQL
+``lexequal`` UDF and the server's ``lexequal`` op all call it (the op
+through :meth:`~LexEqualMatcher.explain`), and every operand, here and
+in the SQL accelerator, is resolved by :meth:`~LexEqualMatcher.resolve`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.core.config import MatchConfig
-from repro.core.operator import MatchOutcome, operand_language
+from repro.core.config import MatchConfig, check_threshold
+from repro.core.operator import MatchOutcome, language_set, operand_language
 from repro.errors import TTPError
 from repro.matching.costs import CostModel
 from repro.matching.editdist import edit_distance, edit_distance_within
@@ -29,11 +36,13 @@ class MatchExplanation:
     right: str
     left_language: str | None
     right_language: str | None
-    left_ipa: str
-    right_ipa: str
-    distance: float | None
-    budget: float
     outcome: MatchOutcome
+    #: Empty, None and 0 when the outcome was decided before conversion
+    #: (NORESOURCE, or an operand outside INLANGUAGES).
+    left_ipa: str = ""
+    right_ipa: str = ""
+    distance: float | None = None
+    budget: float = 0.0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -59,11 +68,19 @@ class LexEqualMatcher:
     def costs(self) -> CostModel:
         return self._costs
 
-    # ------------------------------------------------------------ phonemes
+    # ------------------------------------------------------------ operands
 
     def language_of(self, value: str | LangText) -> str | None:
         """Operand language (tag or script detection); None if unknown."""
-        return operand_language(value, self.registry)
+        return operand_language(value)
+
+    def resolve(self, value: str | LangText) -> str | None:
+        """Figure 8 steps 1-2 for one operand: its language when that
+        language has a converter, None for ``NORESOURCE``."""
+        language = operand_language(value)
+        if language is None or not self.registry.supports(language):
+            return None
+        return language
 
     def phonemes(self, value: str | LangText) -> PhonemeString:
         """Phoneme string of a text operand.
@@ -71,9 +88,9 @@ class LexEqualMatcher:
         Raises :class:`~repro.errors.TTPError` when the language cannot
         be determined or has no converter.
         """
-        language = self.language_of(value)
+        language = self.resolve(value)
         if language is None:
-            raise TTPError(f"cannot determine language of {value!r}")
+            raise TTPError(f"no phoneme converter for {value!r}")
         return self.registry.transform(str(value), language)
 
     def ipa(self, value: str | LangText) -> str:
@@ -90,9 +107,14 @@ class LexEqualMatcher:
 
     # ------------------------------------------------------------ matching
 
-    def budget(self, len_left: int, len_right: int) -> float:
-        """Cost budget ``e * min(|T_l|, |T_r|)`` (Figure 8, line 4-5)."""
-        return self.config.budget(len_left, len_right)
+    def threshold_of(self, threshold: float | None = None) -> float:
+        """The ``THRESHOLD`` in force: the configured one when None.
+
+        Raises :class:`~repro.errors.MatchConfigError` outside ``[0, 1]``.
+        """
+        if threshold is None:
+            return self.config.threshold
+        return check_threshold(float(threshold))
 
     def phoneme_distance(
         self, left: PhonemeString, right: PhonemeString
@@ -101,35 +123,63 @@ class LexEqualMatcher:
         return edit_distance(left, right, self._costs)
 
     def phonemes_match(
-        self, left: PhonemeString, right: PhonemeString
+        self,
+        left: PhonemeString,
+        right: PhonemeString,
+        threshold: float | None = None,
     ) -> bool:
         """Threshold test on phoneme strings, using the banded DP."""
-        budget = self.budget(len(left), len(right))
+        budget = self.config.budget(len(left), len(right), threshold)
         return (
             edit_distance_within(left, right, budget, self._costs)
             is not None
         )
 
-    def ipa_match(self, left_ipa: str, right_ipa: str) -> bool:
-        """Threshold test on two stored IPA strings (the UDF body)."""
-        return self.phonemes_match(parse_ipa(left_ipa), parse_ipa(right_ipa))
+    def ipa_match(
+        self, left_ipa: str, right_ipa: str, threshold: float | None = None
+    ) -> bool:
+        """Threshold test on two stored IPA strings."""
+        return self.phonemes_match(
+            parse_ipa(left_ipa),
+            parse_ipa(right_ipa),
+            self.threshold_of(threshold),
+        )
+
+    def _operands(self, left, right, languages):
+        """Figure 8 steps 1-3 plus ``INLANGUAGES``: both phoneme
+        strings, or the outcome decided before conversion."""
+        lang_l = self.resolve(left)
+        lang_r = self.resolve(right)
+        if lang_l is None or lang_r is None:
+            return MatchOutcome.NORESOURCE
+        wanted = language_set(languages)
+        if wanted and (lang_l not in wanted or lang_r not in wanted):
+            return MatchOutcome.FALSE
+        return (
+            self.registry.transform(str(left), lang_l),
+            self.registry.transform(str(right), lang_r),
+        )
 
     def match(
-        self, left: str | LangText, right: str | LangText
+        self,
+        left: str | LangText,
+        right: str | LangText,
+        threshold: float | None = None,
+        languages: str | Iterable[str] = (),
     ) -> MatchOutcome:
-        """Three-valued LexEQUAL on text operands."""
-        lang_l = self.language_of(left)
-        lang_r = self.language_of(right)
-        if (
-            lang_l is None
-            or lang_r is None
-            or not self.registry.supports(lang_l)
-            or not self.registry.supports(lang_r)
-        ):
-            return MatchOutcome.NORESOURCE
-        phonemes_l = self.registry.transform(str(left), lang_l)
-        phonemes_r = self.registry.transform(str(right), lang_r)
-        if self.phonemes_match(phonemes_l, phonemes_r):
+        """The LexEQUAL operator of Figure 8 on text operands.
+
+        ``threshold`` overrides the configured one and must lie in
+        ``[0, 1]``.  ``languages`` is the ``INLANGUAGES`` set (see
+        :func:`~repro.core.operator.language_set`): both operands must
+        be in it, or the outcome is FALSE.  A failing conversion raises
+        its :class:`~repro.errors.TTPError`.
+        """
+        e = self.threshold_of(threshold)
+        operands = self._operands(left, right, languages)
+        if isinstance(operands, MatchOutcome):
+            return operands
+        if self.phonemes_match(*operands, e):
             return MatchOutcome.TRUE
         return MatchOutcome.FALSE
 
@@ -138,46 +188,33 @@ class LexEqualMatcher:
         return self.match(left, right) is MatchOutcome.TRUE
 
     def explain(
-        self, left: str | LangText, right: str | LangText
+        self,
+        left: str | LangText,
+        right: str | LangText,
+        threshold: float | None = None,
+        languages: str | Iterable[str] = (),
     ) -> MatchExplanation:
-        """Detailed accounting of one comparison."""
-        lang_l = self.language_of(left)
-        lang_r = self.language_of(right)
-        supported = (
-            lang_l is not None
-            and lang_r is not None
-            and self.registry.supports(lang_l)
-            and self.registry.supports(lang_r)
-        )
-        if not supported:
-            return MatchExplanation(
-                left=str(left),
-                right=str(right),
-                left_language=lang_l,
-                right_language=lang_r,
-                left_ipa="",
-                right_ipa="",
-                distance=None,
-                budget=0.0,
-                outcome=MatchOutcome.NORESOURCE,
-            )
-        phonemes_l = self.registry.transform(str(left), lang_l)
-        phonemes_r = self.registry.transform(str(right), lang_r)
-        distance = self.phoneme_distance(phonemes_l, phonemes_r)
-        budget = self.budget(len(phonemes_l), len(phonemes_r))
-        outcome = (
-            MatchOutcome.TRUE if distance <= budget else MatchOutcome.FALSE
-        )
+        """:meth:`match` with its full accounting, including the exact
+        edit distance of a converted pair."""
+        e = self.threshold_of(threshold)
+        operands = self._operands(left, right, languages)
+        report = {
+            "left": str(left),
+            "right": str(right),
+            "left_language": self.language_of(left),
+            "right_language": self.language_of(right),
+        }
+        if isinstance(operands, MatchOutcome):
+            return MatchExplanation(**report, outcome=operands)
+        phonemes_l, phonemes_r = operands
+        matched = self.phonemes_match(phonemes_l, phonemes_r, e)
         return MatchExplanation(
-            left=str(left),
-            right=str(right),
-            left_language=lang_l,
-            right_language=lang_r,
+            **report,
+            outcome=MatchOutcome.TRUE if matched else MatchOutcome.FALSE,
             left_ipa=format_phonemes(phonemes_l),
             right_ipa=format_phonemes(phonemes_r),
-            distance=distance,
-            budget=budget,
-            outcome=outcome,
+            distance=self.phoneme_distance(phonemes_l, phonemes_r),
+            budget=self.config.budget(len(phonemes_l), len(phonemes_r), e),
         )
 
     # ------------------------------------------------------------- search
@@ -186,24 +223,23 @@ class LexEqualMatcher:
         self,
         query: str | LangText,
         candidates,
-        languages: tuple[str, ...] = (),
+        languages: Iterable[str] = (),
     ) -> list:
         """All candidates that LexEQUAL-match the query.
 
         ``candidates`` is any iterable of ``str | LangText``; the result
-        preserves input order.  ``languages`` restricts target languages
-        as the query's ``INLANGUAGES`` clause does.
+        preserves input order.  ``languages`` keeps only candidates in
+        those languages, whatever the query's (DESIGN.md §9 *Two
+        language filters*).
         """
-        wanted = {lang.lower() for lang in languages} if languages else None
+        wanted = language_set(languages)
         query_phonemes = self.phonemes(query)
         results = []
         for candidate in candidates:
-            lang = self.language_of(candidate)
-            if lang is None or not self.registry.supports(lang):
+            language = self.resolve(candidate)
+            if language is None or (wanted and language not in wanted):
                 continue
-            if wanted is not None and lang not in wanted:
-                continue
-            cand_phonemes = self.registry.transform(str(candidate), lang)
+            cand_phonemes = self.registry.transform(str(candidate), language)
             if self.phonemes_match(query_phonemes, cand_phonemes):
                 results.append(candidate)
         return results

@@ -11,17 +11,22 @@ Operands are :class:`~repro.minidb.values.LangText` (explicit language
 tag) or plain strings, whose language is detected from their Unicode
 script (Latin defaults to English) — the pragmatic resolution of the
 language-identification issue the paper discusses in Section 2.1.
+
+The steps are implemented once, by
+:meth:`~repro.core.matcher.LexEqualMatcher.match`; :func:`lex_equal` is
+its one-shot form.  :func:`language_set` is the one reading of an
+``INLANGUAGES`` set.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 
 from repro.core.config import MatchConfig
 from repro.errors import TTPError, UnsupportedLanguageError
-from repro.matching.editdist import edit_distance
 from repro.minidb.values import LangText
-from repro.ttp.registry import TTPRegistry, default_registry, detect_language
+from repro.ttp.registry import TTPRegistry, detect_language
 
 
 class MatchOutcome(enum.Enum):
@@ -35,9 +40,23 @@ class MatchOutcome(enum.Enum):
         return self is MatchOutcome.TRUE
 
 
-def operand_language(
-    value: str | LangText, registry: TTPRegistry | None = None
-) -> str | None:
+def language_set(languages: str | Iterable[str] | None) -> frozenset[str]:
+    """An ``INLANGUAGES`` set as lowercased language names.
+
+    ``languages`` is an iterable of names or one comma-separated string
+    (the form the SQL predicate passes its UDF); blank names are
+    dropped.  The empty set is the ``*`` wildcard.
+    """
+    if not languages:
+        return frozenset()
+    if isinstance(languages, str):
+        languages = languages.split(",")
+    return frozenset(
+        name.strip().lower() for name in languages if name.strip()
+    )
+
+
+def operand_language(value: str | LangText) -> str | None:
     """Language of an operand: its tag, or a script-based guess.
 
     Returns ``None`` when the script cannot be identified (which the
@@ -58,39 +77,23 @@ def lex_equal(
     *,
     config: MatchConfig | None = None,
     registry: TTPRegistry | None = None,
-    languages: tuple[str, ...] = (),
+    languages: Iterable[str] = (),
 ) -> MatchOutcome:
     """The LexEQUAL comparison of paper Figure 8.
 
     ``languages`` restricts the match to operands in the given languages
-    (the query's ``INLANGUAGES`` clause); an empty tuple is the ``*``
+    (the query's ``INLANGUAGES`` clause); an empty set is the ``*``
     wildcard.  ``threshold`` overrides ``config.threshold`` when given.
 
     >>> from repro.minidb.values import LangText
     >>> bool(lex_equal("Nehru", LangText("नेहरु", "hindi"), 0.3))
     True
     """
-    config = config or MatchConfig()
-    registry = registry or default_registry()
-    e = config.threshold if threshold is None else threshold
-
-    lang_l = operand_language(left, registry)
-    lang_r = operand_language(right, registry)
-    if lang_l is None or lang_r is None:
-        return MatchOutcome.NORESOURCE
-    if not registry.supports(lang_l) or not registry.supports(lang_r):
-        return MatchOutcome.NORESOURCE
-    if languages:
-        wanted = {lang.lower() for lang in languages}
-        if lang_l not in wanted or lang_r not in wanted:
-            return MatchOutcome.FALSE
+    from repro.core.matcher import LexEqualMatcher
 
     try:
-        phonemes_l = registry.transform(str(left), lang_l)
-        phonemes_r = registry.transform(str(right), lang_r)
+        return LexEqualMatcher(config, registry).match(
+            left, right, threshold, languages
+        )
     except UnsupportedLanguageError:
         return MatchOutcome.NORESOURCE
-
-    budget = e * min(len(phonemes_l), len(phonemes_r))
-    distance = edit_distance(phonemes_l, phonemes_r, config.cost_model())
-    return MatchOutcome.TRUE if distance <= budget else MatchOutcome.FALSE

@@ -32,6 +32,7 @@ from collections.abc import Iterable
 
 from repro import obs
 from repro.core.config import MatchConfig
+from repro.core.operator import language_set
 from repro.errors import PhonemeError
 from repro.matching.costs import CostModel, count_classes
 from repro.matching.qgrams import positional_qgrams, publish_filter_counts
@@ -748,8 +749,8 @@ class KeyedPhonemes:
         if threshold != config.threshold:
             config = config.with_threshold(threshold)
         keys = self.source(source).candidates(phonemes, config)
-        if languages:
-            wanted = {language.lower() for language in languages}
+        wanted = language_set(languages)
+        if wanted:
             keys = [key for key in keys if self.languages[key] in wanted]
         return self.store.verify(phonemes, keys, threshold), len(keys)
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.config import MatchConfig
 from repro.core.matcher import LexEqualMatcher
+from repro.core.operator import language_set
 from repro.core.sources import KeyedPhonemes
 from repro.errors import DatasetError
 from repro.matching.editdist import edit_distance
@@ -206,13 +207,6 @@ class Strategy(abc.ABC):
     def _query_phonemes(self, query: str, language: str) -> PhonemeString:
         return self.matcher.registry.transform(query, language)
 
-    def _language_ok(
-        self, record_language: str, languages: tuple[str, ...]
-    ) -> bool:
-        return not languages or record_language in {
-            lang.lower() for lang in languages
-        }
-
 
 class NaiveUdfStrategy(Strategy):
     """Full scan / nested-loop join invoking the full DP on every row.
@@ -234,16 +228,18 @@ class NaiveUdfStrategy(Strategy):
         stats = StrategyStats()
         query_phonemes = self._query_phonemes(query, language)
         costs = self.matcher.costs
-        threshold = self.config.threshold
+        budget = self.config.budget
+        wanted = language_set(languages)
         results = []
         for record in self.catalog.records():
             stats.rows_considered += 1
-            if not self._language_ok(record.language, languages):
+            if wanted and record.language not in wanted:
                 continue
             phonemes = self.catalog.phonemes_of(record.id)
             stats.udf_calls += 1
-            budget = threshold * min(len(query_phonemes), len(phonemes))
-            if edit_distance(query_phonemes, phonemes, costs) <= budget:
+            if edit_distance(query_phonemes, phonemes, costs) <= budget(
+                len(query_phonemes), len(phonemes)
+            ):
                 results.append(record)
         stats.candidates_after_filters = stats.udf_calls
         stats.results = len(results)
@@ -256,7 +252,7 @@ class NaiveUdfStrategy(Strategy):
         stats = StrategyStats()
         records = self.catalog.records()
         costs = self.matcher.costs
-        threshold = self.config.threshold
+        budget = self.config.budget
         results = []
         for i, record_a in enumerate(records):
             phonemes_a = self.catalog.phonemes_of(record_a.id)
@@ -269,8 +265,9 @@ class NaiveUdfStrategy(Strategy):
                     continue
                 phonemes_b = self.catalog.phonemes_of(record_b.id)
                 stats.udf_calls += 1
-                budget = threshold * min(len(phonemes_a), len(phonemes_b))
-                if edit_distance(phonemes_a, phonemes_b, costs) <= budget:
+                if edit_distance(phonemes_a, phonemes_b, costs) <= budget(
+                    len(phonemes_a), len(phonemes_b)
+                ):
                     results.append((record_a, record_b))
         stats.candidates_after_filters = stats.udf_calls
         stats.results = len(results)
@@ -386,11 +383,12 @@ class ExactStrategy(Strategy):
         languages: tuple[str, ...] = (),
     ) -> list[NameRecord]:
         stats = StrategyStats()
+        wanted = language_set(languages)
         results = []
         for record in self.catalog.records():
             stats.rows_considered += 1
-            if record.name == query and self._language_ok(
-                record.language, languages
+            if record.name == query and (
+                not wanted or record.language in wanted
             ):
                 results.append(record)
         stats.results = len(results)

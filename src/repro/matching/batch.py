@@ -316,6 +316,9 @@ def batch_edit_distances_within_runs(
     # The class-count bound prunes before the DP; it cannot prune at an
     # infinite budget, so exact-distance callers skip it.
     bounded = not np.isinf(budgets).all()
+    if bounded and class_counts is not None and class_totals is None:
+        # Once per call: count_bounds would recompute it per block.
+        class_totals = class_counts @ encoded.wc
     deadline_at = deadline.current()
     stats = {"cells": 0, "pruned": 0, "bound_pruned": 0}
     idx = np.flatnonzero(feasible)

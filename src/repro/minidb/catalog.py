@@ -67,9 +67,6 @@ class Database:
 
             storage = MemoryBackend()
         self.storage = storage
-        bind = getattr(storage, "bind", None)
-        if bind is not None:
-            bind(self)
         from repro.minidb.stats import StatsCatalog
 
         #: The stats catalog ``ANALYZE`` fills (cost-based planning input).
@@ -262,9 +259,9 @@ class Database:
         """Register a predicate accelerator for ``table.column``.
 
         The planner consults it when a query has a LexEQUAL predicate on
-        that column: ``accelerator.candidate_rowids(value, threshold,
-        languages)`` must return a rowid list that is a superset of the
-        matching rows (or None to decline).  This is the hook behind the
+        that column: ``accelerator.candidate_rowids(value, threshold)``
+        must return a rowid list that is a superset of the matching rows
+        (or None to decline).  This is the hook behind the
         paper's "inside-the-engine implementation" future work.
         """
         with self._write_lock:

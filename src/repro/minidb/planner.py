@@ -12,10 +12,13 @@ paper's queries:
 * ``GROUP BY``/``HAVING`` with aggregates compile to hash aggregation,
   which the count filter needs;
 * a ``LexEQUAL`` predicate is lowered to the registered ``lexequal`` UDF
-  (the paper's "outside-the-server" deployment).  Like the commercial
-  optimizer the paper complains about, the generic planner does *not*
-  accelerate UDF predicates — that is exactly Table 1's lesson; the
-  accelerated plans are built explicitly by :mod:`repro.core.strategies`.
+  (the paper's "outside-the-server" deployment).  When the column has a
+  phonetic accelerator (:mod:`repro.core.engine`, the paper's §6
+  inside-the-engine future work), a ``col LexEQUAL constant`` conjunct
+  also becomes a rowid scan over the accelerator's verified rows, with
+  the UDF kept above it as a recheck for NULL, ``INLANGUAGES`` and
+  degradation; without one, the UDF runs on every row, which is Table
+  1's unoptimized plan.
 """
 
 from __future__ import annotations
@@ -453,15 +456,8 @@ def _accelerated_candidates(
     threshold = (
         _eval_constant(expr.args[2], params) if len(expr.args) > 2 else None
     )
-    languages_csv = (
-        _eval_constant(expr.args[3], params) if len(expr.args) > 3 else ""
-    )
-    languages = tuple(
-        lang.strip().lower()
-        for lang in str(languages_csv or "").split(",")
-        if lang.strip()
-    )
-    rowids = accelerator.candidate_rowids(value, threshold, languages)
+    # INLANGUAGES (the fourth argument) is left to the UDF recheck.
+    rowids = accelerator.candidate_rowids(value, threshold)
     if rowids is None:
         return None
     method = getattr(accelerator, "method", None)

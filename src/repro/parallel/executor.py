@@ -525,7 +525,7 @@ class ParallelMatchExecutor:
         self._guard()
         table = self._current()
         q = np.frombuffer(_encode(phonemes), np.uint8).astype(np.int64)
-        allowed = table.language_codes_for(tuple(languages))
+        allowed = table.language_codes_for(languages)
         if allowed is not None and allowed.size == 0:
             self.last_stats = {"rows": 0, "candidates": 0, "matches": 0}
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)

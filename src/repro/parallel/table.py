@@ -14,10 +14,12 @@ ever cross a process boundary, under either start method.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.operator import language_set
 from repro.core.sources import _encoded_costs
 from repro.matching.batch import CostTables
 from repro.parallel import shm as shm_mod
@@ -153,12 +155,12 @@ class EncodedNameTable:
         return table, attached
 
     def language_codes_for(
-        self, languages: tuple[str, ...]
+        self, languages: Iterable[str]
     ) -> np.ndarray | None:
         """Allowed-language codes for an INLANGUAGES filter (None = all)."""
-        if not languages:
+        wanted = language_set(languages)
+        if not wanted:
             return None
-        wanted = {lang.lower() for lang in languages}
         return np.fromiter(
             (
                 code

@@ -16,7 +16,8 @@ and :mod:`repro.server.app` is just asyncio plumbing around it.
 from __future__ import annotations
 
 from repro import degrade, faults, obs
-from repro.core.matcher import LexEqualMatcher
+from repro.core.matcher import LexEqualMatcher, MatchExplanation
+from repro.core.operator import MatchOutcome
 from repro.errors import ProtocolError, TTPError
 from repro.minidb.catalog import Database
 from repro.minidb.planner import ResultSet, execute_statement
@@ -101,12 +102,10 @@ class QueryService:
     ) -> dict:
         """The convenience op: one LexEQUAL comparison, fully explained.
 
-        Language-restricted comparisons (``languages`` is the comma
-        separated INLANGUAGES set) short-circuit to no-match when either
-        operand's language falls outside the set, as the SQL operator
-        does.
+        ``languages`` is the comma-separated INLANGUAGES set; as in SQL,
+        both operands must be in it (see
+        :meth:`~repro.core.matcher.LexEqualMatcher.match`).
         """
-        matcher = self.matcher
         if threshold is not None:
             try:
                 threshold = float(threshold)
@@ -114,44 +113,25 @@ class QueryService:
                 raise ProtocolError(
                     E_INVALID, "'threshold' must be a number"
                 ) from None
-            matcher = LexEqualMatcher(
-                matcher.config.with_threshold(threshold), matcher.registry
-            )
         with degrade.collecting() as failed_languages:
             try:
-                explanation = matcher.explain(left, right)
+                explanation = self.matcher.explain(
+                    left, right, threshold, languages
+                )
             except TTPError as exc:
                 # A transient per-language TTP failure: degrade this
                 # comparison to NORESOURCE (unknown) instead of erroring
                 # the request — the language is down, not the server.
                 degrade.record(getattr(exc, "language", None))
-                return self._mark_degraded(
-                    {
-                        "outcome": "noresource",
-                        "match": None,
-                        "left_language": matcher.language_of(left),
-                        "right_language": matcher.language_of(right),
-                        "left_ipa": "",
-                        "right_ipa": "",
-                        "distance": None,
-                        "budget": 0.0,
-                    },
-                    failed_languages,
+                explanation = MatchExplanation(
+                    left=str(left),
+                    right=str(right),
+                    left_language=self.matcher.language_of(left),
+                    right_language=self.matcher.language_of(right),
+                    outcome=MatchOutcome.NORESOURCE,
                 )
         outcome = explanation.outcome.value
-        if languages:
-            wanted = {
-                lang.strip().lower()
-                for lang in str(languages).split(",")
-                if lang.strip()
-            }
-            if wanted and outcome == "true":
-                if (
-                    explanation.left_language not in wanted
-                    or explanation.right_language not in wanted
-                ):
-                    outcome = "false"
-        return {
+        payload = {
             "outcome": outcome,
             "match": {"true": True, "false": False}.get(outcome),
             "left_language": explanation.left_language,
@@ -161,6 +141,7 @@ class QueryService:
             "distance": explanation.distance,
             "budget": explanation.budget,
         }
+        return self._mark_degraded(payload, failed_languages)
 
     # ------------------------------------------------------ health op
 

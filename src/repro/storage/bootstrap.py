@@ -48,8 +48,6 @@ def open_database(
     *,
     matcher=None,
     sync: bool = True,
-    attach_accelerators: bool = True,
-    auto_checkpoint_bytes: int | None = None,
 ) -> Database:
     """Open (or create) a durable database rooted at ``data_dir``.
 
@@ -58,9 +56,7 @@ def open_database(
     recorded and none is given).  ``sync=False`` trades the
     fsync-per-commit durability guarantee for bulk-load speed.
     """
-    backend = FileBackend(
-        data_dir, sync=sync, auto_checkpoint_bytes=auto_checkpoint_bytes
-    )
+    backend = FileBackend(data_dir, sync=sync)
     db = Database(storage=backend)
     backend.replaying = True
     try:
@@ -84,8 +80,7 @@ def open_database(
         db.stats = StatsCatalog.from_dict(stats_payload)
         # stats.json may predate a DROP TABLE replayed from the WAL.
         db.stats.prune(db.table_names())
-    if attach_accelerators:
-        _attach_accelerators(db, backend, matcher)
+    _attach_accelerators(db, backend, matcher)
     return db
 
 

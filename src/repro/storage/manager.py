@@ -114,21 +114,13 @@ class FileBackend(StorageManager):
 
     persistent = True
 
-    def __init__(
-        self,
-        data_dir: str,
-        *,
-        sync: bool = True,
-        auto_checkpoint_bytes: int | None = None,
-    ):
+    def __init__(self, data_dir: str, *, sync: bool = True):
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)
         os.makedirs(layout.index_dir(data_dir), exist_ok=True)
         self._lock = make_rlock("storage.backend")
         self._txn_depth = 0
-        self._auto_checkpoint_bytes = auto_checkpoint_bytes
         self._artifacts: dict[str, object] = {}
-        self._db = None
         #: True while open_database() replays recovered state; mutation
         #: hooks must not re-log what the WAL already holds.
         self.replaying = False
@@ -205,10 +197,6 @@ class FileBackend(StorageManager):
             obs.incr("storage.wal.stale_batches_skipped", skipped)
         return self._replay._replace(batches=[b for b in batches if b])
 
-    def bind(self, db) -> None:
-        """Give the backend its database (for auto-checkpointing)."""
-        self._db = db
-
     @property
     def wal_high_water_lsn(self) -> int | None:
         return self._wal.last_lsn
@@ -220,14 +208,8 @@ class FileBackend(StorageManager):
             return
         with self._lock:
             self._wal.append(op, args)
-            commit = self._txn_depth == 0
-            if commit:
+            if self._txn_depth == 0:
                 self._wal.commit()
-        # Auto-checkpoint outside the backend lock: checkpoint() takes
-        # the catalog write lock first (lock order catalog -> backend),
-        # so it must not be entered while holding only the backend lock.
-        if commit:
-            self._maybe_auto_checkpoint()
 
     def on_create_table(self, schema) -> None:
         columns = [
@@ -264,19 +246,8 @@ class FileBackend(StorageManager):
         finally:
             with self._lock:
                 self._txn_depth -= 1
-                commit = self._txn_depth == 0 and not self.replaying
-                if commit:
+                if self._txn_depth == 0 and not self.replaying:
                     self._wal.commit()
-            if commit:
-                self._maybe_auto_checkpoint()
-
-    def _maybe_auto_checkpoint(self) -> None:
-        if (
-            self._auto_checkpoint_bytes is not None
-            and self._db is not None
-            and self._wal.tail_bytes >= self._auto_checkpoint_bytes
-        ):
-            self.checkpoint(self._db)
 
     # ---------------------------------------------------- checkpoint
 

@@ -156,11 +156,6 @@ class WriteAheadLog:
         return cls(path, sync=sync, next_lsn=info.next_lsn), info
 
     @property
-    def tail_bytes(self) -> int:
-        """Bytes appended since the file head (auto-checkpoint input)."""
-        return self._file.tell()
-
-    @property
     def last_lsn(self) -> int:
         """The highest LSN handed out so far (0 = nothing appended)."""
         return self._next_lsn - 1

@@ -50,7 +50,7 @@ class TestMatching:
         left = matcher.phonemes("Nehru")
         right = matcher.phonemes(LangText("नेहरु", "hindi"))
         distance = matcher.phoneme_distance(left, right)
-        assert distance <= matcher.budget(len(left), len(right))
+        assert distance <= matcher.config.budget(len(left), len(right))
         assert matcher.phonemes_match(left, right)
 
     def test_ipa_match(self, matcher):

@@ -500,3 +500,53 @@ class TestStoredCounts:
         assert _stored_rows(store, [3]).tolist() == _recount(
             encoded, [_codes(("a", "s"))]
         ).tolist()
+
+
+class TestVerifyAcrossBlocks:
+    """A ``verify`` whose candidates span several kernel blocks weighs
+    their class counts once, not once per block, and still answers
+    exactly as the scalar kernel does."""
+
+    @pytest.mark.parametrize("name", ["levenshtein", "default"])
+    def test_every_block_reads_one_totals_array(self, name, monkeypatch):
+        from repro.matching import batch
+
+        costs = COST_MODELS[name]
+        rng = random.Random(20040316)
+        query = tuple(rng.choice(SYMBOLS) for _ in range(6))
+        store = PhonemeStore(costs)
+        for key in range(240):
+            if key % 2:
+                phonemes = list(query)
+                for _ in range(rng.randint(0, 2)):
+                    phonemes[rng.randrange(6)] = rng.choice(SYMBOLS)
+            else:
+                phonemes = [rng.choice(SYMBOLS) for _ in range(rng.randint(5, 7))]
+            store[key] = tuple(phonemes)
+        keys = list(range(240))
+        want = [
+            key
+            for key in keys
+            if edit_distance_within(
+                query,
+                store[key],
+                0.25 * min(len(query), len(store[key])),
+                costs,
+            )
+            is not None
+        ]
+
+        totals = []
+        real = batch.count_bounds
+
+        def spy(q, counts, encoded, rows=None, given_totals=None):
+            totals.append(given_totals)
+            return real(q, counts, encoded, rows, given_totals)
+
+        monkeypatch.setattr(batch, "PADDED_BLOCK", 16)
+        monkeypatch.setattr(batch, "count_bounds", spy)
+        assert store.verify(query, keys, 0.25) == want
+        assert want
+        assert len(totals) >= 3
+        assert all(isinstance(t, np.ndarray) for t in totals)
+        assert len({id(t) for t in totals}) == 1
