@@ -83,7 +83,7 @@ QUERIES = 6
 VERIFY_KEYS = 250
 VERIFY_QUERIES = 12
 #: Alternating inline/pooled timings of the clustered-cost join.
-JOIN_ROUNDS = 3
+JOIN_ROUNDS = 7
 
 
 #: The kernel and strategy checks' classical costs.

@@ -35,7 +35,11 @@ from repro.core.config import MatchConfig
 from repro.core.operator import language_set
 from repro.errors import PhonemeError
 from repro.matching.costs import CostModel, count_classes
-from repro.matching.qgrams import positional_qgrams, publish_filter_counts
+from repro.matching.qgrams import (
+    extended_tokens,
+    positional_qgrams,
+    publish_filter_counts,
+)
 from repro.phonetics.inventory import SYMBOL_CODES
 from repro.phonetics.keys import grouped_key
 from repro.phonetics.parse import PhonemeString
@@ -194,6 +198,34 @@ class PhonemeStore:
         for key, phonemes in items:
             self._write(key, phonemes)
 
+    def load(self, strings: dict) -> None:
+        """Replace the store's strings with ``strings`` (a snapshot
+        restore, or a compaction): every column is built in one pass and
+        published once.  A symbol outside the inventory raises
+        :class:`~repro.errors.PhonemeError` and leaves the store as it
+        was."""
+        width, classes = self.width, self._classes
+        top = max(strings, default=ABSENT) + 1
+        codes = array("B")
+        starts = array("q", bytes(top * 8))
+        lens = array("i", [ABSENT]) * top
+        # No count exceeds its string's length.
+        longest = max(map(len, strings.values()), default=0)
+        counts = _widened(array("B"), longest)
+        counts.frombytes(bytes(top * width * counts.itemsize))
+        for key, phonemes in strings.items():
+            encoded = _encode(phonemes)
+            starts[key] = len(codes)
+            lens[key] = len(encoded)
+            codes.frombytes(encoded)
+            row = key * width
+            for code in encoded:
+                counts[row + classes[code]] += 1
+        self._strings = dict(strings)
+        self.writes += 1
+        self._dead = 0
+        self._columns = (codes, starts, lens, counts, len(codes))
+
     # -------------------------------------------------------- writer
 
     def _write(self, key: int, phonemes: PhonemeString | None) -> None:
@@ -241,22 +273,7 @@ class PhonemeStore:
 
     def _compact(self) -> None:
         """Publish fresh columns holding only the live strings' bytes."""
-        codes, starts, lens, counts, _used = self._columns
-        fresh = array("B")
-        fresh_starts = array("q", bytes(len(starts) * starts.itemsize))
-        for key, length in enumerate(lens):
-            if length >= 0:
-                start = starts[key]
-                fresh_starts[key] = len(fresh)
-                fresh.extend(codes[start : start + length])
-        self._columns = (
-            fresh,
-            fresh_starts,
-            array("i", lens),
-            counts[:],
-            len(fresh),
-        )
-        self._dead = 0
+        self.load(self._strings)
 
     # -------------------------------------------------------- reader
 
@@ -448,10 +465,13 @@ class QGramSource(CandidateSource):
         if key >= len(self._lengths):
             self._lengths = _covering(self._lengths, key)
         self._lengths[key] = len(tokens)
-        grams = positional_qgrams(tokens, self.config.q)
+        q = self.config.q
+        extended = extended_tokens(tokens, q)
+        count = len(extended) - q + 1
         columns = self._columns
-        for gram in grams:
-            column = columns.get(gram.gram)
+        for start in range(count):
+            gram = extended[start : start + q]
+            column = columns.get(gram)
             if column is None:
                 keys, positions = _grown(array("q"), 0), _grown(array("i"), 0)
                 n = 0
@@ -460,9 +480,9 @@ class QGramSource(CandidateSource):
                 if n == len(keys):
                     keys, positions = _grown(keys, n), _grown(positions, n)
             keys[n] = key
-            positions[n] = gram.pos
-            columns[gram.gram] = (keys, positions, n + 1)
-        self.posting_count += len(grams)
+            positions[n] = start + 1
+            columns[gram] = (keys, positions, n + 1)
+        self.posting_count += count
 
     def remove(self, key: int) -> None:
         import numpy as np
@@ -706,7 +726,7 @@ class KeyedPhonemes:
     def load(self, strings: dict, states: dict) -> None:
         """Install snapshot ``strings`` and, per source name, its LEXSNAP
         state; a missing or stale state is rebuilt from the strings."""
-        self.store.update(strings)
+        self.store.load(strings)
         self.plen_sum = sum(map(len, self.store.values()))
         for name, state in states.items():
             restored = None

@@ -56,15 +56,19 @@ def positional_qgrams(
     >>> [g.gram for g in positional_qgrams("ab", q=2)]  # doctest: +SKIP
     [('◂', 'a'), ('a', 'b'), ('b', '▸')]
     """
+    extended = extended_tokens(tokens, q)
+    return tuple(
+        PositionalQGram(i + 1, extended[i : i + q])
+        for i in range(len(extended) - q + 1)
+    )
+
+
+def extended_tokens(tokens: Sequence[str], q: int) -> tuple:
+    """``tokens`` between ``q - 1`` start and ``q - 1`` end symbols: the
+    gram at 1-based position ``i`` is ``extended[i - 1 : i - 1 + q]``."""
     if q < 1:
         raise MatchConfigError(f"q must be >= 1, got {q}")
-    extended = (
-        (START_SYMBOL,) * (q - 1) + tuple(tokens) + (END_SYMBOL,) * (q - 1)
-    )
-    count = len(tokens) + q - 1
-    return tuple(
-        PositionalQGram(i + 1, extended[i : i + q]) for i in range(count)
-    )
+    return (START_SYMBOL,) * (q - 1) + tuple(tokens) + (END_SYMBOL,) * (q - 1)
 
 
 def count_filter_threshold(len_a: int, len_b: int, k: float, q: int) -> float:

@@ -501,7 +501,9 @@ class Parser:
 
     def _parse_lexequal_tail(self, left: Expr) -> Expr:
         right = self._parse_additive()
-        threshold: Expr = Literal(0.0)
+        # No THRESHOLD: NULL, which every plan reads as the configured
+        # threshold.
+        threshold: Expr = Literal(None)
         if self._accept_keyword("threshold"):
             threshold = self._parse_additive()
         languages: tuple[str, ...] = ()

@@ -29,6 +29,7 @@ from __future__ import annotations
 from repro.phonetics.inventory import (
     ASPIRATION_MARK,
     BREATHY_MARK,
+    INVENTORY,
     LENGTH_MARK,
     NASAL_MARK,
     get_phoneme,
@@ -97,6 +98,15 @@ def fold_symbol(symbol: str) -> str:
     return folded
 
 
+#: Every inventory symbol's fold, computed once.
+_FOLDS: dict[str, str] = {symbol: fold_symbol(symbol) for symbol in INVENTORY}
+
+
 def fold_phonemes(phonemes: PhonemeString) -> PhonemeString:
-    """Fold a phoneme string onto the canonical matching alphabet."""
-    return tuple(fold_symbol(sym) for sym in phonemes)
+    """Fold a phoneme string onto the canonical matching alphabet.
+
+    A symbol outside the inventory goes through :func:`fold_symbol`,
+    which accepts precomposed spellings and raises
+    :class:`~repro.errors.PhonemeError` for the rest.
+    """
+    return tuple([_FOLDS.get(sym) or fold_symbol(sym) for sym in phonemes])

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from repro.errors import TTPError
 from repro.phonetics.inventory import get_phoneme
-from repro.phonetics.parse import PhonemeString, parse_ipa
-from repro.ttp.base import TTPConverter
+from repro.phonetics.parse import PhonemeString
+from repro.ttp.base import TTPConverter, parse_table
 from repro.ttp.normalize import normalize_indic
 
 # Plain consonant values (emphatics folded to plain).
@@ -60,6 +60,9 @@ _ALEF_MAQSURA = "ى"
 _TATWEEL = "ـ"
 
 _EPENTHETIC = "ə"  # weak: the matcher discounts inferred vowels
+
+_CONSONANT_PHONEMES = parse_table(_CONSONANTS)
+_TANWIN_PHONEMES = parse_table(_TANWIN)
 
 
 class ArabicConverter(TTPConverter):
@@ -120,9 +123,9 @@ class ArabicConverter(TTPConverter):
             elif ch == _SHADDA:
                 pass  # gemination is not phonemic for matching
             elif ch in _TANWIN:
-                segments.extend(parse_ipa(_TANWIN[ch]))
+                segments.extend(_TANWIN_PHONEMES[ch])
             elif ch in _CONSONANTS:
-                segments.extend(parse_ipa(_CONSONANTS[ch]))
+                segments.extend(_CONSONANT_PHONEMES[ch])
             else:
                 raise TTPError(
                     f"arabic converter: unsupported character {ch!r} "

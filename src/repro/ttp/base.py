@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import abc
 
-from repro.phonetics.parse import PhonemeString, format_phonemes, validate_phoneme_string
+from repro.phonetics.parse import (
+    PhonemeString,
+    format_phonemes,
+    parse_ipa,
+    validate_phoneme_string,
+)
 
 
 class TTPConverter(abc.ABC):
@@ -57,6 +62,15 @@ class TTPConverter(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(language={self.language!r})"
+
+
+def parse_table(table: dict[str, str]) -> dict[str, PhonemeString]:
+    """A script table with every IPA value parsed into phonemes.
+
+    Converters parse their tables once, at import, so a conversion only
+    looks phonemes up.
+    """
+    return {key: parse_ipa(ipa) for key, ipa in table.items()}
 
 
 def builtin_converters() -> list[TTPConverter]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.errors import TTPError
 from repro.phonetics.parse import PhonemeString, parse_ipa
-from repro.ttp.base import TTPConverter
+from repro.ttp.base import TTPConverter, parse_table
 from repro.ttp.normalize import normalize_latin
 from repro.ttp.rules import apply_rules, compile_rules
 
@@ -413,6 +413,10 @@ _EXCEPTIONS: dict[str, str] = {
 }
 
 
+_INDEX = compile_rules(_RULES)
+_EXCEPTION_PHONEMES = parse_table(_EXCEPTIONS)
+
+
 class EnglishConverter(TTPConverter):
     """Rule-based English G2P with a small name-exceptions lexicon."""
 
@@ -420,10 +424,7 @@ class EnglishConverter(TTPConverter):
     script = "latin"
 
     def __init__(self, extra_exceptions: dict[str, str] | None = None):
-        self._index = compile_rules(_RULES)
-        self._exceptions: dict[str, PhonemeString] = {
-            word: parse_ipa(ipa) for word, ipa in _EXCEPTIONS.items()
-        }
+        self._exceptions = dict(_EXCEPTION_PHONEMES)
         if extra_exceptions:
             for word, ipa in extra_exceptions.items():
                 self._exceptions[normalize_latin(word)] = parse_ipa(ipa)
@@ -440,4 +441,4 @@ class EnglishConverter(TTPConverter):
                 f"english converter: word {word!r} contains "
                 "non-alphabetic characters after normalization"
             )
-        return apply_rules(normalized, self._index, self.language)
+        return apply_rules(normalized, _INDEX, self.language)

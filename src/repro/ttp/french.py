@@ -148,19 +148,22 @@ _PRE_SUBSTITUTIONS = (
 )
 
 
+# Dedicated fragments for the pre-substituted accented letters, tried
+# before the table's rules.
+_ACCENT_RULES: list[tuple[str, str, str, str]] = [
+    ("", "ey_", "", "e"),   # é
+    ("", "e_", "", "ɛ"),    # è/ê/ë
+    ("", "s_", "", "s"),    # ç
+]
+
+_INDEX = compile_rules(_ACCENT_RULES + _RULES)
+
+
 class FrenchConverter(TTPConverter):
     """Rule-based French G2P for proper names."""
 
     language = "french"
     script = "latin"
-
-    def __init__(self) -> None:
-        rules = list(_RULES)
-        # Dedicated fragments for the pre-substituted accented letters.
-        rules.insert(0, ("", "ey_", "", "e"))   # é
-        rules.insert(1, ("", "e_", "", "ɛ"))    # è/ê/ë
-        rules.insert(2, ("", "s_", "", "s"))    # ç
-        self._index = compile_rules(rules)
 
     def _split(self, text: str) -> list[str]:
         return split_words(text)
@@ -177,4 +180,4 @@ class FrenchConverter(TTPConverter):
         )
         if not normalized:
             return ()
-        return apply_rules(normalized, self._index, self.language)
+        return apply_rules(normalized, _INDEX, self.language)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import unicodedata
 
 from repro.errors import TTPError
-from repro.phonetics.parse import PhonemeString, parse_ipa
-from repro.ttp.base import TTPConverter
+from repro.phonetics.parse import PhonemeString
+from repro.ttp.base import TTPConverter, parse_table
 
 # Digraphs first (longest match wins).
 _DIGRAPHS: dict[str, str] = {
@@ -41,6 +41,9 @@ _FRONT_VOWELS = frozenset("ειηυ")
 _VOWELS = frozenset("αεηιουω")
 # Voiced segments trigger [v] in αυ/ευ; voiceless trigger [f].
 _VOICELESS_LETTERS = frozenset("θκξπστφχψ")
+
+_DIGRAPH_PHONEMES = parse_table(_DIGRAPHS)
+_SINGLE_PHONEMES = parse_table(_SINGLES)
 
 
 def _fold(text: str) -> str:
@@ -71,11 +74,11 @@ class GreekConverter(TTPConverter):
                 vowel = "a" if ch == "α" else "ɛ"
                 nxt = word[i + 2] if i + 2 < n else ""
                 fricative = "f" if (not nxt or nxt in _VOICELESS_LETTERS) else "v"
-                phonemes.extend(parse_ipa(vowel + fricative))
+                phonemes += (vowel, fricative)
                 i += 2
                 continue
             if pair in _DIGRAPHS:
-                phonemes.extend(parse_ipa(_DIGRAPHS[pair]))
+                phonemes.extend(_DIGRAPH_PHONEMES[pair])
                 i += 2
                 continue
             if ch == "γ":
@@ -85,7 +88,7 @@ class GreekConverter(TTPConverter):
                 i += 1
                 continue
             if ch in _SINGLES:
-                phonemes.extend(parse_ipa(_SINGLES[ch]))
+                phonemes.extend(_SINGLE_PHONEMES[ch])
                 i += 1
                 continue
             raise TTPError(

@@ -23,8 +23,9 @@ self-contained equivalent producing the same style of IPA output.
 from __future__ import annotations
 
 from repro.errors import TTPError
+from repro.phonetics.inventory import get_phoneme
 from repro.phonetics.parse import PhonemeString, parse_ipa
-from repro.ttp.base import TTPConverter
+from repro.ttp.base import TTPConverter, parse_table
 from repro.ttp.normalize import normalize_indic
 
 # Consonant letters -> IPA.  Dental stops are transcribed with the dental
@@ -69,35 +70,31 @@ _NUKTA = "़"
 _OM = "ॐ"
 
 # Anusvara assimilates to the place of the following consonant.
-_ANUSVARA_BY_PLACE = {
-    "labial": "m", "velar": "ŋ", "palatal": "ɲ", "retroflex": "ɳ",
+_ANUSVARA_NASALS = {
+    **dict.fromkeys(("p", "pʰ", "b", "bʱ", "m"), "m"),
+    **dict.fromkeys(("k", "kʰ", "g", "gʱ", "ŋ"), "ŋ"),
+    **dict.fromkeys(("tʃ", "tʃʰ", "dʒ", "dʒʱ", "ɲ"), "ɲ"),
+    **dict.fromkeys(("ʈ", "ʈʰ", "ɖ", "ɖʱ", "ɳ"), "ɳ"),
 }
-_LABIALS = {"p", "pʰ", "b", "bʱ", "m"}
-_VELARS = {"k", "kʰ", "g", "gʱ", "ŋ"}
-_PALATALS = {"tʃ", "tʃʰ", "dʒ", "dʒʱ", "ɲ"}
-_RETROFLEXES = {"ʈ", "ʈʰ", "ɖ", "ɖʱ", "ɳ"}
 
 _SCHWA = "ə"
 
+_CONSONANT_PHONEMES = parse_table(_CONSONANTS)
+_VOWEL_PHONEMES = parse_table(_VOWELS)
+_MATRA_PHONEMES = parse_table(_MATRAS)
+_OM_PHONEMES = parse_ipa("oːm")
+
 
 def _is_vowel_symbol(symbol: str) -> bool:
-    from repro.phonetics.inventory import get_phoneme
-
     return get_phoneme(symbol).is_vowel
 
 
-def _anusvara_for(following: str | None) -> str:
+def anusvara_for(following: str | None, final: str = "n") -> str:
+    """The nasal an anusvara reads as: homorganic with the ``following``
+    consonant, ``n`` before any other, ``final`` at the word end."""
     if following is None:
-        return "n"
-    if following in _LABIALS:
-        return "m"
-    if following in _VELARS:
-        return "ŋ"
-    if following in _PALATALS:
-        return "ɲ"
-    if following in _RETROFLEXES:
-        return "ɳ"
-    return "n"
+        return final
+    return _ANUSVARA_NASALS.get(following, "n")
 
 
 class HindiConverter(TTPConverter):
@@ -130,13 +127,13 @@ class HindiConverter(TTPConverter):
                 combined = ch + _NUKTA
                 if combined in _CONSONANTS:
                     flush_schwa()
-                    segments.extend(parse_ipa(_CONSONANTS[combined]))
+                    segments.extend(_CONSONANT_PHONEMES[combined])
                     pending_schwa = True
                     i += 2
                     continue
             if ch in _CONSONANTS:
                 flush_schwa()
-                segments.extend(parse_ipa(_CONSONANTS[ch]))
+                segments.extend(_CONSONANT_PHONEMES[ch])
                 pending_schwa = True
             elif ch in _MATRAS:
                 if not pending_schwa:
@@ -145,16 +142,16 @@ class HindiConverter(TTPConverter):
                         f"consonant in {word!r}"
                     )
                 pending_schwa = False
-                segments.extend(parse_ipa(_MATRAS[ch]))
+                segments.extend(_MATRA_PHONEMES[ch])
             elif ch in _VOWELS:
                 flush_schwa()
-                segments.extend(parse_ipa(_VOWELS[ch]))
+                segments.extend(_VOWEL_PHONEMES[ch])
             elif ch == _VIRAMA:
                 pending_schwa = False
             elif ch == _ANUSVARA:
                 flush_schwa()
                 nxt = self._next_consonant(word, i + 1)
-                segments.append(_anusvara_for(nxt))
+                segments.append(anusvara_for(nxt))
             elif ch == _CANDRABINDU:
                 flush_schwa()
                 if segments and _is_vowel_symbol(segments[-1]):
@@ -166,7 +163,7 @@ class HindiConverter(TTPConverter):
                 segments.append("h")
             elif ch == _OM:
                 flush_schwa()
-                segments.extend(parse_ipa("oːm"))
+                segments.extend(_OM_PHONEMES)
             else:
                 raise TTPError(
                     f"hindi converter: unsupported character {ch!r} "
@@ -179,7 +176,7 @@ class HindiConverter(TTPConverter):
     def _next_consonant(self, word: str, start: int) -> str | None:
         for ch in word[start:]:
             if ch in _CONSONANTS:
-                return parse_ipa(_CONSONANTS[ch])[0]
+                return _CONSONANT_PHONEMES[ch][0]
             if ch in _VOWELS or ch in _MATRAS:
                 return None
         return None
@@ -195,7 +192,7 @@ class HindiConverter(TTPConverter):
         phones = list(phonemes)
         # Final schwa deletion.
         if len(phones) >= 2 and phones[-1] == _SCHWA:
-            if not self._is_vowel(phones[-2]):
+            if not _is_vowel_symbol(phones[-2]):
                 phones.pop()
         if not self.delete_medial_schwa:
             return tuple(phones)
@@ -207,15 +204,11 @@ class HindiConverter(TTPConverter):
             if (
                 phones[i] == _SCHWA
                 and i < len(phones) - 2
-                and not self._is_vowel(phones[i - 1])
-                and self._is_vowel(phones[i - 2])
-                and not self._is_vowel(phones[i + 1])
-                and self._is_vowel(phones[i + 2])
+                and not _is_vowel_symbol(phones[i - 1])
+                and _is_vowel_symbol(phones[i - 2])
+                and not _is_vowel_symbol(phones[i + 1])
+                and _is_vowel_symbol(phones[i + 2])
             ):
                 del phones[i]
             i -= 1
         return tuple(phones)
-
-    @staticmethod
-    def _is_vowel(symbol: str) -> bool:
-        return _is_vowel_symbol(symbol)

@@ -18,8 +18,9 @@ exercising LexEQUAL with a fourth script
 from __future__ import annotations
 
 from repro.errors import TTPError
-from repro.phonetics.parse import PhonemeString, parse_ipa
-from repro.ttp.base import TTPConverter
+from repro.phonetics.parse import PhonemeString
+from repro.ttp.base import TTPConverter, parse_table
+from repro.ttp.hindi import anusvara_for
 from repro.ttp.normalize import normalize_indic
 
 _CONSONANTS: dict[str, str] = {
@@ -52,24 +53,9 @@ _VISARGA = "ಃ"
 _NUKTA = "಼"
 _INHERENT = "a"
 
-_LABIALS = {"p", "pʰ", "b", "bʱ", "m"}
-_VELARS = {"k", "kʰ", "g", "gʱ", "ŋ"}
-_PALATALS = {"tʃ", "tʃʰ", "dʒ", "dʒʱ", "ɲ"}
-_RETROFLEXES = {"ʈ", "ʈʰ", "ɖ", "ɖʱ", "ɳ"}
-
-
-def _anusvara_for(following: str | None) -> str:
-    if following is None:
-        return "m"  # word-final anusvara reads m in Kannada (ರಾಮಂ)
-    if following in _LABIALS:
-        return "m"
-    if following in _VELARS:
-        return "ŋ"
-    if following in _PALATALS:
-        return "ɲ"
-    if following in _RETROFLEXES:
-        return "ɳ"
-    return "n"
+_CONSONANT_PHONEMES = parse_table(_CONSONANTS)
+_VOWEL_PHONEMES = parse_table(_VOWELS)
+_MATRA_PHONEMES = parse_table(_MATRAS)
 
 
 class KannadaConverter(TTPConverter):
@@ -97,13 +83,13 @@ class KannadaConverter(TTPConverter):
                 combined = ch + _NUKTA
                 if combined in _CONSONANTS:
                     flush()
-                    phonemes.extend(parse_ipa(_CONSONANTS[combined]))
+                    phonemes.extend(_CONSONANT_PHONEMES[combined])
                     pending_vowel = True
                     i += 2
                     continue
             if ch in _CONSONANTS:
                 flush()
-                phonemes.extend(parse_ipa(_CONSONANTS[ch]))
+                phonemes.extend(_CONSONANT_PHONEMES[ch])
                 pending_vowel = True
             elif ch in _MATRAS:
                 if not pending_vowel:
@@ -112,16 +98,17 @@ class KannadaConverter(TTPConverter):
                         f"consonant in {word!r}"
                     )
                 pending_vowel = False
-                phonemes.extend(parse_ipa(_MATRAS[ch]))
+                phonemes.extend(_MATRA_PHONEMES[ch])
             elif ch in _VOWELS:
                 flush()
-                phonemes.extend(parse_ipa(_VOWELS[ch]))
+                phonemes.extend(_VOWEL_PHONEMES[ch])
             elif ch == _VIRAMA:
                 pending_vowel = False
             elif ch == _ANUSVARA:
                 flush()
                 nxt = self._next_consonant(word, i + 1)
-                phonemes.append(_anusvara_for(nxt))
+                # A word-final anusvara reads m in Kannada (ರಾಮಂ).
+                phonemes.append(anusvara_for(nxt, final="m"))
             elif ch == _VISARGA:
                 flush()
                 phonemes.append("h")
@@ -137,7 +124,7 @@ class KannadaConverter(TTPConverter):
     def _next_consonant(self, word: str, start: int) -> str | None:
         for ch in word[start:]:
             if ch in _CONSONANTS:
-                return parse_ipa(_CONSONANTS[ch])[0]
+                return _CONSONANT_PHONEMES[ch][0]
             if ch in _VOWELS or ch in _MATRAS:
                 return None
         return None

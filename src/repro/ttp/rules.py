@@ -28,22 +28,47 @@ symbol     matches
 (space)    a word boundary
 letter     itself
 =========  ==========================================================
+
+:func:`compile_rules` translates every context into a :mod:`re` pattern
+once.  A right context matches forward from the fragment's end; a left
+context is written left-to-right but read right-to-left from the
+fragment's start, so it compiles reversed and matches forward on the
+reversed word.  Each first-letter group is indexed by fragment: at a
+position only the rules whose fragment occurs there are tried, in table
+order, and the first whose contexts match wins.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from repro.errors import TTPError
 from repro.phonetics.parse import PhonemeString, parse_ipa
 
-_VOWELS = frozenset("aeiouy")
-_CONSONANTS = frozenset("bcdfghjklmnpqrstvwxz")
-_VOICED = frozenset("bdvgjlmnrwz")
-_FRONT = frozenset("eiy")
-_SIBILANT_LETTERS = frozenset("scgzxj")
-_AT_LETTERS = frozenset("tsrdlzn j".replace(" ", ""))
-_SUFFIXES = ("er", "e", "es", "ed", "ing", "ely")
+_VOWELS = "aeiouy"
+_CONSONANTS = "bcdfghjklmnpqrstvwxz"
+
+#: Context symbol -> regex, for a right context (read forward).
+_RIGHT_SYMBOLS = {
+    " ": r"\Z",
+    "#": f"[{_VOWELS}]+",
+    ":": f"[{_CONSONANTS}]*",
+    "^": f"[{_CONSONANTS}]",
+    ".": "[bdvgjlmnrwz]",
+    "+": "[eiy]",
+    "%": "(?:er|e|es|ed|ing|ely)",
+    "&": "(?:ch|sh|[scgzxj])",
+    "@": "(?:th|ch|sh|[tsrdlznj])",
+}
+
+#: The same for a left context, read backward on the reversed word:
+#: digraphs are spelled reversed, and ``%`` is a literal.
+_LEFT_SYMBOLS = {
+    **{sym: rx for sym, rx in _RIGHT_SYMBOLS.items() if sym != "%"},
+    "&": "(?:hc|hs|[scgzxj])",
+    "@": "(?:ht|hc|hs|[tsrdlznj])",
+}
 
 
 class Rule(NamedTuple):
@@ -55,168 +80,72 @@ class Rule(NamedTuple):
     phonemes: PhonemeString
 
 
+#: First letter -> (fragment widths, longest first; fragment -> the
+#: ``(width, left, right, phonemes)`` rules that can fire where it occurs).
+RuleIndex = dict[str, tuple[tuple[int, ...], dict[str, tuple]]]
+
+
+def _context(pattern: str, symbols: dict[str, str]):
+    """``pattern``'s compiled ``match`` method (None when empty)."""
+    if not pattern:
+        return None
+    return re.compile(
+        "".join(symbols.get(ch) or re.escape(ch) for ch in pattern)
+    ).match
+
+
 def compile_rules(
     table: list[tuple[str, str, str, str]]
-) -> dict[str, list[Rule]]:
+) -> RuleIndex:
     """Compile ``(left, fragment, right, ipa)`` rows into a rule index.
 
     The IPA output field is parsed once here, so a typo in a rule fails at
-    import time rather than at match time.  Rules are indexed by the first
-    letter of their fragment and kept in table order within each group.
+    import time rather than at match time.  The index maps a fragment's
+    first letter to its group: the group's fragment lengths, longest
+    first, and, per fragment, the rules of the group whose fragment is a
+    prefix of it, in table order, as ``(width, left, right, phonemes)``
+    with compiled contexts.  The longest fragment occurring at a position
+    thus names every rule that can fire there.
     """
-    index: dict[str, list[Rule]] = {}
+    groups: dict[str, list[Rule]] = {}
     for left, fragment, right, ipa in table:
         if not fragment:
             raise TTPError("rule with empty fragment")
-        rule = Rule(left, fragment, right, parse_ipa(ipa))
-        index.setdefault(fragment[0], []).append(rule)
+        groups.setdefault(fragment[0], []).append(
+            Rule(left, fragment, right, parse_ipa(ipa))
+        )
+    index = {}
+    for letter, rules in groups.items():
+        compiled = [
+            (
+                rule.fragment,
+                (
+                    len(rule.fragment),
+                    _context(rule.left[::-1], _LEFT_SYMBOLS),
+                    _context(rule.right, _RIGHT_SYMBOLS),
+                    rule.phonemes,
+                ),
+            )
+            for rule in rules
+        ]
+        fragments = {fragment for fragment, _ in compiled}
+        index[letter] = (
+            tuple(sorted({len(f) for f in fragments}, reverse=True)),
+            {
+                longest: tuple(
+                    entry
+                    for fragment, entry in compiled
+                    if longest.startswith(fragment)
+                )
+                for longest in fragments
+            },
+        )
     return index
-
-
-def _match_right(text: str, pos: int, pattern: str) -> bool:
-    """Match ``pattern`` against ``text[pos:]`` (left-to-right)."""
-    if not pattern:
-        return True
-    ch = pattern[0]
-    rest = pattern[1:]
-    n = len(text)
-    if ch == " ":
-        return pos >= n and _match_right(text, pos, rest)
-    if ch == "#":
-        count = 0
-        while pos + count < n and text[pos + count] in _VOWELS:
-            count += 1
-        # one-or-more vowels, longest first with backtracking
-        for used in range(count, 0, -1):
-            if _match_right(text, pos + used, rest):
-                return True
-        return False
-    if ch == ":":
-        count = 0
-        while pos + count < n and text[pos + count] in _CONSONANTS:
-            count += 1
-        for used in range(count, -1, -1):
-            if _match_right(text, pos + used, rest):
-                return True
-        return False
-    if ch == "^":
-        return (
-            pos < n
-            and text[pos] in _CONSONANTS
-            and _match_right(text, pos + 1, rest)
-        )
-    if ch == ".":
-        return (
-            pos < n
-            and text[pos] in _VOICED
-            and _match_right(text, pos + 1, rest)
-        )
-    if ch == "+":
-        return (
-            pos < n
-            and text[pos] in _FRONT
-            and _match_right(text, pos + 1, rest)
-        )
-    if ch == "%":
-        for suffix in _SUFFIXES:
-            if text.startswith(suffix, pos) and _match_right(
-                text, pos + len(suffix), rest
-            ):
-                return True
-        return False
-    if ch == "&":
-        if pos + 1 < n and text[pos : pos + 2] in ("ch", "sh"):
-            if _match_right(text, pos + 2, rest):
-                return True
-        return (
-            pos < n
-            and text[pos] in _SIBILANT_LETTERS
-            and _match_right(text, pos + 1, rest)
-        )
-    if ch == "@":
-        if pos + 1 < n and text[pos : pos + 2] in ("th", "ch", "sh"):
-            if _match_right(text, pos + 2, rest):
-                return True
-        return (
-            pos < n
-            and text[pos] in _AT_LETTERS
-            and _match_right(text, pos + 1, rest)
-        )
-    # literal letter
-    return pos < n and text[pos] == ch and _match_right(text, pos + 1, rest)
-
-
-def _match_left(text: str, end: int, pattern: str) -> bool:
-    """Match ``pattern`` against ``text[:end]``, anchored at ``end``.
-
-    The pattern is written left-to-right but consumed right-to-left, so
-    ``"#:"`` means "vowels, then any consonants, immediately before the
-    fragment".
-    """
-    if not pattern:
-        return True
-    ch = pattern[-1]
-    rest = pattern[:-1]
-    if ch == " ":
-        return end <= 0 and _match_left(text, end, rest)
-    if ch == "#":
-        count = 0
-        while end - count - 1 >= 0 and text[end - count - 1] in _VOWELS:
-            count += 1
-        for used in range(count, 0, -1):
-            if _match_left(text, end - used, rest):
-                return True
-        return False
-    if ch == ":":
-        count = 0
-        while end - count - 1 >= 0 and text[end - count - 1] in _CONSONANTS:
-            count += 1
-        for used in range(count, -1, -1):
-            if _match_left(text, end - used, rest):
-                return True
-        return False
-    if ch == "^":
-        return (
-            end > 0
-            and text[end - 1] in _CONSONANTS
-            and _match_left(text, end - 1, rest)
-        )
-    if ch == ".":
-        return (
-            end > 0
-            and text[end - 1] in _VOICED
-            and _match_left(text, end - 1, rest)
-        )
-    if ch == "+":
-        return (
-            end > 0
-            and text[end - 1] in _FRONT
-            and _match_left(text, end - 1, rest)
-        )
-    if ch == "&":
-        if end >= 2 and text[end - 2 : end] in ("ch", "sh"):
-            if _match_left(text, end - 2, rest):
-                return True
-        return (
-            end > 0
-            and text[end - 1] in _SIBILANT_LETTERS
-            and _match_left(text, end - 1, rest)
-        )
-    if ch == "@":
-        if end >= 2 and text[end - 2 : end] in ("th", "ch", "sh"):
-            if _match_left(text, end - 2, rest):
-                return True
-        return (
-            end > 0
-            and text[end - 1] in _AT_LETTERS
-            and _match_left(text, end - 1, rest)
-        )
-    return end > 0 and text[end - 1] == ch and _match_left(text, end - 1, rest)
 
 
 def apply_rules(
     word: str,
-    index: dict[str, list[Rule]],
+    index: RuleIndex,
     language: str,
 ) -> PhonemeString:
     """Transcribe ``word`` with the compiled rule index.
@@ -226,6 +155,7 @@ def apply_rules(
     character with no rule group raises :class:`~repro.errors.TTPError`.
     """
     phonemes: list[str] = []
+    reverse = word[::-1]
     pos = 0
     n = len(word)
     while pos < n:
@@ -236,15 +166,22 @@ def apply_rules(
                 f"{language} converter: no rule for character {ch!r} "
                 f"in word {word!r}"
             )
-        for rule in group:
-            end = pos + len(rule.fragment)
-            if not word.startswith(rule.fragment, pos):
+        widths, by_fragment = group
+        for width in widths:
+            # A slice cut short by the word's end can only hit a
+            # fragment that does occur here; no longer one can.
+            rules = by_fragment.get(word[pos : pos + width])
+            if rules is not None:
+                break
+        else:
+            rules = ()
+        for size, left, right, output in rules:
+            if left is not None and left(reverse, n - pos) is None:
                 continue
-            if not _match_left(word, pos, rule.left):
+            end = pos + size
+            if right is not None and right(word, end) is None:
                 continue
-            if not _match_right(word, end, rule.right):
-                continue
-            phonemes.extend(rule.phonemes)
+            phonemes.extend(output)
             pos = end
             break
         else:

@@ -85,14 +85,14 @@ _RULES: list[tuple[str, str, str, str]] = [
 ]
 
 
+_INDEX = compile_rules(_RULES)
+
+
 class SpanishConverter(TTPConverter):
     """Rule-based Spanish G2P (Latin-American pronunciation)."""
 
     language = "spanish"
     script = "latin"
-
-    def __init__(self) -> None:
-        self._index = compile_rules(_RULES)
 
     def _split(self, text: str) -> list[str]:
         return split_words(text)
@@ -105,4 +105,4 @@ class SpanishConverter(TTPConverter):
         normalized = "".join(ch for ch in normalized if ch.isalpha())
         if not normalized:
             return ()
-        return apply_rules(normalized, self._index, self.language)
+        return apply_rules(normalized, _INDEX, self.language)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.errors import TTPError
 from repro.phonetics.parse import PhonemeString, parse_ipa
-from repro.ttp.base import TTPConverter
+from repro.ttp.base import TTPConverter, parse_table
 from repro.ttp.normalize import normalize_indic
 
 # Plosive letters with positional (voiceless, voiced) values.
@@ -58,7 +58,15 @@ _MATRAS: dict[str, str] = {
 
 _PULLI = "்"
 _AYTHAM = "ஃ"
-_INHERENT = "a"
+_INHERENT = ("a",)
+
+_PLOSIVE_PHONEMES = {
+    letter: (parse_ipa(voiceless), parse_ipa(voiced))
+    for letter, (voiceless, voiced) in _PLOSIVES.items()
+}
+_FIXED_PHONEMES = parse_table(_FIXED)
+_VOWEL_PHONEMES = parse_table(_VOWELS)
+_MATRA_PHONEMES = parse_table(_MATRAS)
 
 
 class TamilConverter(TTPConverter):
@@ -74,7 +82,7 @@ class TamilConverter(TTPConverter):
         for idx, (letter, vowel) in enumerate(letters):
             if letter is None:
                 # Independent vowel: ``vowel`` already holds its value.
-                phonemes.extend(parse_ipa(vowel or ""))
+                phonemes.extend(vowel or ())
                 continue
             # A geminate (க்க) is phonemically one long stop; emit a
             # single phoneme for the pair, letting the voicing rule see
@@ -85,29 +93,27 @@ class TamilConverter(TTPConverter):
                 and letters[idx + 1][0] == letter
             ):
                 continue
-            phonemes.extend(
-                parse_ipa(self._consonant_value(letters, idx, phonemes))
-            )
+            phonemes.extend(self._consonant_value(letters, idx, phonemes))
             if vowel is not None:
-                phonemes.extend(parse_ipa(vowel))
+                phonemes.extend(vowel)
         return tuple(phonemes)
 
     def _segment(
         self, word: str
-    ) -> list[tuple[str | None, str | None]]:
+    ) -> list[tuple[str | None, PhonemeString | None]]:
         """Split a word into (consonant, vowel) letter units.
 
         ``(None, v)`` is an independent vowel; ``(c, None)`` is a pure
         consonant (pulli); ``(c, v)`` a consonant+vowel syllable, with
         ``v`` defaulting to the inherent ``a``.
         """
-        units: list[tuple[str | None, str | None]] = []
+        units: list[tuple[str | None, PhonemeString | None]] = []
         i = 0
         n = len(word)
         while i < n:
             ch = word[i]
             if ch in _VOWELS:
-                units.append((None, _VOWELS[ch]))
+                units.append((None, _VOWEL_PHONEMES[ch]))
                 i += 1
             elif ch in _PLOSIVES or ch in _FIXED:
                 # க்ஷ (kṣa) is the one conjunct worth special-casing.
@@ -119,7 +125,7 @@ class TamilConverter(TTPConverter):
                 ):
                     nxt = word[i + 3] if i + 3 < n else ""
                     if nxt in _MATRAS:
-                        units.append(("க்ஷ", _MATRAS[nxt]))
+                        units.append(("க்ஷ", _MATRA_PHONEMES[nxt]))
                         i += 4
                     elif nxt == _PULLI:
                         units.append(("க்ஷ", None))
@@ -130,7 +136,7 @@ class TamilConverter(TTPConverter):
                     continue
                 nxt = word[i + 1] if i + 1 < n else ""
                 if nxt in _MATRAS:
-                    units.append((ch, _MATRAS[nxt]))
+                    units.append((ch, _MATRA_PHONEMES[nxt]))
                     i += 2
                 elif nxt == _PULLI:
                     units.append((ch, None))
@@ -143,7 +149,7 @@ class TamilConverter(TTPConverter):
                 if i + 1 < n and word[i + 1] == "ப":
                     nxt2 = word[i + 2] if i + 2 < n else ""
                     if nxt2 in _MATRAS:
-                        units.append(("ஃப", _MATRAS[nxt2]))
+                        units.append(("ஃப", _MATRA_PHONEMES[nxt2]))
                         i += 3
                     elif nxt2 == _PULLI:
                         units.append(("ஃப", None))
@@ -163,21 +169,21 @@ class TamilConverter(TTPConverter):
 
     def _consonant_value(
         self,
-        units: list[tuple[str | None, str | None]],
+        units: list[tuple[str | None, PhonemeString | None]],
         idx: int,
         emitted: list[str],
-    ) -> str:
+    ) -> PhonemeString:
         letter, _vowel = units[idx]
         assert letter is not None
         if letter == "க்ஷ":
-            return "kʂ"
+            return ("k", "ʂ")
         if letter == "ஃப":
-            return "f"
+            return ("f",)
         if letter == "ஃ":
-            return "h"
+            return ("h",)
         if letter in _FIXED:
-            return _FIXED[letter]
-        voiceless, voiced = _PLOSIVES[letter]
+            return _FIXED_PHONEMES[letter]
+        voiceless, voiced = _PLOSIVE_PHONEMES[letter]
         word_initial = idx == 0
         prev_letter = units[idx - 1][0] if idx > 0 else None
         prev_is_pure = idx > 0 and units[idx - 1][1] is None
@@ -190,7 +196,7 @@ class TamilConverter(TTPConverter):
                 return voiceless
             if after_nasal:
                 return voiced
-            return "r"
+            return ("r",)
         if word_initial or geminate or after_stop:
             return voiceless
         if after_nasal:

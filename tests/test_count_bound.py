@@ -414,6 +414,11 @@ write_ops = st.lists(
             st.none(),
         ),
         st.tuples(st.just("compact"), st.none(), st.none()),
+        st.tuples(
+            st.just("load"),
+            st.dictionaries(st.integers(0, 11), symbol_strings, max_size=6),
+            st.none(),
+        ),
     ),
     max_size=40,
 )
@@ -438,9 +443,12 @@ class TestStoredCounts:
             elif op == "pop":
                 assert store.pop(key, None) == stored.pop(key, None)
             elif op == "update":
-                # As a restore does it: one ``update`` of a whole dict.
                 store.update(key)
                 stored.update(key)
+            elif op == "load":
+                # As a restore does it: one bulk load of a whole dict.
+                store.load(key)
+                stored = dict(key)
             else:
                 store._compact()
         encoded = _encoded_costs(costs)

@@ -1061,8 +1061,8 @@ class TestPhonemeStoreOracle:
         assert compactions
 
     def test_out_of_inventory_write_and_query_rejected(self, strings):
-        """A write holding a symbol outside the code space raises
-        ``PhonemeError`` and leaves the key's old string in place for
+        """A write or bulk load holding a symbol outside the code space
+        raises ``PhonemeError`` and leaves the key's old string in place for
         the mapping, the verifier and the export alike, with ``writes``
         unchanged; a query holding one raises from the store's verifier
         and from the parallel executor."""
@@ -1077,6 +1077,8 @@ class TestPhonemeStoreOracle:
         old, writes = strings[1], store.writes
         with pytest.raises(PhonemeError):
             store[1] = old[:-1] + (UNKNOWN[0],)
+        with pytest.raises(PhonemeError):
+            store.load({0: strings[0], 1: old[:-1] + (UNKNOWN[0],)})
         assert dict(store) == dict(enumerate(strings[:3]))
         assert store.writes == writes
         assert 1 in store.verify(old, [0, 1, 2], 0.0)

@@ -188,7 +188,7 @@ class TestLexEqualGrammar:
 
     def test_threshold_optional(self):
         stmt = parse("SELECT a FROM t WHERE a LEXEQUAL 'x'")
-        assert stmt.where.threshold == Literal(0.0)
+        assert stmt.where.threshold == Literal(None)
 
     def test_threshold_param(self):
         stmt = parse("SELECT a FROM t WHERE a LEXEQUAL 'x' THRESHOLD :e")

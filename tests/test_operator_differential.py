@@ -9,9 +9,10 @@ accelerator and with ``qgram`` and ``auto`` accelerators.
 
 Inputs are seeded lexicon names in three scripts plus Greek and Arabic
 names, two ``NORESOURCE`` operands (a ``klingon`` tag and Hebrew script)
-and a NULL row, at thresholds 0, 0.25 and 1, under ``INLANGUAGES`` sets
-that are empty, hold both operands' languages, or leave one out.  The
-out-of-range threshold 1.5 must be rejected by every entry point.
+and a NULL row, at thresholds 0, 0.25 and 1 and with no threshold (the
+configured one; in SQL, no ``THRESHOLD`` clause), under ``INLANGUAGES``
+sets that are empty, hold both operands' languages, or leave one out.
+The out-of-range threshold 1.5 must be rejected by every entry point.
 NULL is SQL-only: the UDF answers NULL before the operator runs.
 """
 
@@ -37,9 +38,10 @@ from repro.server.service import QueryService
 
 SEED = 8
 
-THRESHOLDS = (0.0, 0.25, 1.0)
+#: None: no threshold given, so the matcher's configured one applies.
+THRESHOLDS = (0.0, 0.25, 1.0, None)
 
-SQL = "SELECT id FROM names WHERE name LEXEQUAL :q THRESHOLD :e"
+SQL = "SELECT id FROM names WHERE name LEXEQUAL :q"
 
 KLINGON = LangText("Worf", "klingon")
 HEBREW = "שלום"
@@ -133,7 +135,9 @@ def _language_sets(matcher, query, rows):
 
 
 def _sql(db, query, threshold, languages):
-    suffix = f" INLANGUAGES {{ {', '.join(languages)} }}" if languages else ""
+    suffix = "" if threshold is None else " THRESHOLD :e"
+    if languages:
+        suffix += f" INLANGUAGES {{ {', '.join(languages)} }}"
     return {row[0] for row in db.execute(SQL + suffix, q=query, e=threshold).rows}
 
 
