@@ -111,10 +111,11 @@ class PhoneticAccelerator:
         if restore is not None and self._restore_state(restore):
             self._sync_with_table(table)
         else:
-            for name in self._source_names:
-                self.keyed.source(name)
             for rowid, row in table.scan():
                 self.on_insert(rowid, row)
+            # Built over the filled store: one bulk add per source.
+            for name in self._source_names:
+                self.keyed.source(name)
 
     # ----------------------------------------------------- maintenance
 
@@ -174,22 +175,28 @@ class PhoneticAccelerator:
     def _sync_with_table(self, table) -> None:
         """Delta-sync a restored snapshot with the live heap.
 
-        The snapshot covers rows as of the last checkpoint; rows the
-        WAL replayed after it are indexed here (TTP only on the delta)
-        and rows deleted since are dropped.
+        The snapshot covers rows as of the last checkpoint; one heap
+        scan finds the rows the WAL replayed after it, indexed with one
+        bulk add (TTP only on the delta), and the rows deleted since,
+        which are dropped.  ``accelerator.restore.delta_rows`` counts
+        the rows indexed and dropped.
         """
         store = self.keyed.store
-        live = {rowid for rowid, _row in table.scan()}
+        live = set()
+        delta = []
+        for rowid, row in table.scan():
+            live.add(rowid)
+            if rowid not in store:
+                phonemes = self._phonemes_of_value(row[self._position])
+                if phonemes:
+                    delta.append((rowid, phonemes))
         stale = [rowid for rowid in store if rowid not in live]
         for rowid in stale:
             self.on_delete(rowid, ())
-        delta = 0
-        for rowid, row in table.scan():
-            if rowid not in store:
-                self.on_insert(rowid, row)
-                delta += 1
-        if stale or delta:
-            obs.incr("accelerator.restore.delta_rows", len(stale) + delta)
+        self.keyed.add_many(delta)
+        changed = len(stale) + len(delta)
+        if changed:
+            obs.incr("accelerator.restore.delta_rows", changed)
 
     # --------------------------------------------------------- planning
 

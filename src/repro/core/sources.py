@@ -28,6 +28,7 @@ import abc
 import functools
 import math
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable
 
 from repro import obs
@@ -35,11 +36,7 @@ from repro.core.config import MatchConfig
 from repro.core.operator import language_set
 from repro.errors import PhonemeError
 from repro.matching.costs import CostModel, count_classes
-from repro.matching.qgrams import (
-    extended_tokens,
-    positional_qgrams,
-    publish_filter_counts,
-)
+from repro.matching.qgrams import extended_tokens, publish_filter_counts
 from repro.phonetics.inventory import SYMBOL_CODES
 from repro.phonetics.keys import grouped_key
 from repro.phonetics.parse import PhonemeString
@@ -64,6 +61,41 @@ def _grown(column: array, n: int, minimum: int = 4) -> array:
     grown = array(column.typecode, bytes(capacity * column.itemsize))
     grown[:n] = column[:n]
     return grown
+
+
+#: The column of a gram with no postings (copied, never changed).
+_NO_POSTINGS = (array("q"), array("i", [0]))
+
+
+def _column(runs: dict[int, list[int]]) -> tuple[array, array]:
+    """A gram's ``(keys, starts)`` column from its keys by 1-based
+    position."""
+    top = max(runs)
+    keys = array("q")
+    starts = array("i", bytes(4 * (top + 2)))
+    for pos in range(1, top + 1):
+        starts[pos] = len(keys)
+        keys.extend(sorted(runs.get(pos, ())))
+    starts[top + 1] = len(keys)
+    return keys, starts
+
+
+def _spliced(
+    keys: array, starts: array, pos: int, key: int, step: int
+) -> tuple[array, array]:
+    """A copy of a gram's column with ``key`` inserted at (``step`` 1)
+    or deleted from (``step`` -1) position ``pos``, in key order."""
+    if pos + 1 >= len(starts):
+        starts = starts + array("i", [len(keys)]) * (pos + 2 - len(starts))
+    index = bisect_left(keys, key, starts[pos], starts[pos + 1])
+    keys = keys[:]
+    if step > 0:
+        keys.insert(index, key)
+    else:
+        del keys[index]
+    shifted = starts[: pos + 1]
+    shifted.extend([start + step for start in starts[pos + 1 :]])
+    return keys, shifted
 
 
 def _covering(lengths: array, key: int) -> array:
@@ -423,27 +455,30 @@ class CandidateSource(abc.ABC):
 class QGramSource(CandidateSource):
     """Positional q-gram postings with the Figure 14 filters (lossless).
 
-    Postings are columns: per gram, a key array and a 1-based position
-    array whose first ``n`` slots are live, plus a dense key-indexed
-    token-length array (-1 for absent keys).  A query views each of its
-    grams' columns as numpy arrays, masks them by position, ``bincount``s
-    the surviving keys into pair counts, and applies the length and
-    count filters to every counted key at once.  Keys so short that the
-    count filter is vacuous (``count_filter_threshold <= 0``) pass on
-    length alone, whether or not they share a gram: the short-string
-    union of Gravano et al. (paper ref. [6]).
+    Postings are columns: per gram, an immutable ``(keys, starts)`` pair
+    in which ``keys`` lists the gram's keys ordered by 1-based position,
+    in key order inside one position, and ``starts[p]`` is the first
+    index whose position is ``>= p``; beside them, a dense key-indexed
+    token-length array (-1 for absent keys).  A query reads, per query
+    gram at position ``pos``, only the postings in its position window
+    ``[pos - k, pos + k]``, one slice of ``keys``; postings outside it
+    are never read.  It ``bincount``s the joined slices into pair counts
+    and applies the length and count filters to every key at once.
+    Keys so short that the count filter is vacuous
+    (``count_filter_threshold <= 0``) pass on length alone, whether or
+    not they share a gram: the short-string union of Gravano et al.
+    (paper ref. [6]).
 
-    The columns are stdlib ``array.array``s that numpy views without a
-    copy, so building, inserting and restoring a snapshot never import
-    numpy: a server restoring one does not pay numpy's import time
-    before it can accept connections.
+    The columns are stdlib ``array.array``s, so building, inserting and
+    restoring a snapshot never import numpy: a server restoring one does
+    not pay numpy's import time before it can accept connections.
 
-    Readers take no lock.  The one writer fills spare capacity beyond
-    the published ``n`` and then publishes the gram's new ``(keys,
-    positions, n)`` tuple in one dict assignment, and it writes a key's
-    length before any of that key's postings.  No array is resized or
-    compacted in place (a reader may hold a view of it): growth and
-    ``remove`` publish fresh arrays.
+    Readers take no lock.  Writes are copy-on-write: :meth:`add` and
+    :meth:`remove` splice one posting into or out of a fresh copy of the
+    gram's column and publish it in one dict assignment, and
+    :meth:`add_many` builds each touched column once.  A published
+    column is never changed, and a key's length is written before any
+    of that key's postings.
     """
 
     name = "qgram"
@@ -451,60 +486,80 @@ class QGramSource(CandidateSource):
     def __init__(self, config: MatchConfig):
         super().__init__(config)
         self._tokens: dict[int, tuple] = {}
-        #: gram -> (keys, positions, n); slots past n are spare.
-        self._columns: dict[tuple, tuple[array, array, int]] = {}
+        #: gram -> (keys, starts), never changed once published.
+        self._columns: dict[tuple, tuple[array, array]] = {}
         self._lengths = array("i")
         self.posting_count = 0
 
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def add(self, key: int, phonemes: PhonemeString) -> None:
+    def _record(self, key: int, phonemes: PhonemeString) -> tuple:
+        """Record ``key``'s tokens and length; its extended tokens."""
         tokens = filter_tokens(phonemes, self.config)
         self._tokens[key] = tokens
         if key >= len(self._lengths):
             self._lengths = _covering(self._lengths, key)
         self._lengths[key] = len(tokens)
+        return extended_tokens(tokens, self.config.q)
+
+    def add(self, key: int, phonemes: PhonemeString) -> None:
+        extended = self._record(key, phonemes)
+        q = self.config.q
+        count = len(extended) - q + 1
+        columns = self._columns
+        for start in range(count):
+            gram = extended[start : start + q]
+            column = columns.get(gram, _NO_POSTINGS)
+            columns[gram] = _spliced(*column, start + 1, key, 1)
+        self.posting_count += count
+
+    def add_many(
+        self, items: Iterable[tuple[int, PhonemeString]]
+    ) -> None:
+        """Index many keys: every posting is bucketed by gram and
+        position, then each touched column is built once."""
+        q = self.config.q
+        # gram -> 1-based position -> keys.
+        runs: dict[tuple, dict[int, list[int]]] = {}
+        added = 0
+        for key, phonemes in items:
+            extended = self._record(key, phonemes)
+            count = len(extended) - q + 1
+            for start in range(count):
+                gram = extended[start : start + q]
+                by_pos = runs.get(gram)
+                if by_pos is None:
+                    runs[gram] = by_pos = {}
+                by_pos.setdefault(start + 1, []).append(key)
+            added += count
+        columns = self._columns
+        for gram, by_pos in runs.items():
+            keys, starts = columns.get(gram, _NO_POSTINGS)
+            for pos in range(1, len(starts) - 1):
+                by_pos.setdefault(pos, []).extend(
+                    keys[starts[pos] : starts[pos + 1]]
+                )
+            columns[gram] = _column(by_pos)
+        self.posting_count += added
+
+    def remove(self, key: int) -> None:
+        tokens = self._tokens.pop(key, None)
+        if tokens is None:
+            return
         q = self.config.q
         extended = extended_tokens(tokens, q)
         count = len(extended) - q + 1
         columns = self._columns
         for start in range(count):
             gram = extended[start : start + q]
-            column = columns.get(gram)
-            if column is None:
-                keys, positions = _grown(array("q"), 0), _grown(array("i"), 0)
-                n = 0
+            keys, starts = columns[gram]
+            if len(keys) == 1:
+                del columns[gram]
             else:
-                keys, positions, n = column
-                if n == len(keys):
-                    keys, positions = _grown(keys, n), _grown(positions, n)
-            keys[n] = key
-            positions[n] = start + 1
-            columns[gram] = (keys, positions, n + 1)
-        self.posting_count += count
-
-    def remove(self, key: int) -> None:
-        import numpy as np
-
-        tokens = self._tokens.pop(key, None)
-        if tokens is None:
-            return
-        grams = positional_qgrams(tokens, self.config.q)
-        for gram in {g.gram for g in grams}:
-            keys, positions, n = self._columns[gram]
-            keep = np.frombuffer(keys, np.int64, n) != key
-            if not keep.any():
-                del self._columns[gram]
-                continue
-            kept = np.frombuffer(keys, np.int64, n)[keep]
-            self._columns[gram] = (
-                array("q", kept.tobytes()),
-                array("i", np.frombuffer(positions, np.intc, n)[keep].tobytes()),
-                len(kept),
-            )
+                columns[gram] = _spliced(keys, starts, start + 1, key, -1)
         self._lengths[key] = -1
-        self.posting_count -= len(grams)
+        self.posting_count -= count
 
     def avg_posting(self) -> float | None:
         """Mean posting-list length (a cost-model input)."""
@@ -521,52 +576,51 @@ class QGramSource(CandidateSource):
         qlen = len(query_tokens)
         k = config.max_operations(qlen)
         q = self.config.q
-        grams = positional_qgrams(query_tokens, q)
-        hits = []
+        extended = extended_tokens(query_tokens, q)
+        probes = len(extended) - q + 1
+        columns = self._columns
+        windows = []
         postings = misses = 0
-        for gram in grams:
-            column = self._columns.get(gram.gram)
+        for start in range(probes):
+            column = columns.get(extended[start : start + q])
             if column is None:
                 misses += 1
                 continue
-            keys, positions, n = column
-            positions = np.frombuffer(positions, np.intc, n)
-            near = np.abs(positions - gram.pos) <= k
-            hits.append(np.frombuffer(keys, np.int64, n)[near])
-            postings += n
+            keys, starts = column
+            # Position filter: the gram at 1-based position start + 1
+            # pairs only with postings at start + 1 - k .. start + 1 + k,
+            # one slice of the position-sorted keys.
+            last = len(starts) - 1
+            begin = starts[min(max(start + 1 - k, 0), last)]
+            end = starts[min(start + 2 + k, last)]
+            windows.append(memoryview(keys)[begin:end])
+            postings += len(keys)
         # Read after the postings, so it covers every key seen in them.
         lengths = np.frombuffer(self._lengths, np.intc)
-        lo, hi = max(qlen - k, 0), qlen + k
-        # Count filter: pairs >= count_filter_threshold(qlen, clen, k, q)
-        # = max(qlen, clen) - slack.
+        pairs = np.frombuffer(b"".join(windows), np.int64)
+        counts = np.bincount(pairs, minlength=len(lengths))
+        # Length filter, then count filter: pairs >=
+        # count_filter_threshold(qlen, clen, k, q) = max(qlen, clen) -
+        # slack, over every key at once.  A key sharing no gram passes
+        # when that threshold is vacuous: the short-string union.
         slack = 1 + (k - 1) * q
-        pairs = np.concatenate(hits) if hits else np.empty(0, np.int64)
-        counts = np.bincount(pairs)
-        counted = np.flatnonzero(counts > 0)
-        clens = lengths[counted]
-        len_ok = (clens >= lo) & (clens <= hi)
-        cnt_ok = len_ok & (counts[counted] >= np.maximum(clens, qlen) - slack)
-        found = counted[cnt_ok]
-        vacuous = 0
-        if qlen <= slack and lo <= min(hi, slack):
-            short = np.flatnonzero(
-                (lengths >= lo) & (lengths <= min(hi, slack))
-            )
-            merged = np.union1d(found, short)
-            vacuous = len(merged) - len(found)
-            found = merged
+        len_ok = (lengths >= max(qlen - k, 0)) & (lengths <= qlen + k)
+        passed = len_ok & (counts >= np.maximum(lengths, qlen) - slack)
+        found = np.flatnonzero(passed)
         if obs.is_enabled():
-            len_pass = int(len_ok.sum())
-            cnt_pass = int(cnt_ok.sum())
+            counted = counts > 0
+            len_pass = np.count_nonzero(len_ok & counted)
+            cnt_pass = np.count_nonzero(passed & counted)
+            vacuous = len(found) - cnt_pass
             publish_filter_counts(
                 len(pairs),
                 postings - len(pairs),
                 len_pass + vacuous,
-                len(counted) - len_pass,
+                np.count_nonzero(counted) - len_pass,
                 cnt_pass + vacuous,
                 len_pass - cnt_pass,
             )
-            obs.incr("btree.probes", len(grams))
+            obs.incr("btree.probes", probes)
             if misses:
                 obs.incr("btree.probe_misses", misses)
         return found.tolist()
@@ -575,28 +629,24 @@ class QGramSource(CandidateSource):
         return {
             "tokens": dict(self._tokens),
             "lengths": array("i", self._lengths),
-            "columns": {
-                gram: (keys[:n], positions[:n])
-                for gram, (keys, positions, n) in self._columns.items()
-            },
+            "sorted": dict(self._columns),
         }
 
     @classmethod
     def from_state(
         cls, config: MatchConfig, state: dict
     ) -> QGramSource | None:
-        """None for the pre-columnar ``{"tokens", "postings"}`` layout."""
-        if "columns" not in state:
+        """None for a layout without position-sorted columns: the
+        ``"columns"`` one of unsorted ``(keys, positions)`` pairs, or
+        the earlier ``"postings"`` lists."""
+        if "sorted" not in state:
             return None
         source = cls(config)
         source._tokens = state["tokens"]
         source._lengths = state["lengths"]
-        source._columns = {
-            gram: (keys, positions, len(keys))
-            for gram, (keys, positions) in state["columns"].items()
-        }
+        source._columns = dict(state["sorted"])
         source.posting_count = sum(
-            n for _keys, _positions, n in source._columns.values()
+            len(keys) for keys, _starts in source._columns.values()
         )
         return source
 
@@ -702,6 +752,22 @@ class KeyedPhonemes:
             self.languages[key] = language
         for source in self._sources.values():
             source.add(key, phonemes)
+
+    def add_many(self, items) -> None:
+        """:meth:`add` for many ``(key, phonemes)`` pairs, without
+        languages, indexed in each built source with one bulk add.  A
+        symbol outside the inventory raises
+        :class:`~repro.errors.PhonemeError` with the pairs before it
+        added."""
+        added = []
+        try:
+            for key, phonemes in items:
+                self.store[key] = phonemes
+                self.plen_sum += len(phonemes)
+                added.append((key, phonemes))
+        finally:
+            for source in self._sources.values():
+                source.add_many(added)
 
     def remove(self, key: int) -> None:
         """Forget one key (no-op if absent)."""

@@ -35,7 +35,7 @@ from repro.phonetics.inventory import (
     get_phoneme,
     is_known_symbol,
 )
-from repro.phonetics.parse import PhonemeString
+from repro.phonetics.parse import PhonemeString, validate_phoneme_string
 
 # Base-symbol folds applied after stripping length/nasal marks.  The
 # aspiration mark is re-attached after folding the base.
@@ -110,3 +110,15 @@ def fold_phonemes(phonemes: PhonemeString) -> PhonemeString:
     :class:`~repro.errors.PhonemeError` for the rest.
     """
     return tuple([_FOLDS.get(sym) or fold_symbol(sym) for sym in phonemes])
+
+
+def fold_known(phonemes: PhonemeString) -> PhonemeString:
+    """:func:`fold_phonemes` for inventory symbols only: the fold-table
+    lookup is the symbol check, and a symbol outside the inventory
+    raises the :class:`~repro.errors.PhonemeError` of
+    :func:`~repro.phonetics.parse.validate_phoneme_string`."""
+    try:
+        return tuple(map(_FOLDS.__getitem__, phonemes))
+    except KeyError:
+        validate_phoneme_string(phonemes)
+        raise

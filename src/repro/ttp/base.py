@@ -33,17 +33,25 @@ class TTPConverter(abc.ABC):
     #: Script name, e.g. ``"latin"``, ``"devanagari"``.
     script: str = ""
 
-    def to_phonemes(self, text: str) -> PhonemeString:
+    def to_phonemes(self, text: str, fold: bool = False) -> PhonemeString:
         """Convert ``text`` (possibly several words) to a phoneme string.
 
         Words are transcribed independently and concatenated, matching the
-        attribute-level processing of the database context.
+        attribute-level processing of the database context.  With
+        ``fold``, the string is folded onto the canonical matching
+        alphabet (:func:`~repro.phonetics.folding.fold_known`).  Either
+        way each symbol is checked once, and a symbol outside the
+        inventory raises :class:`~repro.errors.PhonemeError`.
         """
         words = self._split(text)
         phonemes: list[str] = []
         for word in words:
             phonemes.extend(self._word_to_phonemes(word))
         result = tuple(phonemes)
+        if fold:
+            from repro.phonetics.folding import fold_known
+
+            return fold_known(result)
         validate_phoneme_string(result)
         return result
 

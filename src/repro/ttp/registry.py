@@ -94,17 +94,15 @@ class TTPRegistry:
         if cached is None:
             obs.incr("ttp.cache.misses")
             try:
-                converted = self.converter_for(language).to_phonemes(text)
+                converted = self.converter_for(language).to_phonemes(
+                    text, fold=self.fold
+                )
             except TTPError as exc:
                 # Tag the failing language so degradation contexts can
                 # report *which* script dropped out of a match.
                 if getattr(exc, "language", None) is None:
                     exc.language = key[0]
                 raise
-            if self.fold:
-                from repro.phonetics.folding import fold_phonemes
-
-                converted = fold_phonemes(converted)
             with self._lock:
                 cached = self._cache.setdefault(key, converted)
         else:

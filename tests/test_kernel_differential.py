@@ -18,7 +18,8 @@ pipeline: every source's select and join against the naive scan, and
 every SQL accelerator method against the query with the accelerator
 dropped, across DML, checkpoint/reopen and an old snapshot layout.
 The q-gram source is also held to the pairwise Figure 14 filters of
-the tests' oracle, and lock-free accelerated selects to the
+the tests' oracle (its candidates, its position-sorted postings and
+its filter counters), and lock-free accelerated selects to the
 answers they gave before a concurrent writer started.  The one
 verifier, ``PhonemeStore.verify`` over its stored code columns, is held
 to per-key scalar rechecks across random writes, a reader holding
@@ -456,6 +457,208 @@ class TestQGramSourceOracle:
         # The short-string union was exercised, not just vacuously true.
         assert gramless > 0
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("domain", ["cluster", "phoneme"])
+    def test_splices_and_bulk_adds_keep_postings_position_sorted(
+        self, strings, q, domain
+    ):
+        """Single adds, removes and ``add_many`` batches into existing
+        columns keep every column in (position, key) order, through a
+        pickled state round trip; the old ``"columns"`` state restores
+        as None and its rebuild answers the same."""
+        import pickle
+        from array import array
+
+        from repro.core import MatchConfig
+        from repro.core.sources import (
+            KeyedPhonemes,
+            QGramSource,
+            filter_tokens,
+        )
+        from repro.matching.qgrams import positional_qgrams
+
+        config = MatchConfig(q=q, qgram_domain=domain)
+        rng = random.Random(SEED + 7)
+        source = QGramSource(config)
+        stored = {}
+
+        def add_many(keys):
+            batch = [(key, strings[key % len(strings)]) for key in keys]
+            source.add_many(batch)
+            stored.update(batch)
+
+        keys = list(range(len(strings)))
+        rng.shuffle(keys)  # a batch arrives out of key order
+        third = len(keys) // 3
+        add_many(keys[:third])
+        top = max(len(starts) for _keys, starts in source._columns.values())
+        # Longer than every stored string: its grams' highest positions
+        # grow; and it holds each of its grams at two positions or more.
+        long = max(strings, key=len) * 3
+        grams = positional_qgrams(filter_tokens(long, config), q)
+        assert len({g.gram for g in grams}) < len(grams)
+        source.add(10_000, long)
+        stored[10_000] = long
+        assert max(
+            len(starts) for _keys, starts in source._columns.values()
+        ) > top
+        for key in keys[third : 2 * third]:
+            source.add(key, strings[key])
+            stored[key] = strings[key]
+            if key % 3 == 0:
+                victim = rng.choice(sorted(stored))
+                source.remove(victim)
+                del stored[victim]
+        # A batch into existing columns, with keys below and above the
+        # stored ones.
+        add_many(keys[2 * third :] + [20_000, 20_001])
+        source.remove(10_000)
+        del stored[10_000]
+        source.add(10_001, long)
+        stored[10_001] = long
+        assert _postings_by_gram(source) == _fig14_postings(stored, config)
+        self._check(source, stored, config, rng)
+
+        restored = QGramSource.from_state(
+            config, pickle.loads(pickle.dumps(source.state()))
+        )
+        assert restored.posting_count == source.posting_count
+        assert _postings_by_gram(restored) == _fig14_postings(stored, config)
+        self._check(restored, stored, config, rng)
+
+        # The unsorted layout: per gram, keys and positions in write
+        # order.  It is rebuilt from the stored strings.
+        old = source.state()
+        del old["sorted"]
+        columns = old["columns"] = {}
+        for key, tokens in old["tokens"].items():
+            for gram in positional_qgrams(tokens, q):
+                column = columns.setdefault(
+                    gram.gram, (array("q"), array("i"))
+                )
+                column[0].append(key)
+                column[1].append(gram.pos)
+        assert QGramSource.from_state(config, old) is None
+        keyed = KeyedPhonemes(config, config.cost_model())
+        keyed.load(stored, {"qgram": old})
+        rebuilt = keyed.source("qgram")
+        assert _postings_by_gram(rebuilt) == _fig14_postings(stored, config)
+        self._check(rebuilt, stored, config, rng)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("domain", ["cluster", "phoneme"])
+    def test_filter_counters_equal_the_oracle(self, strings, q, domain):
+        """Each filter counter equals what the pairwise Figure 14 check
+        implies, including position rejects that are never read."""
+        from repro import obs
+        from repro.core import MatchConfig
+        from repro.core.sources import QGramSource
+
+        config = MatchConfig(q=q, qgram_domain=domain)
+        source = QGramSource(config)
+        stored = dict(enumerate(strings))
+        source.add_many(stored.items())
+        queries = [strings[0], strings[7], strings[11] + strings[3]]
+        queries += [("x", "ʒ"), ("a",)]
+        rejects = 0
+        for threshold in ORACLE_THRESHOLDS:
+            at = config.with_threshold(threshold)
+            for query in queries:
+                expected = _fig14_counters(stored, query, at)
+                obs.disable()
+                obs.enable()
+                try:
+                    source.candidates(query, at)
+                    counters = obs.snapshot()["counters"]
+                finally:
+                    obs.disable()
+                got = {name: counters.get(name, 0) for name in expected}
+                assert got == expected, (threshold, query)
+                rejects += expected["filters.position.reject"]
+        assert rejects > 0
+
+
+def _fig14_postings(stored: dict, config) -> dict:
+    """Per gram, the sorted ``(position, key)`` postings of ``stored``."""
+    from repro.core.sources import filter_tokens
+    from repro.matching.qgrams import positional_qgrams
+
+    postings: dict = {}
+    for key, phonemes in stored.items():
+        tokens = filter_tokens(phonemes, config)
+        for gram in positional_qgrams(tokens, config.q):
+            postings.setdefault(gram.gram, []).append((gram.pos, key))
+    return {gram: sorted(pairs) for gram, pairs in postings.items()}
+
+
+def _postings_by_gram(source) -> dict:
+    """Per gram, a source's ``(position, key)`` postings in column
+    order, read back through its ``starts``."""
+    postings = {}
+    for gram, (keys, starts) in source._columns.items():
+        assert starts[0] == 0 and starts[-1] == len(keys)
+        postings[gram] = [
+            (pos, key)
+            for pos in range(1, len(starts) - 1)
+            for key in keys[starts[pos] : starts[pos + 1]]
+        ]
+    return postings
+
+
+def _fig14_counters(stored: dict, query, config) -> dict:
+    """The filter and probe counters one ``candidates`` call publishes,
+    from the pairwise Figure 14 check: every stored posting of a query
+    gram is a position pass or reject, a key with a position-compatible
+    pair meets the length filter and then the count filter, and a key
+    with none that passes both on length alone (the short-string union)
+    counts as a pass of each."""
+    from collections import Counter
+
+    from repro.core.sources import filter_tokens
+    from repro.matching.qgrams import (
+        count_filter_threshold,
+        matching_qgram_pairs,
+        positional_qgrams,
+    )
+    from tests.oracle import length_filter
+
+    q = config.q
+    query_tokens = filter_tokens(query, config)
+    qlen = len(query_tokens)
+    k = config.max_operations(qlen)
+    query_grams = positional_qgrams(query_tokens, q)
+    occurrences: Counter = Counter()
+    pairs_total = vacuous = 0
+    length = {True: 0, False: 0}
+    count = {True: 0, False: 0}
+    for phonemes in stored.values():
+        tokens = filter_tokens(phonemes, config)
+        grams = positional_qgrams(tokens, q)
+        occurrences.update(g.gram for g in grams)
+        pairs = matching_qgram_pairs(query_grams, grams, k)
+        pairs_total += pairs
+        length_ok = length_filter(qlen, len(tokens), k)
+        count_ok = pairs >= count_filter_threshold(qlen, len(tokens), k, q)
+        if pairs:
+            length[length_ok] += 1
+            if length_ok:
+                count[count_ok] += 1
+        elif length_ok and count_ok:
+            vacuous += 1
+    postings = sum(occurrences[g.gram] for g in query_grams)
+    return {
+        "filters.position.pass": pairs_total,
+        "filters.position.reject": postings - pairs_total,
+        "filters.length.pass": length[True] + vacuous,
+        "filters.length.reject": length[False],
+        "filters.count.pass": count[True] + vacuous,
+        "filters.count.reject": count[False],
+        "btree.probes": len(query_grams),
+        "btree.probe_misses": sum(
+            g.gram not in occurrences for g in query_grams
+        ),
+    }
+
 
 # -------------------------------------------------- SQL accelerator paths
 
@@ -627,6 +830,71 @@ class TestAcceleratorDifferential:
             accelerator = reopened.accelerator_for("names", "name")
             if accelerator is not None:
                 accelerator.drop()
+            reopened.storage.close()
+
+    @pytest.mark.parametrize(
+        "method,options", [("qgram", {}), ("auto", {"allow_lossy": True})]
+    )
+    def test_reopen_indexes_only_the_rows_changed_since_checkpoint(
+        self, tmp_path, accel_names, method, options
+    ):
+        """Rows inserted and deleted after the checkpoint are indexed
+        and dropped on reopen, and only they count as
+        ``accelerator.restore.delta_rows`` (the NULL and NORESOURCE rows
+        the snapshot never held do not); the answers equal a rebuild."""
+        from repro import obs
+        from repro.core import LexEqualMatcher, create_phonetic_accelerator
+        from repro.core.integration import install_lexequal
+        from repro.storage import open_database
+
+        matcher = LexEqualMatcher()
+        db = open_database(str(tmp_path), matcher=matcher, sync=False)
+        install_lexequal(db, matcher)
+        holder = []
+        _load_names(
+            db,
+            accel_names,
+            lambda: holder.append(
+                create_phonetic_accelerator(
+                    db, "names", "name", matcher, method=method, **options
+                )
+            ),
+        )
+        db.checkpoint()
+        inserted = [
+            db.insert("names", (1000 + i, name))
+            for i, name in enumerate(accel_names[1:4])
+        ]
+        deleted = sorted(holder[0].keyed.store)[:2]
+        for rowid in deleted:
+            db.delete_row("names", rowid)
+        holder[0].drop()
+        db.storage.close()
+
+        obs.disable()
+        obs.enable()
+        try:
+            reopened = open_database(str(tmp_path), matcher=matcher)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        try:
+            assert counters["accelerator.restore.delta_rows"] == len(
+                inserted
+            ) + len(deleted)
+            restored = reopened.accelerator_for("names", "name")
+            assert set(inserted) <= set(restored.keyed.store)
+            assert not set(deleted) & set(restored.keyed.store)
+            queries = _accel_queries(accel_names)
+            answers = _answers(reopened, queries)
+            restored.drop()
+            rebuilt = create_phonetic_accelerator(
+                reopened, "names", "name", matcher, method=method, **options
+            )
+            assert _answers(reopened, queries) == answers
+            assert dict(rebuilt.keyed.store) == dict(restored.keyed.store)
+            rebuilt.drop()
+        finally:
             reopened.storage.close()
 
     def test_old_snapshot_layout_rebuilds(self, accel_names):

@@ -86,6 +86,43 @@ class TestFolding:
         folded = transform("भारत", "hindi")
         assert len(raw) == len(folded)
 
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_non_inventory_symbol_raises_the_same_error(self, fold):
+        from repro.errors import PhonemeError
+
+        class Fake(TTPConverter):
+            language = "fake"
+            script = "latin"
+
+            def _word_to_phonemes(self, word):
+                return ("n", "zz") if word == "bad" else ("n", "ɪ")
+
+        registry = TTPRegistry([Fake()], fold=fold)
+        with pytest.raises(PhonemeError) as raised:
+            registry.transform("bad", "fake")
+        assert str(raised.value) == "unknown phoneme symbol 'zz'"
+        assert registry.transform("ok", "fake") == (
+            ("n", "i") if fold else ("n", "ɪ")
+        )
+
+    def test_folding_checks_each_symbol_once(self, monkeypatch):
+        """With folding on, the fold-table lookup is the symbol check:
+        a valid string is not also run through the separate validator."""
+        import repro.ttp.base
+
+        def unexpected(phonemes):
+            raise AssertionError("symbols checked twice")
+
+        monkeypatch.setattr(
+            repro.ttp.base, "validate_phoneme_string", unexpected
+        )
+        registry = TTPRegistry(
+            [default_registry().converter_for("hindi")], fold=True
+        )
+        assert registry.transform("नेहरु", "hindi") == transform(
+            "नेहरु", "hindi"
+        )
+
 
 class TestDetectLanguage:
     def test_devanagari(self):
