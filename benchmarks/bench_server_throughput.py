@@ -12,7 +12,8 @@ latency, plus a correctness tally (every response is checked against
 the known answer — a wrong result fails the benchmark).  Environment
 knobs: ``REPRO_BENCH_SERVER_CONC`` (comma-separated sweep, default
 ``1,2,4,8``), ``REPRO_BENCH_SERVER_REQS`` (requests per client,
-default 30), ``REPRO_BENCH_SERVER_WORKERS`` (pool threads, default 4).
+default 30), ``REPRO_BENCH_SERVER_WORKERS`` (pool threads, default
+the server's, :data:`repro.server.workers.DEFAULT_WORKERS`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import time
 
 from repro.evaluation.report import format_table
 from repro.server import BackgroundServer, LexEqualClient
+from repro.server.workers import DEFAULT_WORKERS
 
 from conftest import save_result
 
@@ -32,7 +34,9 @@ CONCURRENCIES = [
     if c
 ]
 REQUESTS_PER_CLIENT = int(os.environ.get("REPRO_BENCH_SERVER_REQS", "30"))
-WORKERS = int(os.environ.get("REPRO_BENCH_SERVER_WORKERS", "4"))
+WORKERS = int(
+    os.environ.get("REPRO_BENCH_SERVER_WORKERS", str(DEFAULT_WORKERS))
+)
 
 LEXEQUAL_SQL = (
     "SELECT author FROM books "

@@ -6,8 +6,9 @@ ratios; this script compares them against the committed
 ``BENCH_baseline.json`` with a jitter tolerance (default
 :data:`repro.perf.DEFAULT_TOLERANCE`) and exits non-zero on any
 regression — including the "N workers must beat 1 worker" scaling
-ratio and the pooled join's ``join_2v1``, each enforced only on
-machines whose recorded ``cpu_count`` can physically express it.
+ratio, the pooled join's ``join_2v1`` and the served selects'
+``serve_1v4``, each enforced only on machines whose recorded
+``cpu_count`` can physically express it.
 
 Usage::
 
@@ -58,6 +59,12 @@ def main(argv: list[str] | None = None) -> int:
             f"note: cpu_count={fresh.get('cpu_count')} < "
             f"{perf.JOIN_POOL_WORKERS} workers — {perf.JOIN_POOL_KEY} "
             "recorded but not enforced"
+        )
+    if not perf.serve_threads_enforced(fresh):
+        print(
+            f"note: cpu_count={fresh.get('cpu_count')} < "
+            f"{perf.SERVE_THREADS_MIN_CPUS} CPUs — "
+            f"{perf.SERVE_THREADS_KEY} recorded but not enforced"
         )
     failures = perf.compare(baseline, fresh, tolerance=args.tolerance)
     for key, value in sorted(fresh.get("ratios", {}).items()):

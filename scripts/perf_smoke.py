@@ -18,7 +18,10 @@ the build when either regression appears:
   the cross-language join's DP off most length-filter survivors at the
   paper's clustered costs, or the class counts stored at insert send a
   different number of join pairs to the DP than a recount from the
-  codes does (pair counts, not timings).
+  codes does (pair counts, not timings);
+* **served answers** — a ``BackgroundServer`` on the default one-thread
+  pool and one on 4 threads return different rows for the same
+  closed-loop selects.
 
 The floors come from :mod:`repro.perf` — the single source shared with
 ``scripts/perf_compare.py`` and the acceptance benchmark — and are
@@ -33,9 +36,12 @@ Besides asserting, the run writes a JSON report of its speedup ratios
 committed ``BENCH_baseline.json`` to catch slow drift that stays above
 the lax floors.  The report records ``cpu_count`` because the
 multi-worker ratios are only meaningful (and only enforced) on
-machines with at least that many CPUs: ``scaling_4v1`` (selects) and
+machines with at least that many CPUs: ``scaling_4v1`` (selects),
 ``join_2v1``, the clustered-cost join inline over the same join on a
-2-worker pool, the shape the ``join-crossscript-1500`` workload runs.
+2-worker pool, the shape the ``join-crossscript-1500`` workload runs,
+and ``serve_1v4``, served selects on 4 engine threads over the same
+selects on the default pool, enforced on 2+ CPUs, where the threads
+contend for the GIL.
 
 Environment knobs: ``REPRO_PERF_SMOKE_ROWS`` (default 1500),
 ``REPRO_PERF_SMOKE_SEED`` (default 20040314).
@@ -44,11 +50,13 @@ Environment knobs: ``REPRO_PERF_SMOKE_ROWS`` (default 1500),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
 import random
 import sys
+import threading
 import time
 
 sys.path.insert(
@@ -65,14 +73,20 @@ from repro.core import (
     NameCatalog,
     QGramStrategy,
 )
+from repro.core.engine import create_phonetic_accelerator
+from repro.core.integration import install_lexequal
 from repro.core.sources import PhonemeStore
 from repro.data.generator import generate_performance_dataset
 from repro.data.lexicon import build_lexicon
 from repro.matching.batch import EncodedCosts, batch_edit_distances_within
 from repro.matching.editdist import edit_distance, edit_distance_within
+from repro.minidb.catalog import Database
+from repro.minidb.schema import Column
+from repro.minidb.values import SqlType
 from repro.parallel import ParallelStrategy
 from repro.parallel.executor import _join_shard_on
 from repro.parallel.table import EncodedNameTable
+from repro.server import BackgroundServer, LexEqualClient, QueryService
 
 ROWS = int(os.environ.get("REPRO_PERF_SMOKE_ROWS", "1500"))
 SEED = int(os.environ.get("REPRO_PERF_SMOKE_SEED", "20040314"))
@@ -84,6 +98,13 @@ VERIFY_KEYS = 250
 VERIFY_QUERIES = 12
 #: Alternating inline/pooled timings of the clustered-cost join.
 JOIN_ROUNDS = 7
+#: The served-select check: table rows (serve-sized), closed-loop
+#: clients per server, selects each client sends per round, and the
+#: alternating default-pool/4-thread rounds whose best times compare.
+SERVE_ROWS = 600
+SERVE_CLIENTS = 2
+SERVE_REQUESTS = 60
+SERVE_ROUNDS = 7
 
 
 #: The kernel and strategy checks' classical costs.
@@ -407,6 +428,114 @@ def check_join_pool(catalog: NameCatalog) -> float:
     return ratio
 
 
+def serve_service(items) -> QueryService:
+    """A served ``names`` table at clustered costs, ``auto`` accelerator."""
+    matcher = LexEqualMatcher(MatchConfig())
+    db = Database()
+    install_lexequal(db, matcher)
+    db.create_table(
+        "names",
+        [
+            Column("id", SqlType.INTEGER, nullable=False),
+            Column("name", SqlType.TEXT, nullable=False),
+        ],
+    )
+    for row_id, item in enumerate(items):
+        db.insert("names", (row_id, item.name))
+    create_phonetic_accelerator(db, "names", "name", matcher, method="auto")
+    db.analyze()
+    return QueryService(db, matcher, strategy="auto")
+
+
+def _drive(bg: BackgroundServer, batches: list[list[str]]):
+    """Closed-loop clients, one per batch: wall seconds and answers."""
+    clients = [LexEqualClient(bg.host, bg.port) for _ in batches]
+    answers: list = [None] * len(batches)
+
+    def run(i: int) -> None:
+        answers[i] = [
+            sorted(row[0] for row in clients[i].query(sql)["rows"])
+            for sql in batches[i]
+        ]
+
+    threads = [
+        threading.Thread(target=run, args=(i,)) for i in range(len(batches))
+    ]
+    try:
+        start = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        seconds = time.perf_counter() - start
+    finally:
+        for client in clients:
+            client.close()
+    if any(answer is None for answer in answers):
+        raise AssertionError("a serve client failed before its last answer")
+    return seconds, answers
+
+
+def check_serve_threads(items) -> float:
+    """Served selects on the default pool against a 4-thread pool.
+
+    Starts one server at the default pool size and one at
+    :data:`repro.perf.SERVE_THREADS_WORKERS` threads over the same
+    table, drives each with :data:`SERVE_CLIENTS` closed-loop clients,
+    alternating :data:`SERVE_ROUNDS` times, and checks every round's
+    answers are identical.  Returns ``serve_1v4``: the 4-thread pool's
+    best time over the default pool's (> 1 means the default wins;
+    enforced by ``scripts/perf_compare.py`` on runs with 2+ CPUs, where
+    engine threads contend for the GIL).
+    """
+    service = serve_service(items)
+    rng = random.Random(SEED + 3)
+    names = [item.name.replace("'", "''") for item in items]
+    batches = [
+        [
+            f"SELECT id FROM names WHERE name LEXEQUAL '{name}' "
+            "THRESHOLD 0.25"
+            for name in rng.sample(names, SERVE_REQUESTS)
+        ]
+        for _ in range(SERVE_CLIENTS)
+    ]
+    pools = {
+        "default": {},
+        "threads": {"max_workers": perf.SERVE_THREADS_WORKERS},
+    }
+    seconds: dict[str, list[float]] = {name: [] for name in pools}
+    try:
+        with contextlib.ExitStack() as stack:
+            servers = {
+                name: stack.enter_context(BackgroundServer(service, **pool))
+                for name, pool in pools.items()
+            }
+            for bg in servers.values():
+                _, expected = _drive(bg, batches)  # caches and stats warm
+            if not all(rows for answers in expected for rows in answers):
+                raise AssertionError("a stored name did not match itself")
+            for _ in range(SERVE_ROUNDS):
+                for name, bg in servers.items():
+                    elapsed, answers = _drive(bg, batches)
+                    seconds[name].append(elapsed)
+                    if answers != expected:
+                        raise AssertionError(
+                            f"served answers diverged on the {name} pool"
+                        )
+    finally:
+        obs.disable()  # the servers enabled metrics process-wide
+    default_s, threads_s = min(seconds["default"]), min(seconds["threads"])
+    ratio = threads_s / max(default_s, 1e-9)
+    requests = SERVE_CLIENTS * SERVE_REQUESTS
+    print(
+        f"serve threads: {requests} selects over {SERVE_CLIENTS} "
+        f"connections, default pool {default_s * 1e3:.0f} ms, "
+        f"{perf.SERVE_THREADS_WORKERS} threads {threads_s * 1e3:.0f} ms "
+        f"-> {ratio:.2f}x"
+    )
+    return ratio
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -428,6 +557,9 @@ def main(argv: list[str] | None = None) -> int:
     clustered = build_catalog(items, MatchConfig())
     join_pruning = check_join_pruning(clustered)
     join_pool = check_join_pool(clustered)
+    serve_threads = check_serve_threads(
+        random.Random(SEED + 4).sample(items, SERVE_ROWS)
+    )
     report = {
         "rows": ROWS,
         "seed": SEED,
@@ -442,6 +574,7 @@ def main(argv: list[str] | None = None) -> int:
             "join_dp_reduction": round(join_pruning, 3),
             f"scaling_{perf.SCALING_WORKERS}v1": round(scaling, 3),
             perf.JOIN_POOL_KEY: round(join_pool, 3),
+            perf.SERVE_THREADS_KEY: round(serve_threads, 3),
         },
     }
     failures = perf.check_floors(report)

@@ -56,6 +56,7 @@ from repro.core.engine import METHODS
 from repro.core.matcher import LexEqualMatcher
 from repro.core.operator import language_set
 from repro.errors import ReproError
+from repro.server.workers import DEFAULT_WORKERS
 
 #: ``--strategy`` values: every accelerator method, or plain UDF
 #: evaluation.
@@ -652,8 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port; 0 picks an ephemeral port (default: 2004)",
     )
     p_serve.add_argument(
-        "--workers", type=_positive_int, default=4,
-        help="CPU worker threads (default: 4)",
+        "--workers", type=_positive_int, default=DEFAULT_WORKERS,
+        help=f"engine threads (default {DEFAULT_WORKERS}); more pay only "
+        "where one numpy call runs long, as on big tables, since the "
+        "engine's threads share the GIL (query/init --workers size the "
+        "parallel strategy's process pool instead)",
     )
     p_serve.add_argument(
         "--max-inflight", type=_positive_int, default=32,

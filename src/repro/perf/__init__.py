@@ -18,6 +18,9 @@ from repro.perf.gates import (
     SCALING_BEAT_FLOOR,
     SCALING_MIN_ROWS,
     SCALING_WORKERS,
+    SERVE_THREADS_KEY,
+    SERVE_THREADS_MIN_CPUS,
+    SERVE_THREADS_WORKERS,
     SMOKE_EXECUTOR_FLOOR,
     SMOKE_FLOORS,
     SMOKE_KERNEL_FLOOR,
@@ -25,6 +28,7 @@ from repro.perf.gates import (
     compare,
     join_pool_enforced,
     scaling_enforced,
+    serve_threads_enforced,
 )
 
 __all__ = [
@@ -36,6 +40,9 @@ __all__ = [
     "SCALING_BEAT_FLOOR",
     "SCALING_MIN_ROWS",
     "SCALING_WORKERS",
+    "SERVE_THREADS_KEY",
+    "SERVE_THREADS_MIN_CPUS",
+    "SERVE_THREADS_WORKERS",
     "SMOKE_EXECUTOR_FLOOR",
     "SMOKE_FLOORS",
     "SMOKE_KERNEL_FLOOR",
@@ -43,4 +50,5 @@ __all__ = [
     "compare",
     "join_pool_enforced",
     "scaling_enforced",
+    "serve_threads_enforced",
 ]

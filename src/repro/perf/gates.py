@@ -15,7 +15,8 @@ and ``benchmarks/bench_parallel_scaling.py``)::
         "verify_vs_scalar": 6.0,
         "join_dp_reduction": 33.5,
         "scaling_4v1": 2.7,
-        "join_2v1": 1.9
+        "join_2v1": 1.9,
+        "serve_1v4": 1.2
       }
     }
 
@@ -26,8 +27,10 @@ on a box with fewer than 4 CPUs *cannot* beat 1 worker, so the select
 scaling ratio applies only when :func:`scaling_enforced` says the
 hardware can express it, and ``join_2v1`` (the cross-language join on
 a 2-worker pool against inline) only when :func:`join_pool_enforced`
-does — the report records ``cpu_count`` precisely so the gate stays
-honest on small runners.
+does, and ``serve_1v4`` (served selects on the default one-thread pool
+against 4 threads) only when :func:`serve_threads_enforced` does — the
+report records ``cpu_count`` precisely so the gate stays honest on
+small runners.
 
 Two kinds of check:
 
@@ -77,6 +80,14 @@ SCALING_MIN_ROWS = 10_000
 JOIN_POOL_WORKERS = 2
 JOIN_POOL_KEY = f"join_{JOIN_POOL_WORKERS}v1"
 
+#: The served-select ratio: the 4-thread pool's best time over the
+#: default pool's on the same closed-loop selects.  Engine threads
+#: contend for the GIL only where two of them can run at once, so it
+#: is enforced on runs with at least :data:`SERVE_THREADS_MIN_CPUS`.
+SERVE_THREADS_WORKERS = 4
+SERVE_THREADS_KEY = f"serve_1v{SERVE_THREADS_WORKERS}"
+SERVE_THREADS_MIN_CPUS = 2
+
 #: Allowed fractional drop of a fresh ratio below its baseline before
 #: the gate fails (timing jitter on shared CI runners is real).
 DEFAULT_TOLERANCE = 0.35
@@ -112,6 +123,13 @@ def join_pool_enforced(report: dict) -> bool:
     """Can this report's run express the pooled join's speedup?  True
     when the recorded ``cpu_count`` covers :data:`JOIN_POOL_WORKERS`."""
     return int(report.get("cpu_count") or 0) >= JOIN_POOL_WORKERS
+
+
+def serve_threads_enforced(report: dict) -> bool:
+    """Can this report's run express GIL contention between engine
+    threads?  True when the recorded ``cpu_count`` reaches
+    :data:`SERVE_THREADS_MIN_CPUS`."""
+    return int(report.get("cpu_count") or 0) >= SERVE_THREADS_MIN_CPUS
 
 
 def check_floors(
@@ -157,7 +175,8 @@ def compare(
     Every ratio present in the baseline must exist in the fresh report
     and stay at or above ``baseline * (1 - tolerance)``.  Pool ratios
     are exempted when the fresh run's hardware cannot express them
-    (:func:`scaling_enforced`, :func:`join_pool_enforced`).  Reports
+    (:func:`scaling_enforced`, :func:`join_pool_enforced`,
+    :func:`serve_threads_enforced`).  Reports
     over different row counts are not comparable and fail outright.
     """
     failures = []
@@ -175,6 +194,8 @@ def compare(
         if key.startswith("scaling_") and not enforce_scaling:
             continue
         if key == JOIN_POOL_KEY and not join_pool_enforced(fresh):
+            continue
+        if key == SERVE_THREADS_KEY and not serve_threads_enforced(fresh):
             continue
         fresh_value = fresh_ratios.get(key)
         if fresh_value is None:

@@ -38,6 +38,7 @@ from repro.server import protocol
 from repro.server.service import QueryService
 from repro.server.session import Session
 from repro.server.workers import (
+    DEFAULT_WORKERS,
     PoolDrainingError,
     PoolOverloadedError,
     PoolTimeoutError,
@@ -61,7 +62,7 @@ class LexEqualServer:
         host: str = "127.0.0.1",
         port: int = protocol.DEFAULT_PORT,
         *,
-        max_workers: int = 4,
+        max_workers: int = DEFAULT_WORKERS,
         max_inflight: int = 32,
         request_timeout: float | None = 30.0,
         drain_timeout: float = 10.0,

@@ -1,10 +1,13 @@
 """A thread-safe LRU cache of parsed statements, keyed on SQL text.
 
-The server executes on worker threads, and real workloads repeat the
-same statement shapes endlessly (the paper's Figure 3 query with varying
-bindings), so parsing is hoisted out of the per-request path: the first
-time a SQL text is seen it is parsed once and the AST is cached;
-``prepare``/``execute`` and plain ``query`` both route through here.
+Real workloads repeat the same statement shapes endlessly (the
+paper's Figure 3 query with varying bindings), so parsing is hoisted
+out of the per-request path: the first time a SQL text is seen it is
+parsed once and the AST is cached; ``prepare``/``execute`` and plain
+``query`` both route through here.  The cache takes a lock even though
+the server runs one engine thread by default: ``prepare`` parses on
+the event loop while that thread executes, and ``--workers`` adds
+engine threads.
 Statement ASTs are immutable dataclass trees, so one cached entry is
 safely shared by concurrent executions — the planner builds a fresh
 physical plan per execution (plans close over their parameter bindings

@@ -4,8 +4,12 @@ A :class:`QueryService` owns the pieces every connection shares — the
 :class:`~repro.minidb.catalog.Database`, the
 :class:`~repro.core.matcher.LexEqualMatcher`, and the statement cache —
 and exposes one synchronous method per protocol op.  Methods are called
-from worker threads (CPU-bound ops) or the event loop (cheap ops); all
-shared state they touch is thread-safe: the catalog takes its DDL/DML
+from the worker pool's engine threads (``query``/``execute``/
+``lexequal``) or the event loop (cheap ops).  The pool runs one engine
+thread by default (:data:`~repro.server.workers.DEFAULT_WORKERS`: the
+engine's numpy layers convoy on the GIL when two threads run them), but
+``--workers`` adds threads and the loop's ops overlap the pool's, so
+all shared state stays thread-safe: the catalog takes its DDL/DML
 lock, the TTP registry's conversion cache is lock-on-miss, and the
 statement cache is a locking LRU.
 
@@ -161,6 +165,7 @@ class QueryService:
             "uptime_seconds": info.get("uptime_seconds", 0.0),
             "in_flight": info.get("active_requests", 0),
             "strategy": self.strategy or "default",
+            "workers": info.get("pool", {}).get("workers"),
             "wal_lsn": getattr(storage, "wal_high_water_lsn", None),
         }
 

@@ -1,9 +1,18 @@
-"""A bounded worker pool bridging the event loop and CPU-bound matching.
+"""A bounded worker pool bridging the event loop and the engine.
 
-The DP matcher and the SQL executor are pure-Python CPU work; running
-them on the asyncio loop would stall every connection behind the
-slowest query.  :class:`WorkerPool` offloads them to a small thread pool
-and wraps three service-level policies around the hop:
+Running a query on the asyncio loop would stall every connection behind
+the slowest one, so :class:`WorkerPool` offloads ``query``/``execute``/
+``lexequal`` to a thread pool of :data:`DEFAULT_WORKERS` engine threads
+(``lexequal serve --workers`` adds more).  One is the default because
+the engine's hot layers hold the GIL: q-gram candidate generation and
+the batch verifier are runs of short numpy calls, and two runnable
+threads convoy on the GIL at every call boundary.  In-process on a
+600-row table at ``MatchConfig()`` on 2 CPUs, ``QueryService.run_sql``
+served 823-1,136 selects/s on one thread and 546-692/s on two
+(0.49-0.79x over nine rounds).  A second thread pays only where one
+numpy call runs long: at 200k rows two threads served 1.12-1.17x the
+selects of one, at 50k rows 0.94-1.11x.  The pool wraps three
+service-level policies around the hop, whatever its size:
 
 * **backpressure** — at most ``max_inflight`` requests may be admitted
   (queued or running); beyond that, :meth:`run` fails *immediately*
@@ -38,6 +47,11 @@ from repro import deadline, faults, obs
 from repro.errors import DeadlineExceededError, ServerError
 
 
+#: Engine threads per server unless ``--workers``/``max_workers`` says
+#: otherwise (see the module docstring for why one).
+DEFAULT_WORKERS = 1
+
+
 class PoolOverloadedError(ServerError):
     """Admission failed: the max-inflight backpressure limit was hit."""
 
@@ -55,7 +69,7 @@ class WorkerPool:
 
     def __init__(
         self,
-        max_workers: int = 4,
+        max_workers: int = DEFAULT_WORKERS,
         max_inflight: int = 32,
         request_timeout: float | None = 30.0,
     ):

@@ -37,6 +37,7 @@ def report(
         "join_dp_reduction": 30.0,
         "scaling_4v1": 3.2,
         "join_2v1": 1.8,
+        "serve_1v4": 1.2,
     }
     base.update(ratios)
     return {
@@ -120,6 +121,23 @@ class TestJoinPoolGate:
         assert perf.compare(report(), fresh, tolerance=0.35) == []
 
 
+class TestServeThreadsGate:
+    """``serve_1v4``: the default pool must keep beating 4 threads."""
+
+    def test_regression_fails_on_two_cpus(self):
+        fresh = report(rows=1500, cpu_count=2, serve_1v4=0.7)
+        failures = perf.compare(report(rows=1500), fresh, tolerance=0.35)
+        assert any("serve_1v4 regressed" in f for f in failures)
+
+    def test_skipped_on_single_cpu(self):
+        fresh = report(cpu_count=1, serve_1v4=0.5)
+        assert perf.compare(report(), fresh, tolerance=0.35) == []
+
+    def test_enforcement_boundary(self):
+        assert perf.serve_threads_enforced(report(cpu_count=2))
+        assert not perf.serve_threads_enforced(report(cpu_count=1))
+
+
 class TestCompare:
     def test_identical_reports_pass(self):
         assert perf.compare(report(), report()) == []
@@ -197,6 +215,13 @@ class TestCompareCli:
         assert result.returncode == 1
         assert "must beat 1 worker" in result.stdout
 
+    def test_cli_notes_skipped_serve_threads(self, tmp_path):
+        result = self.run_cli(
+            tmp_path, report(), report(cpu_count=1, serve_1v4=0.5)
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "serve_1v4 recorded but not enforced" in result.stdout
+
     def test_cli_tolerance_flag(self, tmp_path):
         fresh = report(executor_vs_naive=12.0 * 0.55)
         strict = self.run_cli(tmp_path, report(), fresh)
@@ -227,6 +252,7 @@ class TestCommittedBaseline:
             "join_dp_reduction",
             f"scaling_{perf.SCALING_WORKERS}v1",
             perf.JOIN_POOL_KEY,
+            perf.SERVE_THREADS_KEY,
         ):
             assert key in baseline["ratios"], key
 

@@ -6,8 +6,9 @@ import socket
 import pytest
 
 from repro import obs
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.server import BackgroundServer
+from repro.server.workers import DEFAULT_WORKERS
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +100,10 @@ class TestClientCommand:
 
 
 class TestServeCommand:
+    def test_workers_default_is_the_pool_default(self):
+        args = build_parser().parse_args(["serve"])
+        assert args.workers == DEFAULT_WORKERS
+
     def test_port_in_use_one_line_diagnostic(self, capsys):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))

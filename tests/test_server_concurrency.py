@@ -44,7 +44,12 @@ EXPECTED_AUTHORS = {"Nehru", "नेहरु", "நேரு"}
 
 
 class TestConcurrentClients:
-    def test_eight_clients_consistent_results(self):
+    # The default pool runs one engine thread; four keep the engine's
+    # thread safety covered, since ``--workers`` can still add threads.
+    @pytest.mark.parametrize(
+        "pool", [{}, {"max_workers": 4}], ids=["default", "workers-4"]
+    )
+    def test_eight_clients_consistent_results(self, pool):
         """8 parallel clients, mixed query/lexequal, zero wrong results."""
         service = QueryService(demo_books_db("qgram"))
         failures: list = []
@@ -66,7 +71,7 @@ class TestConcurrentClients:
             except Exception as exc:  # surfaced via `failures`
                 failures.append(("exception", repr(exc)))
 
-        with BackgroundServer(service, max_workers=4) as bg:
+        with BackgroundServer(service, **pool) as bg:
             threads = [
                 threading.Thread(target=worker, args=(bg.host, bg.port))
                 for _ in range(8)
@@ -82,6 +87,11 @@ class TestConcurrentClients:
                 # 8 clients x 5 rounds x 3 requests, plus this stats op.
                 assert counters["server.requests"] >= 8 * 5 * 3
                 assert counters["server.connections.opened"] >= 9
+
+    def test_default_pool_reports_one_worker(self):
+        with BackgroundServer() as bg, LexEqualClient(bg.host, bg.port) as c:
+            assert c.stats()["server"]["pool"]["workers"] == 1
+            assert c.health()["workers"] == 1
 
     def test_concurrent_prepared_statements_stay_per_session(self):
         service = QueryService(demo_books_db("none"))
